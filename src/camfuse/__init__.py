@@ -71,14 +71,15 @@ from .tensor import (
     LayerNormParams,
     LinearMap,
     TokenTensor,
-    concat_tokens,
+    affine,
+    affine_vjp,
     layer_norm,
-    matmul_tokens,
+    layer_norm_vjp,
     sigmoid,
     softmax_rows,
-    split_tokens,
+    softmax_vjp,
     swish,
-    vjp,
+    swish_vjp,
 )
 
 __version__ = "0.1.0"

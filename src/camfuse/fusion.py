@@ -32,13 +32,13 @@ from .tensor import (
     LayerNormParams,
     LinearMap,
     TokenTensor,
-    _affine_raw,
-    _affine_vjp_raw,
-    _layer_norm_raw,
-    _layer_norm_vjp_raw,
-    _softmax_vjp_from_probs,
+    affine,
+    affine_vjp,
+    layer_norm,
+    layer_norm_vjp,
     sigmoid,
     softmax_rows,
+    softmax_vjp,
     swish,
     swish_vjp,
 )
@@ -49,7 +49,9 @@ __all__ = [
     "FusionConfig",
     "FusionWeights",
     "FusionInputs",
+    "LAYER_NORM_GROUPS",
     "init_weights",
+    "layer_norm_epsilons",
     "param_shapes",
     "param_count",
     "iter_params",
@@ -177,27 +179,47 @@ class FusionInputs:
 
 
 # ---------------------------------------------------------------------------
-# parameter layout
+# parameter table
 # ---------------------------------------------------------------------------
 
-def _param_layout(config: FusionConfig) -> list[tuple[str, tuple[int, ...]]]:
-    dv, ds, da = config.d_visual, config.d_spatial, config.d_attn
+# a group's kind is the names of its two arrays, in canonical order
+_LINEAR, _LAYER_NORM = ("weight", "bias"), ("gain", "shift")
 
-    def lin(name, nin, nout):
-        return [(f"{name}.weight", (nin, nout)), (f"{name}.bias", (nout,))]
+# One row per parameter group in canonical (file) order: name, kind and the
+# group's (in, out) widths for a config. A dotted name "field.i" is entry i of
+# a tuple field of FusionWeights; a layer norm's in and out widths are equal.
+_PARAM_GROUPS = (
+    ("ln_v", _LAYER_NORM, lambda c: (c.d_visual, c.d_visual)),
+    ("ln_s", _LAYER_NORM, lambda c: (c.d_spatial, c.d_spatial)),
+    ("p_q", _LINEAR, lambda c: (c.d_visual, c.d_attn)),
+    ("p_k", _LINEAR, lambda c: (c.d_spatial, c.d_attn)),
+    ("p_v", _LINEAR, lambda c: (c.d_spatial, c.d_attn)),
+    ("p_c", _LINEAR, lambda c: (c.d_spatial, c.d_attn)),
+    ("geo_mlp.0", _LINEAR, lambda c: (2 * c.d_spatial, c.d_attn)),
+    ("geo_mlp.1", _LINEAR, lambda c: (c.d_attn, c.d_attn)),
+    ("tw_mlp.0", _LINEAR, lambda c: (c.d_spatial, c.d_attn)),
+    ("tw_mlp.1", _LINEAR, lambda c: (c.d_attn, 1)),
+    ("p_o", _LINEAR, lambda c: (c.d_attn, c.d_attn)),
+    ("ln_o", _LAYER_NORM, lambda c: (c.d_attn, c.d_attn)),
+    ("p_l", _LINEAR, lambda c: (c.d_attn, c.d_visual)),
+    ("p_g1", _LINEAR, lambda c: (c.d_attn, c.d_visual)),
+    ("p_g2", _LINEAR, lambda c: (c.d_attn, c.d_visual)),
+)
 
-    def ln(name, width):
-        return [(f"{name}.gain", (width,)), (f"{name}.shift", (width,))]
+LAYER_NORM_GROUPS = tuple(name for name, kind, _ in _PARAM_GROUPS if kind == _LAYER_NORM)
 
-    layout: list[tuple[str, tuple[int, ...]]] = []
-    layout += ln("ln_v", dv) + ln("ln_s", ds)
-    layout += lin("p_q", dv, da) + lin("p_k", ds, da) + lin("p_v", ds, da) + lin("p_c", ds, da)
-    layout += lin("geo_mlp.0", 2 * ds, da) + lin("geo_mlp.1", da, da)
-    layout += lin("tw_mlp.0", ds, da) + lin("tw_mlp.1", da, 1)
-    layout += lin("p_o", da, da) + ln("ln_o", da)
-    layout += lin("p_l", da, dv)
-    layout += lin("p_g1", da, dv) + lin("p_g2", da, dv)
-    return layout
+
+def _group(weights: FusionWeights, name: str):
+    field, _, index = name.partition(".")
+    node = getattr(weights, field)
+    return node[int(index)] if index else node
+
+
+def _param_layout(config: FusionConfig):
+    for name, kind, widths in _PARAM_GROUPS:
+        nin, nout = widths(config)
+        yield f"{name}.{kind[0]}", (nin, nout) if kind == _LINEAR else (nout,)
+        yield f"{name}.{kind[1]}", (nout,)
 
 
 def param_shapes(config: FusionConfig) -> dict[str, tuple[int, ...]]:
@@ -212,57 +234,32 @@ def param_count(config: FusionConfig) -> int:
 
 def iter_params(weights: FusionWeights):
     """Yield (name, array) for every learnable array, in canonical order."""
-    for name, node in (
-        ("ln_v", weights.ln_v),
-        ("ln_s", weights.ln_s),
-        ("p_q", weights.p_q),
-        ("p_k", weights.p_k),
-        ("p_v", weights.p_v),
-        ("p_c", weights.p_c),
-        ("geo_mlp.0", weights.geo_mlp[0]),
-        ("geo_mlp.1", weights.geo_mlp[1]),
-        ("tw_mlp.0", weights.tw_mlp[0]),
-        ("tw_mlp.1", weights.tw_mlp[1]),
-        ("p_o", weights.p_o),
-        ("ln_o", weights.ln_o),
-        ("p_l", weights.p_l),
-        ("p_g1", weights.p_g1),
-        ("p_g2", weights.p_g2),
-    ):
-        if isinstance(node, LinearMap):
-            yield f"{name}.weight", node.weight
-            if node.bias is not None:
-                yield f"{name}.bias", node.bias
-        else:
-            yield f"{name}.gain", node.gain
-            yield f"{name}.shift", node.shift
+    for name, kind, _ in _PARAM_GROUPS:
+        node = _group(weights, name)
+        for suffix in kind:
+            array = getattr(node, suffix)
+            if array is not None:
+                yield f"{name}.{suffix}", array
+
+
+def layer_norm_epsilons(weights: FusionWeights) -> dict[str, float]:
+    """Group name -> epsilon of every layer norm, in canonical order."""
+    return {name: _group(weights, name).epsilon for name in LAYER_NORM_GROUPS}
 
 
 def weights_from_arrays(arrays, epsilons=None) -> FusionWeights:
     """Assemble FusionWeights from a name -> array mapping (see iter_params)."""
     eps = dict(epsilons or {})
-
-    def lin(name):
-        return LinearMap(arrays[f"{name}.weight"], arrays.get(f"{name}.bias"))
-
-    def ln(name):
-        return LayerNormParams(arrays[f"{name}.gain"], arrays[f"{name}.shift"], eps.get(name, 1e-6))
-
-    return FusionWeights(
-        ln_v=ln("ln_v"),
-        ln_s=ln("ln_s"),
-        p_q=lin("p_q"),
-        p_k=lin("p_k"),
-        p_v=lin("p_v"),
-        p_c=lin("p_c"),
-        geo_mlp=(lin("geo_mlp.0"), lin("geo_mlp.1")),
-        tw_mlp=(lin("tw_mlp.0"), lin("tw_mlp.1")),
-        p_o=lin("p_o"),
-        ln_o=ln("ln_o"),
-        p_l=lin("p_l"),
-        p_g1=lin("p_g1"),
-        p_g2=lin("p_g2"),
-    )
+    fields: dict[str, object] = {}
+    for name, kind, _ in _PARAM_GROUPS:
+        if kind == _LINEAR:
+            node = LinearMap(arrays[f"{name}.weight"], arrays.get(f"{name}.bias"))
+        else:
+            node = LayerNormParams(arrays[f"{name}.gain"], arrays[f"{name}.shift"],
+                                   eps.get(name, 1e-6))
+        field, _, index = name.partition(".")
+        fields[field] = fields.get(field, ()) + (node,) if index else node
+    return FusionWeights(**fields)
 
 
 def init_weights(config: FusionConfig, seed: int, *, identity_init: bool = False) -> FusionWeights:
@@ -280,10 +277,11 @@ def init_weights(config: FusionConfig, seed: int, *, identity_init: bool = False
             arrays[name] = np.zeros(shape)
         else:  # .gain
             arrays[name] = np.ones(shape)
+    weights = weights_from_arrays(arrays)
     if identity_init:
-        arrays["p_l.weight"] = np.zeros_like(arrays["p_l.weight"])
-        arrays["p_l.bias"] = np.zeros_like(arrays["p_l.bias"])
-    return weights_from_arrays(arrays)
+        zero = LinearMap(np.zeros_like(weights.p_l.weight), np.zeros_like(weights.p_l.bias))
+        weights = replace(weights, p_l=zero)
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -302,17 +300,28 @@ def _check_inputs(inputs: FusionInputs, config: FusionConfig) -> None:
             raise DimensionError(f"{name} stream has shape {actual}, config expects {shape}")
 
 
-def project_qkvc(inputs: FusionInputs, weights: FusionWeights):
+def _keep(saved: dict | None, name: str, value: np.ndarray) -> np.ndarray:
+    """Record `value` for the reverse pass when a `saved` dict is given.
+
+    Used inside expressions, so that without `saved` every intermediate is
+    freed as early as if it had not been recorded.
+    """
+    if saved is not None:
+        saved[name] = value
+    return value
+
+
+def project_qkvc(inputs: FusionInputs, weights: FusionWeights, *, saved: dict | None = None):
     """Project the three streams into the shared attention space.
 
     Visual and spatial tokens are layer-normalized first; the camera token is
     projected raw.
     """
-    q = _affine_raw(_layer_norm_raw(inputs.visual.data, weights.ln_v), weights.p_q)
-    lns = _layer_norm_raw(inputs.spatial.data, weights.ln_s)
-    k = _affine_raw(lns, weights.p_k)
-    v = _affine_raw(lns, weights.p_v)
-    c = _affine_raw(inputs.camera.data, weights.p_c)
+    q = affine(_keep(saved, "lnv", layer_norm(inputs.visual.data, weights.ln_v)), weights.p_q)
+    lns = _keep(saved, "lns", layer_norm(inputs.spatial.data, weights.ln_s))
+    k = affine(lns, weights.p_k)
+    v = affine(lns, weights.p_v)
+    c = affine(inputs.camera.data, weights.p_c)
     return TokenTensor(q), TokenTensor(k), TokenTensor(v), TokenTensor(c)
 
 
@@ -322,17 +331,19 @@ def _geo_input(xs: np.ndarray, xc: np.ndarray) -> np.ndarray:
     return np.concatenate([xs, cam], axis=-1)
 
 
-def geo_bias(spatial: TokenTensor, camera: TokenTensor, weights: FusionWeights) -> TokenTensor:
+def geo_bias(spatial: TokenTensor, camera: TokenTensor, weights: FusionWeights, *,
+             saved: dict | None = None) -> TokenTensor:
     """Camera-conditioned bias over spatial tokens, added to keys and values."""
-    gin = _geo_input(spatial.data, camera.data)
-    hidden = swish(_affine_raw(gin, weights.geo_mlp[0]))
-    return TokenTensor(_affine_raw(hidden, weights.geo_mlp[1]))
+    gin = _keep(saved, "gin", _geo_input(spatial.data, camera.data))
+    hidden = _keep(saved, "ga", swish(_keep(saved, "gh", affine(gin, weights.geo_mlp[0]))))
+    return TokenTensor(affine(hidden, weights.geo_mlp[1]))
 
 
-def token_weights(spatial: TokenTensor, weights: FusionWeights) -> TokenTensor:
+def token_weights(spatial: TokenTensor, weights: FusionWeights, *,
+                  saved: dict | None = None) -> TokenTensor:
     """Query-independent importance in (0,1) for each spatial token."""
-    hidden = swish(_affine_raw(spatial.data, weights.tw_mlp[0]))
-    return TokenTensor(sigmoid(_affine_raw(hidden, weights.tw_mlp[1])))
+    hidden = _keep(saved, "ta", swish(_keep(saved, "th", affine(spatial.data, weights.tw_mlp[0]))))
+    return TokenTensor(_keep(saved, "tw", sigmoid(affine(hidden, weights.tw_mlp[1]))))
 
 
 def _attention_raw(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
@@ -378,7 +389,7 @@ def _attention_vjp_raw(q, k, v, probs, n_heads, g_out):
         p = probs[i]
         g_probs = goh @ vh.transpose(0, 2, 1)                  # [h, mq, mk]
         g_vh = p.transpose(0, 2, 1) @ goh                      # [h, mk, dh]
-        g_scores = _softmax_vjp_from_probs(p, g_probs)
+        g_scores = softmax_vjp(p, g_probs)
         g_qh = (g_scores @ kh) * scale
         g_kh = (g_scores.transpose(0, 2, 1) @ qh) * scale
         gq[i] = g_qh.transpose(1, 0, 2).reshape(mq, da)
@@ -388,9 +399,12 @@ def _attention_vjp_raw(q, k, v, probs, n_heads, g_out):
 
 
 def attend(q: TokenTensor, k: TokenTensor, v: TokenTensor, c: TokenTensor,
-           config: FusionConfig) -> TokenTensor:
+           config: FusionConfig, *, saved: dict | None = None) -> TokenTensor:
     """Visual queries attend over spatial memory, prepended with the camera
-    slot when camera_memory is enabled."""
+    slot when camera_memory is enabled.
+
+    Only with `saved` is the full [frames, heads, mq, mk] probability tensor kept.
+    """
     if config.toggles.camera_memory:
         kmem = np.concatenate([c.data, k.data], axis=1)
         vmem = np.concatenate([c.data, v.data], axis=1)
@@ -400,25 +414,65 @@ def attend(q: TokenTensor, k: TokenTensor, v: TokenTensor, c: TokenTensor,
         raise DimensionError(
             "attention memory is empty: no spatial tokens and camera memory disabled"
         )
-    out, _ = _attention_raw(q.data, kmem, vmem, config.n_heads)
+    out, probs = _attention_raw(q.data, kmem, vmem, config.n_heads, keep_cache=saved is not None)
+    if saved is not None:
+        saved.update(q=q.data, kmem=kmem, vmem=vmem, probs=probs)
     return TokenTensor(out)
 
 
 def gate_and_fuse(attended: TokenTensor, c: TokenTensor, visual: TokenTensor,
-                  weights: FusionWeights, config: FusionConfig) -> TokenTensor:
+                  weights: FusionWeights, config: FusionConfig, *,
+                  saved: dict | None = None) -> TokenTensor:
     """Project the attention output back to visual width, gate it with the
     camera embedding, and add the visual residual."""
-    proj = _layer_norm_raw(_affine_raw(attended.data, weights.p_o), weights.ln_o)
-    mapped = _affine_raw(proj, weights.p_l)
-    if config.toggles.gate:
-        cbar = c.data[:, 0, :]
-        u = _affine_raw(cbar, weights.p_g1)
-        v = _affine_raw(cbar, weights.p_g2)
-        gate = swish(u) * v
-        out = mapped * gate[:, None, :] + visual.data
-    else:
-        out = mapped + visual.data
-    return TokenTensor(out)
+    fhat = _keep(saved, "fhat", attended.data)
+    proj = _keep(saved, "fproj", layer_norm(_keep(saved, "p", affine(fhat, weights.p_o)),
+                                            weights.ln_o))
+    mapped = _keep(saved, "mapped", affine(proj, weights.p_l))
+    if not config.toggles.gate:
+        return TokenTensor(mapped + visual.data)
+    cbar = _keep(saved, "cbar", c.data[:, 0, :])
+    u = _keep(saved, "u", affine(cbar, weights.p_g1))
+    v = _keep(saved, "vg", affine(cbar, weights.p_g2))
+    gate = _keep(saved, "gate", _keep(saved, "su", swish(u)) * v)
+    return TokenTensor(mapped * gate[:, None, :] + visual.data)
+
+
+def _forward(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
+             timings: dict | None = None, saved: dict | None = None) -> TokenTensor:
+    """The fusion pipeline behind both `fuse` and `fuse_backward`.
+
+    `timings` and `saved` are out-parameters that change no result: they
+    receive per-stage wall times (seconds) and the reverse pass's residuals.
+    """
+    _check_inputs(inputs, config)
+    t = config.toggles
+
+    def tick():
+        return time.perf_counter() if timings is not None else 0.0
+
+    t0 = tick()
+    q, k, v, c = project_qkvc(inputs, weights, saved=saved)
+    t1 = tick()
+    if t.geo_bias:
+        bias = geo_bias(inputs.spatial, inputs.camera, weights, saved=saved)
+        k = TokenTensor(k.data + bias.data)
+        v = TokenTensor(v.data + bias.data)
+    t2 = tick()
+    if t.token_weight:
+        _keep(saved, "v_unweighted", v.data)
+        v = TokenTensor(v.data * token_weights(inputs.spatial, weights, saved=saved).data)
+    t3 = tick()
+    attended = attend(q, k, v, c, config, saved=saved)
+    t4 = tick()
+    out = gate_and_fuse(attended, c, inputs.visual, weights, config, saved=saved)
+    if timings is not None:
+        timings["project"] = t1 - t0
+        timings["geo_bias"] = t2 - t1
+        timings["token_weight"] = t3 - t2
+        timings["attend"] = t4 - t3
+        timings["gate_fuse"] = tick() - t4
+    return out
 
 
 def fuse(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
@@ -428,33 +482,7 @@ def fuse(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
     When a `timings` dict is passed, per-stage wall times (seconds) are
     recorded into it.
     """
-    _check_inputs(inputs, config)
-    t = config.toggles
-
-    def tick():
-        return time.perf_counter() if timings is not None else 0.0
-
-    t0 = tick()
-    q, k, v, c = project_qkvc(inputs, weights)
-    t1 = tick()
-    if t.geo_bias:
-        bias = geo_bias(inputs.spatial, inputs.camera, weights)
-        k = TokenTensor(k.data + bias.data)
-        v = TokenTensor(v.data + bias.data)
-    t2 = tick()
-    if t.token_weight:
-        v = TokenTensor(v.data * token_weights(inputs.spatial, weights).data)
-    t3 = tick()
-    attended = attend(q, k, v, c, config)
-    t4 = tick()
-    out = gate_and_fuse(attended, c, inputs.visual, weights, config)
-    if timings is not None:
-        timings["project"] = t1 - t0
-        timings["geo_bias"] = t2 - t1
-        timings["token_weight"] = t3 - t2
-        timings["attend"] = t4 - t3
-        timings["gate_fuse"] = tick() - t4
-    return out
+    return _forward(inputs, weights, config, timings)
 
 
 # ---------------------------------------------------------------------------
@@ -470,138 +498,74 @@ def fuse_backward(inputs: FusionInputs, weights: FusionWeights, config: FusionCo
     array per parameter. Disabled branches contribute zero gradients of the
     right shape.
     """
-    _check_inputs(inputs, config)
     if cotangent.shape != inputs.visual.shape:
         raise DimensionError(
             f"cotangent shape {cotangent.shape} != visual shape {inputs.visual.shape}"
         )
+    s: dict = {}
+    _forward(inputs, weights, config, saved=s)
     t = config.toggles
     w = weights
     xv, xs, xc = inputs.visual.data, inputs.spatial.data, inputs.camera.data
+    grads = {name: np.zeros_like(array) for name, array in iter_params(w)}
 
-    # forward recompute, mirroring fuse() stage by stage
-    lnv = _layer_norm_raw(xv, w.ln_v)
-    q = _affine_raw(lnv, w.p_q)
-    lns = _layer_norm_raw(xs, w.ln_s)
-    k0 = _affine_raw(lns, w.p_k)
-    v0 = _affine_raw(lns, w.p_v)
-    c = _affine_raw(xc, w.p_c)
-
-    if t.geo_bias:
-        gin = _geo_input(xs, xc)
-        gh = _affine_raw(gin, w.geo_mlp[0])
-        ga = swish(gh)
-        bg = _affine_raw(ga, w.geo_mlp[1])
-        k1, v1 = k0 + bg, v0 + bg
-    else:
-        k1, v1 = k0, v0
-
-    if t.token_weight:
-        th = _affine_raw(xs, w.tw_mlp[0])
-        ta = swish(th)
-        tz = _affine_raw(ta, w.tw_mlp[1])
-        tw = sigmoid(tz)
-        v2 = v1 * tw
-    else:
-        v2 = v1
-
-    if t.camera_memory:
-        kmem = np.concatenate([c, k1], axis=1)
-        vmem = np.concatenate([c, v2], axis=1)
-    else:
-        kmem, vmem = k1, v2
-    if kmem.shape[1] == 0:
-        raise DimensionError(
-            "attention memory is empty: no spatial tokens and camera memory disabled"
-        )
-    fhat, probs = _attention_raw(q, kmem, vmem, config.n_heads, keep_cache=True)
-
-    p = _affine_raw(fhat, w.p_o)
-    fproj = _layer_norm_raw(p, w.ln_o)
-    mapped = _affine_raw(fproj, w.p_l)
-    if t.gate:
-        cbar = c[:, 0, :]
-        u = _affine_raw(cbar, w.p_g1)
-        vg = _affine_raw(cbar, w.p_g2)
-        su = swish(u)
-        gate = su * vg
-
-    # reverse pass
     g_out = cotangent.data
     g_xv = g_out.copy()  # residual path
-    g_c = np.zeros_like(c)
+    g_c = np.zeros_like(s["q"][:, :1, :])  # the camera token in attention space
     if t.gate:
-        g_mapped = g_out * gate[:, None, :]
-        g_gate = np.einsum("nmd,nmd->nd", g_out, mapped)
-        g_su = g_gate * vg
-        g_vg = g_gate * su
-        g_u = swish_vjp(u, g_su)
-        g_cbar1, gw_g1, gb_g1 = _affine_vjp_raw(cbar, w.p_g1, g_u)
-        g_cbar2, gw_g2, gb_g2 = _affine_vjp_raw(cbar, w.p_g2, g_vg)
+        g_mapped = g_out * s["gate"][:, None, :]
+        g_gate = np.einsum("nmd,nmd->nd", g_out, s["mapped"])
+        g_u = swish_vjp(s["u"], g_gate * s["vg"])
+        g_cbar1, grads["p_g1.weight"], grads["p_g1.bias"] = affine_vjp(s["cbar"], w.p_g1, g_u)
+        g_cbar2, grads["p_g2.weight"], grads["p_g2.bias"] = affine_vjp(
+            s["cbar"], w.p_g2, g_gate * s["su"])
         g_c[:, 0, :] += g_cbar1 + g_cbar2
     else:
         g_mapped = g_out
-        gw_g1 = np.zeros_like(w.p_g1.weight)
-        gb_g1 = np.zeros_like(w.p_g1.bias) if w.p_g1.bias is not None else None
-        gw_g2 = np.zeros_like(w.p_g2.weight)
-        gb_g2 = np.zeros_like(w.p_g2.bias) if w.p_g2.bias is not None else None
 
-    g_fproj, gw_l, gb_l = _affine_vjp_raw(fproj, w.p_l, g_mapped)
-    g_p, ggain_o, gshift_o = _layer_norm_vjp_raw(p, w.ln_o, g_fproj)
-    g_fhat, gw_o, gb_o = _affine_vjp_raw(fhat, w.p_o, g_p)
+    g_fproj, grads["p_l.weight"], grads["p_l.bias"] = affine_vjp(s["fproj"], w.p_l, g_mapped)
+    g_p, grads["ln_o.gain"], grads["ln_o.shift"] = layer_norm_vjp(s["p"], w.ln_o, g_fproj)
+    g_fhat, grads["p_o.weight"], grads["p_o.bias"] = affine_vjp(s["fhat"], w.p_o, g_p)
 
-    g_q, g_kmem, g_vmem = _attention_vjp_raw(q, kmem, vmem, probs, config.n_heads, g_fhat)
+    g_q, g_kmem, g_vmem = _attention_vjp_raw(s["q"], s["kmem"], s["vmem"], s["probs"],
+                                             config.n_heads, g_fhat)
     if t.camera_memory:
         g_c += g_kmem[:, :1, :] + g_vmem[:, :1, :]
-        g_k1 = g_kmem[:, 1:, :]
-        g_v2 = g_vmem[:, 1:, :]
+        g_k, g_v = g_kmem[:, 1:, :], g_vmem[:, 1:, :]
     else:
-        g_k1, g_v2 = g_kmem, g_vmem
+        g_k, g_v = g_kmem, g_vmem
 
     g_xs = np.zeros_like(xs)
     g_xc = np.zeros_like(xc)
-
     if t.token_weight:
-        g_v1 = g_v2 * tw
-        g_tw = (g_v2 * v1).sum(axis=-1, keepdims=True)
-        g_tz = g_tw * tw * (1.0 - tw)
-        g_ta, gw_t1, gb_t1 = _affine_vjp_raw(ta, w.tw_mlp[1], g_tz)
-        g_th = swish_vjp(th, g_ta)
-        g_xs_tw, gw_t0, gb_t0 = _affine_vjp_raw(xs, w.tw_mlp[0], g_th)
+        tw = s["tw"]
+        g_tz = (g_v * s["v_unweighted"]).sum(axis=-1, keepdims=True) * tw * (1.0 - tw)
+        g_v = g_v * tw
+        g_ta, grads["tw_mlp.1.weight"], grads["tw_mlp.1.bias"] = affine_vjp(
+            s["ta"], w.tw_mlp[1], g_tz)
+        g_xs_tw, grads["tw_mlp.0.weight"], grads["tw_mlp.0.bias"] = affine_vjp(
+            xs, w.tw_mlp[0], swish_vjp(s["th"], g_ta))
         g_xs += g_xs_tw
-    else:
-        g_v1 = g_v2
-        gw_t0 = np.zeros_like(w.tw_mlp[0].weight)
-        gb_t0 = np.zeros_like(w.tw_mlp[0].bias) if w.tw_mlp[0].bias is not None else None
-        gw_t1 = np.zeros_like(w.tw_mlp[1].weight)
-        gb_t1 = np.zeros_like(w.tw_mlp[1].bias) if w.tw_mlp[1].bias is not None else None
 
-    if t.geo_bias:
-        g_bg = g_k1 + g_v1
-        g_k0, g_v0 = g_k1, g_v1
-        g_ga, gw_geo1, gb_geo1 = _affine_vjp_raw(ga, w.geo_mlp[1], g_bg)
-        g_gh = swish_vjp(gh, g_ga)
-        g_gin, gw_geo0, gb_geo0 = _affine_vjp_raw(gin, w.geo_mlp[0], g_gh)
+    if t.geo_bias:  # the bias enters both keys and values
+        g_ga, grads["geo_mlp.1.weight"], grads["geo_mlp.1.bias"] = affine_vjp(
+            s["ga"], w.geo_mlp[1], g_k + g_v)
+        g_gin, grads["geo_mlp.0.weight"], grads["geo_mlp.0.bias"] = affine_vjp(
+            s["gin"], w.geo_mlp[0], swish_vjp(s["gh"], g_ga))
         ds = xs.shape[2]
         g_xs += g_gin[..., :ds]
         g_xc += g_gin[..., ds:].sum(axis=1, keepdims=True)
-    else:
-        g_k0, g_v0 = g_k1, g_v1
-        gw_geo0 = np.zeros_like(w.geo_mlp[0].weight)
-        gb_geo0 = np.zeros_like(w.geo_mlp[0].bias) if w.geo_mlp[0].bias is not None else None
-        gw_geo1 = np.zeros_like(w.geo_mlp[1].weight)
-        gb_geo1 = np.zeros_like(w.geo_mlp[1].bias) if w.geo_mlp[1].bias is not None else None
 
-    g_lns_k, gw_k, gb_k = _affine_vjp_raw(lns, w.p_k, g_k0)
-    g_lns_v, gw_v, gb_v = _affine_vjp_raw(lns, w.p_v, g_v0)
-    g_xs_ln, ggain_s, gshift_s = _layer_norm_vjp_raw(xs, w.ln_s, g_lns_k + g_lns_v)
+    g_lns_k, grads["p_k.weight"], grads["p_k.bias"] = affine_vjp(s["lns"], w.p_k, g_k)
+    g_lns_v, grads["p_v.weight"], grads["p_v.bias"] = affine_vjp(s["lns"], w.p_v, g_v)
+    g_xs_ln, grads["ln_s.gain"], grads["ln_s.shift"] = layer_norm_vjp(xs, w.ln_s, g_lns_k + g_lns_v)
     g_xs += g_xs_ln
 
-    g_xc_c, gw_c, gb_c = _affine_vjp_raw(xc, w.p_c, g_c)
+    g_xc_c, grads["p_c.weight"], grads["p_c.bias"] = affine_vjp(xc, w.p_c, g_c)
     g_xc += g_xc_c
 
-    g_lnv, gw_q, gb_q = _affine_vjp_raw(lnv, w.p_q, g_q)
-    g_xv_ln, ggain_v, gshift_v = _layer_norm_vjp_raw(xv, w.ln_v, g_lnv)
+    g_lnv, grads["p_q.weight"], grads["p_q.bias"] = affine_vjp(s["lnv"], w.p_q, g_q)
+    g_xv_ln, grads["ln_v.gain"], grads["ln_v.shift"] = layer_norm_vjp(xv, w.ln_v, g_lnv)
     g_xv += g_xv_ln
 
     input_grads = FusionInputs(
@@ -609,22 +573,7 @@ def fuse_backward(inputs: FusionInputs, weights: FusionWeights, config: FusionCo
         spatial=TokenTensor(g_xs),
         camera=TokenTensor(g_xc),
     )
-    weight_grads = FusionWeights(
-        ln_v=LayerNormParams(ggain_v, gshift_v, w.ln_v.epsilon),
-        ln_s=LayerNormParams(ggain_s, gshift_s, w.ln_s.epsilon),
-        p_q=LinearMap(gw_q, gb_q),
-        p_k=LinearMap(gw_k, gb_k),
-        p_v=LinearMap(gw_v, gb_v),
-        p_c=LinearMap(gw_c, gb_c),
-        geo_mlp=(LinearMap(gw_geo0, gb_geo0), LinearMap(gw_geo1, gb_geo1)),
-        tw_mlp=(LinearMap(gw_t0, gb_t0), LinearMap(gw_t1, gb_t1)),
-        p_o=LinearMap(gw_o, gb_o),
-        ln_o=LayerNormParams(ggain_o, gshift_o, w.ln_o.epsilon),
-        p_l=LinearMap(gw_l, gb_l),
-        p_g1=LinearMap(gw_g1, gb_g1),
-        p_g2=LinearMap(gw_g2, gb_g2),
-    )
-    return input_grads, weight_grads
+    return input_grads, weights_from_arrays(grads, layer_norm_epsilons(w))
 
 
 def variant_toggles(name: str) -> FusionToggles:

@@ -19,6 +19,7 @@ Config files are plain JSON documents; see load_config for the field names.
 from __future__ import annotations
 
 import json
+import math
 from collections import OrderedDict
 
 import numpy as np
@@ -29,7 +30,9 @@ from .fusion import (
     FusionInputs,
     FusionToggles,
     FusionWeights,
+    LAYER_NORM_GROUPS,
     iter_params,
+    layer_norm_epsilons,
     param_shapes,
     weights_from_arrays,
 )
@@ -164,22 +167,33 @@ def load_container(path):
 def save_weights(weights: FusionWeights, path) -> None:
     """Persist a canonical weight set (one tensor per parameter array)."""
     tensors = OrderedDict(iter_params(weights))
-    meta = {
-        "kind": "fusion-weights",
-        "epsilons": {
-            "ln_v": weights.ln_v.epsilon,
-            "ln_s": weights.ln_s.epsilon,
-            "ln_o": weights.ln_o.epsilon,
-        },
-    }
+    meta = {"kind": "fusion-weights", "epsilons": layer_norm_epsilons(weights)}
     save_container(path, tensors, meta)
+
+
+def _check_epsilons(path, epsilons) -> dict:
+    """meta.epsilons: layer-norm group -> finite number > 0 (a bool is not one)."""
+    if not isinstance(epsilons, dict):
+        raise ContainerError(f"{path}: meta key 'epsilons' must be a JSON object")
+    for name, value in epsilons.items():
+        try:
+            valid = (name in LAYER_NORM_GROUPS and not isinstance(value, bool)
+                     and isinstance(value, (int, float)) and math.isfinite(value) and value > 0)
+        except OverflowError:  # an integer beyond the float range
+            valid = False
+        if not valid:
+            raise ContainerError(f"{path}: meta key 'epsilons.{name}' must be a finite number "
+                                 f"> 0 for one of {list(LAYER_NORM_GROUPS)}, got {value!r}")
+    return epsilons
 
 
 def load_weights(path, expected: FusionConfig, strict: bool = True) -> FusionWeights:
     """Load weights and validate every tensor's shape against the config.
 
     Strict mode (the default) rejects unknown tensor names; permissive mode
-    ignores them. float32 payloads are widened exactly to float64.
+    ignores them. float32 payloads are widened exactly to float64. An
+    optional meta "epsilons" object maps layer-norm groups to their epsilon;
+    a group it leaves out gets the default.
     """
     tensors, meta = load_container(path)
     shapes = param_shapes(expected)
@@ -197,7 +211,7 @@ def load_weights(path, expected: FusionConfig, strict: bool = True) -> FusionWei
                 f"{path}: tensor {name!r} has shape {arr.shape}, expected {shape}"
             )
         arrays[name] = arr.astype(np.float64)
-    return weights_from_arrays(arrays, epsilons=meta.get("epsilons"))
+    return weights_from_arrays(arrays, epsilons=_check_epsilons(path, meta.get("epsilons", {})))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
-"""Dense token-tensor kernels with analytic vector-Jacobian products.
+"""Token-tensor boundary types and raw-array kernels with analytic VJPs.
 
-All operations act on [frames, tokens, width] arrays. float64 is the working
-precision so finite-difference gradient checks are meaningful; float32 is
-accepted for throughput runs. Every differentiable operation has a companion
-``*_vjp`` function returning the cotangents of ``<cotangent, op(inputs)>``,
-so larger modules can compose an analytic backward pass without a tape.
+`TokenTensor` is the validated boundary type: a finite rank-3 array laid out
+[frames, tokens, width]. The kernels act on plain numpy arrays along the last
+(width) axis, and `affine`, `layer_norm` and `swish` have companion ``*_vjp``
+functions returning the cotangents of ``<cotangent, op(inputs)>``, so larger
+modules compose an analytic backward pass without a tape; `softmax_vjp` works
+from the saved softmax output.
+
+float64 is the working precision so finite-difference gradient checks are
+meaningful. A TokenTensor keeps float32 data as float32, but every parameter
+array is float64, so a fuse pass over float32 streams computes in and returns
+float64; there is no separate float32 compute path.
 """
 
 from __future__ import annotations
@@ -18,20 +24,15 @@ __all__ = [
     "TokenTensor",
     "LinearMap",
     "LayerNormParams",
-    "matmul_tokens",
+    "affine",
     "layer_norm",
     "softmax_rows",
     "sigmoid",
     "swish",
-    "concat_tokens",
-    "split_tokens",
-    "matmul_tokens_vjp",
+    "affine_vjp",
     "layer_norm_vjp",
-    "softmax_rows_vjp",
-    "sigmoid_vjp",
+    "softmax_vjp",
     "swish_vjp",
-    "concat_tokens_vjp",
-    "vjp",
 ]
 
 _FLOAT_DTYPES = (np.float64, np.float32)
@@ -145,37 +146,23 @@ class LayerNormParams:
 
 
 # ---------------------------------------------------------------------------
-# forward ops
+# forward kernels
 # ---------------------------------------------------------------------------
 
-def _affine_raw(x: np.ndarray, lin: LinearMap) -> np.ndarray:
+def affine(x: np.ndarray, lin: LinearMap) -> np.ndarray:
+    """Apply an affine map to every row: out[..., :] = x[..., :] @ W + b."""
     out = x @ lin.weight
     if lin.bias is not None:
         out = out + lin.bias
     return out
 
 
-def matmul_tokens(x: TokenTensor, lin: LinearMap) -> TokenTensor:
-    """Apply an affine map to every token row: out[n,m,:] = x[n,m,:] @ W + b."""
-    if x.width != lin.in_width:
-        raise DimensionError(
-            f"token width {x.width} does not match map in_width {lin.in_width}"
-        )
-    return TokenTensor(_affine_raw(x.data, lin))
-
-
-def _layer_norm_raw(x: np.ndarray, p: LayerNormParams) -> np.ndarray:
+def layer_norm(x: np.ndarray, p: LayerNormParams) -> np.ndarray:
+    """Normalize each row to zero mean / unit variance, then gain and shift."""
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)  # biased, standard LN convention
     xhat = (x - mu) / np.sqrt(var + p.epsilon)
     return p.gain * xhat + p.shift
-
-
-def layer_norm(x: TokenTensor, p: LayerNormParams) -> TokenTensor:
-    """Normalize each token row to zero mean / unit variance, then affine."""
-    if x.width != p.width:
-        raise DimensionError(f"token width {x.width} != layer-norm width {p.width}")
-    return TokenTensor(_layer_norm_raw(x.data, p))
 
 
 def softmax_rows(x) -> np.ndarray:
@@ -203,28 +190,15 @@ def swish(x) -> np.ndarray:
     return x * sigmoid(x)
 
 
-def concat_tokens(a: TokenTensor, b: TokenTensor) -> TokenTensor:
-    """Concatenate along the token axis; a's tokens lead, b's follow."""
-    if a.frames != b.frames:
-        raise DimensionError(f"frame counts differ: {a.frames} vs {b.frames}")
-    if a.width != b.width:
-        raise DimensionError(f"widths differ: {a.width} vs {b.width}")
-    return TokenTensor(np.concatenate([a.data, b.data], axis=1))
-
-
-def split_tokens(x: TokenTensor, leading: int) -> tuple[TokenTensor, TokenTensor]:
-    """Inverse of concat_tokens: split off the first `leading` tokens."""
-    if not 0 <= leading <= x.tokens:
-        raise DimensionError(f"cannot split {leading} tokens from {x.tokens}")
-    return TokenTensor(x.data[:, :leading, :]), TokenTensor(x.data[:, leading:, :])
-
-
 # ---------------------------------------------------------------------------
 # vector-Jacobian products
 # ---------------------------------------------------------------------------
 
-def _affine_vjp_raw(x: np.ndarray, lin: LinearMap, g: np.ndarray):
-    """Cotangents of y = x @ W + b w.r.t. (x, W, b). Works for 2-D or 3-D x."""
+def affine_vjp(x: np.ndarray, lin: LinearMap, g: np.ndarray):
+    """Cotangents of y = x @ W + b w.r.t. (x, W, b); grad_b is None if b is.
+
+    Works for 2-D or 3-D x.
+    """
     gx = g @ lin.weight.T
     batch_axes = tuple(range(x.ndim - 1))
     gw = np.tensordot(x, g, axes=(batch_axes, batch_axes))
@@ -232,13 +206,8 @@ def _affine_vjp_raw(x: np.ndarray, lin: LinearMap, g: np.ndarray):
     return gx, gw, gb
 
 
-def matmul_tokens_vjp(x: TokenTensor, lin: LinearMap, cotangent: TokenTensor):
-    """Returns (grad_x, grad_weight, grad_bias); grad_bias is None if bias is."""
-    gx, gw, gb = _affine_vjp_raw(x.data, lin, cotangent.data)
-    return TokenTensor(gx), gw, gb
-
-
-def _layer_norm_vjp_raw(x: np.ndarray, p: LayerNormParams, gy: np.ndarray):
+def layer_norm_vjp(x: np.ndarray, p: LayerNormParams, gy: np.ndarray):
+    """Returns (grad_x, grad_gain, grad_shift)."""
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + p.epsilon)
@@ -255,55 +224,12 @@ def _layer_norm_vjp_raw(x: np.ndarray, p: LayerNormParams, gy: np.ndarray):
     return gx, ggain, gshift
 
 
-def layer_norm_vjp(x: TokenTensor, p: LayerNormParams, cotangent: TokenTensor):
-    """Returns (grad_x, grad_gain, grad_shift)."""
-    gx, ggain, gshift = _layer_norm_vjp_raw(x.data, p, cotangent.data)
-    return TokenTensor(gx), ggain, gshift
-
-
-def _softmax_vjp_from_probs(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
+def softmax_vjp(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Grad w.r.t. the pre-softmax scores, given the softmax output `probs`."""
     return probs * (g - (g * probs).sum(axis=-1, keepdims=True))
-
-
-def softmax_rows_vjp(x, cotangent) -> np.ndarray:
-    """Grad w.r.t. the pre-softmax scores."""
-    return _softmax_vjp_from_probs(softmax_rows(x), np.asarray(cotangent))
-
-
-def sigmoid_vjp(x, cotangent) -> np.ndarray:
-    s = sigmoid(x)
-    return np.asarray(cotangent) * s * (1.0 - s)
 
 
 def swish_vjp(x, cotangent) -> np.ndarray:
     x = np.asarray(x)
     s = sigmoid(x)
     return np.asarray(cotangent) * (s + x * s * (1.0 - s))
-
-
-def concat_tokens_vjp(a: TokenTensor, b: TokenTensor, cotangent: TokenTensor):
-    """Returns (grad_a, grad_b) by splitting the cotangent at a's token count."""
-    return split_tokens(cotangent, a.tokens)
-
-
-_VJP_TABLE = {
-    matmul_tokens: matmul_tokens_vjp,
-    layer_norm: layer_norm_vjp,
-    softmax_rows: softmax_rows_vjp,
-    sigmoid: sigmoid_vjp,
-    swish: swish_vjp,
-    concat_tokens: concat_tokens_vjp,
-}
-
-
-def vjp(op, inputs: tuple, cotangent):
-    """Analytic input cotangents of ``<cotangent, op(*inputs)>``.
-
-    `op` must be one of the forward functions in this module; anything else
-    raises rather than silently returning zeros.
-    """
-    try:
-        fn = _VJP_TABLE[op]
-    except (KeyError, TypeError):
-        raise ValueError(f"no analytic vjp registered for {op!r}") from None
-    return fn(*inputs, cotangent)

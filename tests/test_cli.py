@@ -11,9 +11,9 @@ from camfuse.cli import (
     RunManifest,
     main,
 )
-from camfuse.fusion import FusionConfig, init_weights
+from camfuse.fusion import FusionConfig, init_weights, iter_params
 from camfuse.metrics import AnswerType, EvalRecord, write_records
-from camfuse.serde import load_container, save_config, save_weights
+from camfuse.serde import load_container, save_config, save_container, save_weights
 from camfuse.tensor import LinearMap
 
 
@@ -102,6 +102,17 @@ class TestFuse:
         fused, _ = load_container(out)
         visual, _ = load_container(stream)
         assert fused["fused"].tobytes() == visual["visual"].tobytes()
+
+    def test_malformed_weight_epsilon_is_invalid_exit(self, tmp_path, config_path, capsys):
+        stream = tmp_path / "stream.cft"
+        weights_path = tmp_path / "weights.cft"
+        main(["gen", "--config", config_path, "--out", str(stream)])
+        save_container(weights_path, dict(iter_params(init_weights(TINY, 5))),
+                       {"kind": "fusion-weights", "epsilons": {"ln_v": "x"}})
+        code = main(["fuse", "--config", config_path, "--in", str(stream),
+                     "--weights", str(weights_path), "--out", str(tmp_path / "o.cft")])
+        assert code == EXIT_INVALID
+        assert "epsilons.ln_v" in capsys.readouterr().err
 
     def test_source_flags_are_exclusive(self, config_path, tmp_path):
         with pytest.raises(SystemExit) as err:

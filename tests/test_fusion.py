@@ -31,8 +31,8 @@ from camfuse.tensor import (
     LayerNormParams,
     LinearMap,
     TokenTensor,
+    affine,
     layer_norm,
-    matmul_tokens,
 )
 
 from oracles import ref_attention, ref_fuse
@@ -158,12 +158,12 @@ class TestProject:
         weights = init_weights(TINY, 4)
         inputs = synth_tokens(TINY, 5)
         q, k, v, c = project_qkvc(inputs, weights)
-        assert q.data.tobytes() == matmul_tokens(
-            layer_norm(inputs.visual, weights.ln_v), weights.p_q).data.tobytes()
-        lns = layer_norm(inputs.spatial, weights.ln_s)
-        assert k.data.tobytes() == matmul_tokens(lns, weights.p_k).data.tobytes()
-        assert v.data.tobytes() == matmul_tokens(lns, weights.p_v).data.tobytes()
-        assert c.data.tobytes() == matmul_tokens(inputs.camera, weights.p_c).data.tobytes()
+        assert q.data.tobytes() == affine(
+            layer_norm(inputs.visual.data, weights.ln_v), weights.p_q).tobytes()
+        lns = layer_norm(inputs.spatial.data, weights.ln_s)
+        assert k.data.tobytes() == affine(lns, weights.p_k).tobytes()
+        assert v.data.tobytes() == affine(lns, weights.p_v).tobytes()
+        assert c.data.tobytes() == affine(inputs.camera.data, weights.p_c).tobytes()
 
 
 class TestGeoBias:
@@ -460,12 +460,7 @@ class TestFuseBackward:
         worst = max(results.values())
         assert worst < 1e-5, results
 
-    @pytest.mark.parametrize("bits", [
-        (False, False, False, False),
-        (True, False, True, False),
-        (False, True, False, True),
-        (True, True, True, True),
-    ])
+    @pytest.mark.parametrize("bits", list(itertools.product([False, True], repeat=4)))
     def test_toggle_variants_match_finite_differences(self, bits):
         config = with_toggles(TINY, FusionToggles(*bits))
         weights = init_weights(config, 8)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -101,6 +102,43 @@ class TestWeightsRoundTrip:
         for name, arr in iter_params(loaded):
             assert arr.dtype == np.float64
             npt.assert_array_equal(arr, arrays[name].astype(np.float64), err_msg=name)
+
+    @pytest.mark.parametrize("epsilons,key", [
+        ({"ln_v": "x"}, "epsilons.ln_v"),
+        ([1, 2], "epsilons"),
+        (None, "epsilons"),
+        ({"ln_v": True}, "epsilons.ln_v"),
+        ({"ln_s": 0}, "epsilons.ln_s"),
+        ({"ln_s": -1e-6}, "epsilons.ln_s"),
+        ({"ln_o": float("nan")}, "epsilons.ln_o"),
+        ({"ln_o": float("inf")}, "epsilons.ln_o"),
+        ({"ln_o": 10 ** 400}, "epsilons.ln_o"),
+        ({"ln_o": {"value": 1e-6}}, "epsilons.ln_o"),
+        ({"p_q": 1e-6}, "epsilons.p_q"),
+    ])
+    def test_malformed_epsilons_rejected(self, tmp_path, epsilons, key):
+        path = tmp_path / "weights.cft"
+        save_container(path, dict(iter_params(init_weights(CONFIG, 7))),
+                       {"kind": "fusion-weights", "epsilons": epsilons})
+        with pytest.raises(ContainerError) as err:
+            load_weights(path, CONFIG)
+        assert str(path) in str(err.value)
+        assert f"'{key}'" in str(err.value)
+
+    def test_partial_epsilons_default_the_rest(self, tmp_path):
+        path = tmp_path / "weights.cft"
+        save_container(path, dict(iter_params(init_weights(CONFIG, 8))),
+                       {"epsilons": {"ln_s": 1e-3, "ln_o": 2}})
+        loaded = load_weights(path, CONFIG)
+        assert (loaded.ln_v.epsilon, loaded.ln_s.epsilon, loaded.ln_o.epsilon) == (1e-6, 1e-3, 2)
+
+    def test_loaded_weights_resave_byte_for_byte(self, tmp_path):
+        first, second = tmp_path / "a.cft", tmp_path / "b.cft"
+        weights = init_weights(CONFIG, 9)
+        weights = replace(weights, ln_s=replace(weights.ln_s, epsilon=1e-5))
+        save_weights(weights, first)
+        save_weights(load_weights(first, CONFIG), second)
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestContainerFormat:

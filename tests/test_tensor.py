@@ -9,20 +9,15 @@ from camfuse.tensor import (
     LayerNormParams,
     LinearMap,
     TokenTensor,
-    concat_tokens,
-    concat_tokens_vjp,
+    affine,
+    affine_vjp,
     layer_norm,
     layer_norm_vjp,
-    matmul_tokens,
-    matmul_tokens_vjp,
     sigmoid,
-    sigmoid_vjp,
     softmax_rows,
-    softmax_rows_vjp,
-    split_tokens,
+    softmax_vjp,
     swish,
     swish_vjp,
-    vjp,
 )
 from camfuse.gradcheck import finite_difference_grad, max_relative_error
 
@@ -50,47 +45,45 @@ class TestTokenTensor:
 
 
 class TestMatmulTokens:
+    """The affine kernel applied to [frames, tokens, width] arrays."""
+
     def test_zero_input_yields_bias(self):
         rng = np.random.default_rng(0)
         bias = rng.standard_normal(5)
         lin = LinearMap(rng.standard_normal((4, 5)), bias)
-        out = matmul_tokens(TokenTensor.zeros(2, 3, 4), lin)
-        npt.assert_array_equal(out.data, np.broadcast_to(bias, (2, 3, 5)))
+        out = affine(np.zeros((2, 3, 4)), lin)
+        npt.assert_array_equal(out, np.broadcast_to(bias, (2, 3, 5)))
 
     def test_identity_map(self):
         rng = np.random.default_rng(1)
-        x = TokenTensor(rng.standard_normal((2, 3, 4)))
+        x = rng.standard_normal((2, 3, 4))
         lin = LinearMap(np.eye(4), np.zeros(4))
-        npt.assert_array_equal(matmul_tokens(x, lin).data, x.data)
+        npt.assert_array_equal(affine(x, lin), x)
 
     def test_against_triple_loop_oracle(self):
         rng = np.random.default_rng(2)
-        x = TokenTensor(rng.standard_normal((2, 3, 4)))
+        x = rng.standard_normal((2, 3, 4))
         lin = LinearMap(rng.standard_normal((4, 5)), rng.standard_normal(5))
-        expected = ref_affine(x.data, lin.weight, lin.bias)
-        npt.assert_allclose(matmul_tokens(x, lin).data, expected, rtol=0, atol=1e-12)
-
-    def test_width_mismatch(self):
-        with pytest.raises(DimensionError):
-            matmul_tokens(TokenTensor.zeros(1, 1, 3), LinearMap(np.eye(4)))
+        expected = ref_affine(x, lin.weight, lin.bias)
+        npt.assert_allclose(affine(x, lin), expected, rtol=0, atol=1e-12)
 
 
 class TestLayerNorm:
     def test_constant_row_maps_to_zero(self):
         p = LayerNormParams.identity(4)
-        x = TokenTensor(np.full((2, 3, 4), 7.25))
-        npt.assert_array_equal(layer_norm(x, p).data, np.zeros((2, 3, 4)))
+        x = np.full((2, 3, 4), 7.25)
+        npt.assert_array_equal(layer_norm(x, p), np.zeros((2, 3, 4)))
 
     def test_already_normalized_row(self):
         p = LayerNormParams.identity(2, epsilon=1e-15)
-        x = TokenTensor(np.array([[[1.0, -1.0]]]))
-        npt.assert_allclose(layer_norm(x, p).data, x.data, atol=1e-9)
+        x = np.array([[[1.0, -1.0]]])
+        npt.assert_allclose(layer_norm(x, p), x, atol=1e-9)
 
     def test_random_row_statistics(self):
         rng = np.random.default_rng(3)
         row = rng.standard_normal(16)
         row = (row - row.mean()) / row.std()  # pin variance so the check is sharp
-        out = layer_norm(TokenTensor(row.reshape(1, 1, 16)), LayerNormParams.identity(16)).data[0, 0]
+        out = layer_norm(row.reshape(1, 1, 16), LayerNormParams.identity(16))[0, 0]
         assert abs(out.mean()) < 1e-10
         assert abs(out.var() - 1.0) < 1e-6
 
@@ -98,8 +91,8 @@ class TestLayerNorm:
         rng = np.random.default_rng(4)
         p = LayerNormParams(rng.standard_normal(5), rng.standard_normal(5))
         x = rng.standard_normal((2, 3, 5))
-        a = layer_norm(TokenTensor(x), p).data
-        b = layer_norm(TokenTensor(x + 123.456), p).data
+        a = layer_norm(x, p)
+        b = layer_norm(x + 123.456, p)
         npt.assert_allclose(a, b, atol=1e-9)
 
 
@@ -148,36 +141,6 @@ class TestActivations:
         npt.assert_allclose(swish(np.array([40.0]))[0], 40.0, rtol=1e-12)
 
 
-class TestConcat:
-    def test_leading_block_is_first_argument(self):
-        rng = np.random.default_rng(6)
-        c = TokenTensor(rng.standard_normal((3, 1, 4)))
-        k = TokenTensor(rng.standard_normal((3, 5, 4)))
-        out = concat_tokens(c, k)
-        npt.assert_array_equal(out.data[:, 0, :], c.data[:, 0, :])
-        npt.assert_array_equal(out.data[:, 1:, :], k.data)
-
-    def test_concat_with_empty_is_identity(self):
-        rng = np.random.default_rng(7)
-        x = TokenTensor(rng.standard_normal((2, 3, 4)))
-        out = concat_tokens(x, TokenTensor.zeros(2, 0, 4))
-        npt.assert_array_equal(out.data, x.data)
-
-    def test_round_trip_is_bit_exact(self):
-        rng = np.random.default_rng(8)
-        a = TokenTensor(rng.standard_normal((2, 3, 4)))
-        b = TokenTensor(rng.standard_normal((2, 5, 4)))
-        back_a, back_b = split_tokens(concat_tokens(a, b), a.tokens)
-        assert back_a.data.tobytes() == a.data.tobytes()
-        assert back_b.data.tobytes() == b.data.tobytes()
-
-    def test_mismatches_raise(self):
-        with pytest.raises(DimensionError):
-            concat_tokens(TokenTensor.zeros(2, 1, 4), TokenTensor.zeros(3, 1, 4))
-        with pytest.raises(DimensionError):
-            concat_tokens(TokenTensor.zeros(2, 1, 4), TokenTensor.zeros(2, 1, 5))
-
-
 class TestShapePurity:
     """Output shapes depend only on input shapes."""
 
@@ -185,70 +148,68 @@ class TestShapePurity:
     def test_randomized_shapes(self, seed):
         rng = np.random.default_rng(seed)
         n, m, a, b = rng.integers(1, 6, size=4)
-        x = TokenTensor(rng.standard_normal((n, m, a)))
+        x = rng.standard_normal((n, m, a))
         lin = LinearMap(rng.standard_normal((a, b)), rng.standard_normal(b))
-        assert matmul_tokens(x, lin).shape == (n, m, b)
+        assert affine(x, lin).shape == (n, m, b)
         assert layer_norm(x, LayerNormParams.identity(a)).shape == (n, m, a)
         assert softmax_rows(rng.standard_normal((m, a))).shape == (m, a)
-        other = TokenTensor(rng.standard_normal((n, 2, a)))
-        assert concat_tokens(x, other).shape == (n, m + 2, a)
 
 
 class TestVjps:
     def test_identity_map_passes_cotangent_through(self):
         rng = np.random.default_rng(9)
-        x = TokenTensor(rng.standard_normal((2, 3, 4)))
+        x = rng.standard_normal((2, 3, 4))
         lin = LinearMap(np.eye(4), np.zeros(4))
-        g = TokenTensor(rng.standard_normal((2, 3, 4)))
-        gx, _, _ = vjp(matmul_tokens, (x, lin), g)
-        npt.assert_array_equal(gx.data, g.data)
+        g = rng.standard_normal((2, 3, 4))
+        gx, _, _ = affine_vjp(x, lin, g)
+        npt.assert_array_equal(gx, g)
 
     def test_matmul_vjp_vs_finite_differences(self):
         rng = np.random.default_rng(10)
-        x = TokenTensor(rng.standard_normal((2, 3, 4)))
+        x = rng.standard_normal((2, 3, 4))
         lin = LinearMap(rng.standard_normal((4, 5)), rng.standard_normal(5))
-        g = TokenTensor(rng.standard_normal((2, 3, 5)))
-        gx, gw, gb = matmul_tokens_vjp(x, lin, g)
+        g = rng.standard_normal((2, 3, 5))
+        gx, gw, gb = affine_vjp(x, lin, g)
 
         def loss():
-            return float(np.sum(g.data * matmul_tokens(x, lin).data))
+            return float(np.sum(g * affine(x, lin)))
 
-        assert max_relative_error(gx.data, finite_difference_grad(loss, x.data)) < 1e-6
+        assert max_relative_error(gx, finite_difference_grad(loss, x)) < 1e-6
         assert max_relative_error(gw, finite_difference_grad(loss, lin.weight)) < 1e-6
         assert max_relative_error(gb, finite_difference_grad(loss, lin.bias)) < 1e-6
 
     def test_layer_norm_vjp_vs_finite_differences(self):
         rng = np.random.default_rng(11)
-        x = TokenTensor(rng.standard_normal((2, 3, 5)))
+        x = rng.standard_normal((2, 3, 5))
         p = LayerNormParams(rng.standard_normal(5), rng.standard_normal(5))
-        g = TokenTensor(rng.standard_normal((2, 3, 5)))
+        g = rng.standard_normal((2, 3, 5))
         gx, ggain, gshift = layer_norm_vjp(x, p, g)
 
         def loss():
-            return float(np.sum(g.data * layer_norm(x, p).data))
+            return float(np.sum(g * layer_norm(x, p)))
 
-        assert max_relative_error(gx.data, finite_difference_grad(loss, x.data)) < 1e-5
+        assert max_relative_error(gx, finite_difference_grad(loss, x)) < 1e-5
         assert max_relative_error(ggain, finite_difference_grad(loss, p.gain)) < 1e-5
         assert max_relative_error(gshift, finite_difference_grad(loss, p.shift)) < 1e-5
 
     def test_softmax_vjp_along_ones_is_zero(self):
         # shift invariance: the Jacobian annihilates the all-ones direction
         x = np.full((3, 4), 0.25)
-        out = softmax_rows_vjp(x, np.ones((3, 4)))
+        out = softmax_vjp(softmax_rows(x), np.ones((3, 4)))
         npt.assert_allclose(out, np.zeros((3, 4)), atol=1e-15)
 
     def test_softmax_vjp_vs_finite_differences(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((3, 4))
         g = rng.standard_normal((3, 4))
-        analytic = softmax_rows_vjp(x, g)
+        analytic = softmax_vjp(softmax_rows(x), g)
 
         def loss():
             return float(np.sum(g * softmax_rows(x)))
 
         assert max_relative_error(analytic, finite_difference_grad(loss, x)) < 1e-5
 
-    @pytest.mark.parametrize("op,op_vjp", [(sigmoid, sigmoid_vjp), (swish, swish_vjp)])
+    @pytest.mark.parametrize("op,op_vjp", [(swish, swish_vjp)])
     def test_elementwise_vjps_vs_finite_differences(self, op, op_vjp):
         rng = np.random.default_rng(13)
         x = rng.standard_normal((2, 5))
@@ -259,16 +220,3 @@ class TestVjps:
             return float(np.sum(g * op(x)))
 
         assert max_relative_error(analytic, finite_difference_grad(loss, x)) < 1e-5
-
-    def test_concat_vjp_splits_cotangent(self):
-        rng = np.random.default_rng(14)
-        a = TokenTensor(rng.standard_normal((2, 3, 4)))
-        b = TokenTensor(rng.standard_normal((2, 2, 4)))
-        g = TokenTensor(rng.standard_normal((2, 5, 4)))
-        ga, gb = concat_tokens_vjp(a, b, g)
-        npt.assert_array_equal(ga.data, g.data[:, :3, :])
-        npt.assert_array_equal(gb.data, g.data[:, 3:, :])
-
-    def test_unsupported_op_raises(self):
-        with pytest.raises(ValueError, match="no analytic vjp"):
-            vjp(np.tanh, (np.zeros(3),), np.zeros(3))
