@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .serde import (
     save_token_streams,
     save_weights,
 )
-from .tensor import TokenTensor
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -55,22 +54,6 @@ TINY_CONFIG = FusionConfig(n_frames=2, m_visual=3, m_spatial=4,
                            d_visual=6, d_spatial=5, d_attn=4, n_heads=2)
 
 GRADCHECK_ENTRY_BUDGET = 50_000
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Resolved file plan for one fuse run; exactly one input source."""
-
-    config_path: str
-    weights_path: str | None
-    input_path: str | None
-    synthetic_seed: int | None
-    output_path: str
-
-    def __post_init__(self):
-        sources = (self.input_path is not None) + (self.synthetic_seed is not None)
-        if sources != 1:
-            raise ValueError("exactly one input source (--in or --seed) is required")
 
 
 def _apply_toggle_flags(config: FusionConfig, args) -> FusionConfig:
@@ -106,23 +89,17 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    manifest = RunManifest(
-        config_path=args.config,
-        weights_path=args.weights,
-        input_path=getattr(args, "in"),
-        synthetic_seed=args.seed,
-        output_path=args.out,
-    )
-    config, config_seed = load_config(manifest.config_path)
+    # argparse's required exclusive group guarantees exactly one of --in / --seed
+    config, config_seed = load_config(args.config)
     config = _apply_toggle_flags(config, args)
-    if manifest.weights_path is not None:
-        weights = load_weights(manifest.weights_path, config)
+    if args.weights is not None:
+        weights = load_weights(args.weights, config)
     else:
         weights = init_weights(config, config_seed)
-    if manifest.input_path is not None:
-        inputs, _ = load_token_streams(manifest.input_path)
+    if args.input_path is not None:
+        inputs, _ = load_token_streams(args.input_path)
     else:
-        inputs = synth_tokens(config, manifest.synthetic_seed)
+        inputs = synth_tokens(config, args.seed)
 
     timings: dict[str, float] = {}
     start = time.perf_counter()
@@ -262,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--weights", default=None, help="weights container; default: init from config seed")
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--in", dest="in", default=None, help="token-stream container")
+    source.add_argument("--in", dest="input_path", default=None, help="token-stream container")
     source.add_argument("--seed", type=int, default=None, help="generate synthetic inputs")
     p.add_argument("--out", required=True)
     _add_toggle_flags(p)

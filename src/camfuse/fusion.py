@@ -18,6 +18,12 @@ finite-difference harness that validates them.
 
 The output always has the visual stream's shape, so the module can sit in
 front of a downstream consumer without changing its interface.
+
+Streams enter as `TokenTensor`s (finite, rank 3, float64) inside a
+`FusionInputs`, and `fuse` / `fuse_backward` return their results as
+`TokenTensor`s. Between those boundaries the five stages (`project_qkvc`,
+`geo_bias`, `token_weights`, `attend`, `gate_and_fuse`) take and return plain
+float64 arrays and validate nothing.
 """
 
 from __future__ import annotations
@@ -79,6 +85,11 @@ class FusionToggles:
     camera_memory: bool = True
     gate: bool = True
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not isinstance(value, bool):
+                raise ConfigError(f"toggle '{name}': expected boolean, got {value!r}")
+
 
 @dataclass(frozen=True)
 class FusionConfig:
@@ -92,14 +103,12 @@ class FusionConfig:
     toggles: FusionToggles = FusionToggles()
 
     def __post_init__(self):
-        for name in ("n_frames", "m_visual", "d_visual", "d_spatial", "d_attn", "n_heads"):
+        for name, least in (("n_frames", 1), ("m_visual", 1), ("m_spatial", 0), ("d_visual", 1),
+                            ("d_spatial", 1), ("d_attn", 1), ("n_heads", 1)):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ConfigError(f"config field '{name}': expected positive int, got {value!r}")
-        if not isinstance(self.m_spatial, int) or self.m_spatial < 0:
-            raise ConfigError(
-                f"config field 'm_spatial': expected non-negative int, got {self.m_spatial!r}"
-            )
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ConfigError(f"config field '{name}': expected an int >= {least}, "
+                                  f"got {value!r}")
         if self.m_spatial == 0 and not self.toggles.camera_memory:
             raise ConfigError(
                 "m_spatial == 0 requires the camera memory slot; attention over "
@@ -312,7 +321,8 @@ def _keep(saved: dict | None, name: str, value: np.ndarray) -> np.ndarray:
 
 
 def project_qkvc(inputs: FusionInputs, weights: FusionWeights, *, saved: dict | None = None):
-    """Project the three streams into the shared attention space.
+    """Project the three streams into the shared attention space; returns
+    the arrays (q, k, v, c).
 
     Visual and spatial tokens are layer-normalized first; the camera token is
     projected raw.
@@ -322,7 +332,7 @@ def project_qkvc(inputs: FusionInputs, weights: FusionWeights, *, saved: dict | 
     k = affine(lns, weights.p_k)
     v = affine(lns, weights.p_v)
     c = affine(inputs.camera.data, weights.p_c)
-    return TokenTensor(q), TokenTensor(k), TokenTensor(v), TokenTensor(c)
+    return q, k, v, c
 
 
 def _geo_input(xs: np.ndarray, xc: np.ndarray) -> np.ndarray:
@@ -331,19 +341,19 @@ def _geo_input(xs: np.ndarray, xc: np.ndarray) -> np.ndarray:
     return np.concatenate([xs, cam], axis=-1)
 
 
-def geo_bias(spatial: TokenTensor, camera: TokenTensor, weights: FusionWeights, *,
-             saved: dict | None = None) -> TokenTensor:
+def geo_bias(spatial: np.ndarray, camera: np.ndarray, weights: FusionWeights, *,
+             saved: dict | None = None) -> np.ndarray:
     """Camera-conditioned bias over spatial tokens, added to keys and values."""
-    gin = _keep(saved, "gin", _geo_input(spatial.data, camera.data))
+    gin = _keep(saved, "gin", _geo_input(spatial, camera))
     hidden = _keep(saved, "ga", swish(_keep(saved, "gh", affine(gin, weights.geo_mlp[0]))))
-    return TokenTensor(affine(hidden, weights.geo_mlp[1]))
+    return affine(hidden, weights.geo_mlp[1])
 
 
-def token_weights(spatial: TokenTensor, weights: FusionWeights, *,
-                  saved: dict | None = None) -> TokenTensor:
+def token_weights(spatial: np.ndarray, weights: FusionWeights, *,
+                  saved: dict | None = None) -> np.ndarray:
     """Query-independent importance in (0,1) for each spatial token."""
-    hidden = _keep(saved, "ta", swish(_keep(saved, "th", affine(spatial.data, weights.tw_mlp[0]))))
-    return TokenTensor(_keep(saved, "tw", sigmoid(affine(hidden, weights.tw_mlp[1]))))
+    hidden = _keep(saved, "ta", swish(_keep(saved, "th", affine(spatial, weights.tw_mlp[0]))))
+    return _keep(saved, "tw", sigmoid(affine(hidden, weights.tw_mlp[1])))
 
 
 def _attention_raw(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
@@ -398,55 +408,56 @@ def _attention_vjp_raw(q, k, v, probs, n_heads, g_out):
     return gq, gk, gv
 
 
-def attend(q: TokenTensor, k: TokenTensor, v: TokenTensor, c: TokenTensor,
-           config: FusionConfig, *, saved: dict | None = None) -> TokenTensor:
+def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, c: np.ndarray,
+           config: FusionConfig, *, saved: dict | None = None) -> np.ndarray:
     """Visual queries attend over spatial memory, prepended with the camera
     slot when camera_memory is enabled.
 
     Only with `saved` is the full [frames, heads, mq, mk] probability tensor kept.
     """
     if config.toggles.camera_memory:
-        kmem = np.concatenate([c.data, k.data], axis=1)
-        vmem = np.concatenate([c.data, v.data], axis=1)
+        kmem = np.concatenate([c, k], axis=1)
+        vmem = np.concatenate([c, v], axis=1)
     else:
-        kmem, vmem = k.data, v.data
+        kmem, vmem = k, v
     if kmem.shape[1] == 0:
         raise DimensionError(
             "attention memory is empty: no spatial tokens and camera memory disabled"
         )
-    out, probs = _attention_raw(q.data, kmem, vmem, config.n_heads, keep_cache=saved is not None)
+    out, probs = _attention_raw(q, kmem, vmem, config.n_heads, keep_cache=saved is not None)
     if saved is not None:
-        saved.update(q=q.data, kmem=kmem, vmem=vmem, probs=probs)
-    return TokenTensor(out)
+        saved.update(q=q, kmem=kmem, vmem=vmem, probs=probs)
+    return out
 
 
-def gate_and_fuse(attended: TokenTensor, c: TokenTensor, visual: TokenTensor,
+def gate_and_fuse(attended: np.ndarray, c: np.ndarray, visual: np.ndarray,
                   weights: FusionWeights, config: FusionConfig, *,
-                  saved: dict | None = None) -> TokenTensor:
+                  saved: dict | None = None) -> np.ndarray:
     """Project the attention output back to visual width, gate it with the
     camera embedding, and add the visual residual."""
-    fhat = _keep(saved, "fhat", attended.data)
-    proj = _keep(saved, "fproj", layer_norm(_keep(saved, "p", affine(fhat, weights.p_o)),
-                                            weights.ln_o))
+    proj = _keep(saved, "fproj", layer_norm(
+        _keep(saved, "p", affine(_keep(saved, "fhat", attended), weights.p_o)), weights.ln_o))
     mapped = _keep(saved, "mapped", affine(proj, weights.p_l))
     if not config.toggles.gate:
-        return TokenTensor(mapped + visual.data)
-    cbar = _keep(saved, "cbar", c.data[:, 0, :])
+        return mapped + visual
+    cbar = _keep(saved, "cbar", c[:, 0, :])
     u = _keep(saved, "u", affine(cbar, weights.p_g1))
     v = _keep(saved, "vg", affine(cbar, weights.p_g2))
     gate = _keep(saved, "gate", _keep(saved, "su", swish(u)) * v)
-    return TokenTensor(mapped * gate[:, None, :] + visual.data)
+    return mapped * gate[:, None, :] + visual
 
 
 def _forward(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
-             timings: dict | None = None, saved: dict | None = None) -> TokenTensor:
-    """The fusion pipeline behind both `fuse` and `fuse_backward`.
+             timings: dict | None = None, saved: dict | None = None) -> np.ndarray:
+    """The fusion pipeline behind both `fuse` and `fuse_backward`; returns
+    the fused array.
 
     `timings` and `saved` are out-parameters that change no result: they
     receive per-stage wall times (seconds) and the reverse pass's residuals.
     """
     _check_inputs(inputs, config)
     t = config.toggles
+    xs = inputs.spatial.data
 
     def tick():
         return time.perf_counter() if timings is not None else 0.0
@@ -455,17 +466,17 @@ def _forward(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
     q, k, v, c = project_qkvc(inputs, weights, saved=saved)
     t1 = tick()
     if t.geo_bias:
-        bias = geo_bias(inputs.spatial, inputs.camera, weights, saved=saved)
-        k = TokenTensor(k.data + bias.data)
-        v = TokenTensor(v.data + bias.data)
+        bias = geo_bias(xs, inputs.camera.data, weights, saved=saved)
+        k = k + bias
+        v = v + bias
     t2 = tick()
     if t.token_weight:
-        _keep(saved, "v_unweighted", v.data)
-        v = TokenTensor(v.data * token_weights(inputs.spatial, weights, saved=saved).data)
+        _keep(saved, "v_unweighted", v)
+        v = v * token_weights(xs, weights, saved=saved)
     t3 = tick()
     attended = attend(q, k, v, c, config, saved=saved)
     t4 = tick()
-    out = gate_and_fuse(attended, c, inputs.visual, weights, config, saved=saved)
+    out = gate_and_fuse(attended, c, inputs.visual.data, weights, config, saved=saved)
     if timings is not None:
         timings["project"] = t1 - t0
         timings["geo_bias"] = t2 - t1
@@ -482,7 +493,7 @@ def fuse(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
     When a `timings` dict is passed, per-stage wall times (seconds) are
     recorded into it.
     """
-    return _forward(inputs, weights, config, timings)
+    return TokenTensor(_forward(inputs, weights, config, timings))
 
 
 # ---------------------------------------------------------------------------

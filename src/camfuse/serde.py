@@ -187,31 +187,31 @@ def _check_epsilons(path, epsilons) -> dict:
     return epsilons
 
 
-def load_weights(path, expected: FusionConfig, strict: bool = True) -> FusionWeights:
-    """Load weights and validate every tensor's shape against the config.
+def load_weights(path, expected: FusionConfig) -> FusionWeights:
+    """Load weights and validate every tensor's name, shape and values.
 
-    Strict mode (the default) rejects unknown tensor names; permissive mode
-    ignores them. float32 payloads are widened exactly to float64. An
+    Unknown, missing, misshapen and non-finite tensors are rejected. float32
+    payloads are widened exactly to float64 by the parameter types. An
     optional meta "epsilons" object maps layer-norm groups to their epsilon;
     a group it leaves out gets the default.
     """
     tensors, meta = load_container(path)
     shapes = param_shapes(expected)
     unknown = [name for name in tensors if name not in shapes]
-    if unknown and strict:
+    if unknown:
         raise ContainerError(f"{path}: unknown tensor(s) {unknown}")
     missing = [name for name in shapes if name not in tensors]
     if missing:
         raise ContainerError(f"{path}: missing tensor(s) {missing}")
-    arrays = {}
     for name, shape in shapes.items():
         arr = tensors[name]
         if arr.shape != shape:
             raise ContainerError(
                 f"{path}: tensor {name!r} has shape {arr.shape}, expected {shape}"
             )
-        arrays[name] = arr.astype(np.float64)
-    return weights_from_arrays(arrays, epsilons=_check_epsilons(path, meta.get("epsilons", {})))
+        if not np.isfinite(arr).all():
+            raise ContainerError(f"{path}: tensor {name!r} contains non-finite entries")
+    return weights_from_arrays(tensors, epsilons=_check_epsilons(path, meta.get("epsilons", {})))
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +240,13 @@ def load_token_streams(path) -> tuple[FusionInputs, dict]:
     unknown = [n for n in tensors if n not in _STREAM_NAMES]
     if unknown:
         raise ContainerError(f"{path}: unknown stream(s) {unknown}")
-    register = tensors.get("register")
-    inputs = FusionInputs(
-        visual=TokenTensor(tensors["visual"].astype(np.float64)),
-        spatial=TokenTensor(tensors["spatial"].astype(np.float64)),
-        camera=TokenTensor(tensors["camera"].astype(np.float64)),
-        register=TokenTensor(register.astype(np.float64)) if register is not None else None,
-    )
-    return inputs, meta
+    streams = {}
+    for name, array in tensors.items():
+        try:
+            streams[name] = TokenTensor(array)
+        except ValueError as exc:  # wrong rank or non-finite entries
+            raise ContainerError(f"{path}: stream {name!r}: {exc}") from None
+    return FusionInputs(**streams), meta
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +261,10 @@ _TOGGLE_FIELDS = ("geo_bias", "token_weight", "camera_memory", "gate")
 def load_config(path) -> tuple[FusionConfig, int]:
     """Parse a JSON config document into (FusionConfig, seed).
 
-    Expected fields: the seven integer dimensions, an optional integer
-    "seed" (default 0), and an optional "toggles" object with boolean
+    Expected fields: the seven integer dimensions, an optional non-negative
+    integer "seed" (default 0), and an optional "toggles" object with boolean
     members geo_bias / token_weight / camera_memory / gate (default true).
-    Problems are reported per field.
+    Problems are reported per field, prefixed with the path.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -282,18 +281,14 @@ def load_config(path) -> tuple[FusionConfig, int]:
     if unknown:
         raise ConfigError(f"{path}: unknown config field(s) {unknown}")
 
-    values = {}
     for name in _CONFIG_INT_FIELDS:
         if name not in payload:
             raise ConfigError(f"{path}: missing config field '{name}'")
-        value = payload[name]
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{path}: config field '{name}': expected integer, got {value!r}")
-        values[name] = value
 
     seed = payload.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"{path}: config field 'seed': expected integer, got {seed!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"{path}: config field 'seed': expected non-negative integer, "
+                          f"got {seed!r}")
 
     toggle_payload = payload.get("toggles", {})
     if not isinstance(toggle_payload, dict):
@@ -301,14 +296,11 @@ def load_config(path) -> tuple[FusionConfig, int]:
     unknown = [k for k in toggle_payload if k not in _TOGGLE_FIELDS]
     if unknown:
         raise ConfigError(f"{path}: unknown toggle field(s) {unknown}")
-    toggle_values = {}
-    for name in _TOGGLE_FIELDS:
-        value = toggle_payload.get(name, True)
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: toggle '{name}': expected boolean, got {value!r}")
-        toggle_values[name] = value
-
-    config = FusionConfig(toggles=FusionToggles(**toggle_values), **values)
+    try:
+        config = FusionConfig(toggles=FusionToggles(**toggle_payload),
+                              **{name: payload[name] for name in _CONFIG_INT_FIELDS})
+    except ConfigError as exc:  # the types and values are checked by the config itself
+        raise ConfigError(f"{path}: {exc}") from None
     return config, seed
 
 

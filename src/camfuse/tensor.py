@@ -7,10 +7,10 @@ functions returning the cotangents of ``<cotangent, op(inputs)>``, so larger
 modules compose an analytic backward pass without a tape; `softmax_vjp` works
 from the saved softmax output.
 
-float64 is the working precision so finite-difference gradient checks are
-meaningful. A TokenTensor keeps float32 data as float32, but every parameter
-array is float64, so a fuse pass over float32 streams computes in and returns
-float64; there is no separate float32 compute path.
+float64 is the only working precision, so finite-difference gradient checks
+are meaningful. `TokenTensor`, `LinearMap` and `LayerNormParams` widen what
+they are given to contiguous float64 at construction (float32 exactly, without
+a copy when the input already is contiguous float64); the kernels assume it.
 """
 
 from __future__ import annotations
@@ -35,28 +35,24 @@ __all__ = [
     "swish_vjp",
 ]
 
-_FLOAT_DTYPES = (np.float64, np.float32)
-
 
 class DimensionError(ValueError):
     """Shapes incompatible with the requested operation."""
 
 
-def _as_float_array(value, what: str, ndim: int | None = None) -> np.ndarray:
-    arr = np.asarray(value)
-    if arr.dtype not in _FLOAT_DTYPES:
-        arr = arr.astype(np.float64)
-    if ndim is not None and arr.ndim != ndim:
+def _as_float_array(value, what: str, ndim: int) -> np.ndarray:
+    arr = np.asarray(value, dtype=np.float64, order="C")  # unlike ascontiguousarray, keeps 0-d
+    if arr.ndim != ndim:
         raise DimensionError(f"{what} must be rank {ndim}, got shape {arr.shape}")
-    return np.ascontiguousarray(arr)
+    return arr
 
 
 @dataclass(frozen=True)
 class TokenTensor:
     """Dense rank-3 token array laid out [frames, tokens, width].
 
-    Construction validates the layout and rejects non-finite entries, so any
-    operation returning a TokenTensor guarantees a finite result.
+    Construction widens the data to contiguous float64, checks the rank and
+    rejects non-finite entries, so any TokenTensor holds a finite result.
     """
 
     data: np.ndarray
@@ -84,8 +80,8 @@ class TokenTensor:
         return self.data.shape
 
     @classmethod
-    def zeros(cls, frames: int, tokens: int, width: int, dtype=np.float64) -> "TokenTensor":
-        return cls(np.zeros((frames, tokens, width), dtype=dtype))
+    def zeros(cls, frames: int, tokens: int, width: int) -> "TokenTensor":
+        return cls(np.zeros((frames, tokens, width)))
 
 
 @dataclass(frozen=True)
@@ -175,7 +171,7 @@ def softmax_rows(x) -> np.ndarray:
 
 def sigmoid(x) -> np.ndarray:
     """Numerically stable logistic function, elementwise."""
-    x = np.asarray(x, dtype=np.float64) if np.asarray(x).dtype not in _FLOAT_DTYPES else np.asarray(x)
+    x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))

@@ -177,17 +177,17 @@ def test_c07_attention_oracle():
         n, mv, ms = (int(v) for v in rng.integers(1, 5, size=3))
         da = int(rng.integers(1, 6))
         config = FusionConfig(n, mv, ms, 3, 3, da, 1)
-        q = TokenTensor(rng.standard_normal((n, mv, da)))
-        k = TokenTensor(rng.standard_normal((n, ms, da)))
-        v = TokenTensor(rng.standard_normal((n, ms, da)))
-        c = TokenTensor(rng.standard_normal((n, 1, da)))
+        q = rng.standard_normal((n, mv, da))
+        k = rng.standard_normal((n, ms, da))
+        v = rng.standard_normal((n, ms, da))
+        c = rng.standard_normal((n, 1, da))
         out = attend(q, k, v, c, config)
-        kmem = np.concatenate([c.data, k.data], axis=1)
-        vmem = np.concatenate([c.data, v.data], axis=1)
-        expected = ref_attention(q.data, kmem, vmem, 1)
-        worst_value = max(worst_value, float(np.max(np.abs(out.data - expected))))
+        kmem = np.concatenate([c, k], axis=1)
+        vmem = np.concatenate([c, v], axis=1)
+        expected = ref_attention(q, kmem, vmem, 1)
+        worst_value = max(worst_value, float(np.max(np.abs(out - expected))))
         for f in range(n):
-            scores = (q.data[f] @ kmem[f].T) / np.sqrt(da)
+            scores = (q[f] @ kmem[f].T) / np.sqrt(da)
             sums = softmax_rows(scores).sum(axis=-1)
             worst_sum = max(worst_sum, float(np.max(np.abs(sums - 1.0))))
     assert worst_value < 1e-12

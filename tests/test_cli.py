@@ -8,7 +8,6 @@ from camfuse.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INVALID,
     EXIT_OK,
-    RunManifest,
     main,
 )
 from camfuse.fusion import FusionConfig, init_weights, iter_params
@@ -26,16 +25,6 @@ def config_path(tmp_path):
     path = tmp_path / "config.json"
     save_config(TINY, 5, path)
     return str(path)
-
-
-class TestManifest:
-    def test_requires_exactly_one_source(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            RunManifest("c.json", None, "in.cft", 3, "out.cft")
-        with pytest.raises(ValueError, match="exactly one"):
-            RunManifest("c.json", None, None, None, "out.cft")
-        RunManifest("c.json", None, "in.cft", None, "out.cft")
-        RunManifest("c.json", None, None, 3, "out.cft")
 
 
 class TestGen:
@@ -119,6 +108,26 @@ class TestFuse:
             main(["fuse", "--config", config_path, "--seed", "1",
                   "--in", "x.cft", "--out", str(tmp_path / "o.cft")])
         assert err.value.code == 2
+
+    def test_source_flag_is_required(self, config_path, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["fuse", "--config", config_path, "--out", str(tmp_path / "o.cft")])
+        assert err.value.code == 2
+
+    def test_non_finite_weight_is_invalid_exit(self, tmp_path, config_path, capsys):
+        stream = tmp_path / "stream.cft"
+        weights_path = tmp_path / "weights.cft"
+        main(["gen", "--config", config_path, "--out", str(stream)])
+        tensors = dict(iter_params(init_weights(TINY, 5)))
+        tensors["tw_mlp.1.weight"][0, 0] = np.inf  # saturates the sigmoid: finite, wrong output
+        save_container(weights_path, tensors, {"kind": "fusion-weights"})
+        out = tmp_path / "o.cft"
+        code = main(["fuse", "--config", config_path, "--in", str(stream),
+                     "--weights", str(weights_path), "--out", str(out)])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert str(weights_path) in err and "tw_mlp.1.weight" in err
+        assert not out.exists()
 
     def test_shape_mismatch_is_invalid_exit(self, tmp_path, config_path, capsys):
         stream = tmp_path / "stream.cft"

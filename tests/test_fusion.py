@@ -66,6 +66,16 @@ class TestConfig:
                          d_visual=2, d_spatial=2, d_attn=4, n_heads=2,
                          toggles=FusionToggles(camera_memory=False))
 
+    def test_bool_is_not_an_int_field(self):
+        with pytest.raises(ConfigError, match="n_frames"):
+            FusionConfig(n_frames=True, m_visual=1, m_spatial=1,
+                         d_visual=2, d_spatial=2, d_attn=4, n_heads=2)
+
+    @pytest.mark.parametrize("value", ["off", 0, 1, None])
+    def test_toggles_must_be_bools(self, value):
+        with pytest.raises(ConfigError, match="gate"):
+            FusionToggles(gate=value)
+
 
 class TestInputs:
     def test_frame_disagreement(self):
@@ -144,7 +154,7 @@ class TestProject:
         inputs = synth_tokens(TINY, 1)
         inputs = replace(inputs, camera=TokenTensor.zeros(TINY.n_frames, 1, TINY.d_spatial))
         _, _, _, c = project_qkvc(inputs, weights)
-        npt.assert_array_equal(c.data, np.broadcast_to(bias, c.shape))
+        npt.assert_array_equal(c, np.broadcast_to(bias, c.shape))
 
     def test_output_shapes(self):
         weights = init_weights(TINY, 1)
@@ -158,12 +168,12 @@ class TestProject:
         weights = init_weights(TINY, 4)
         inputs = synth_tokens(TINY, 5)
         q, k, v, c = project_qkvc(inputs, weights)
-        assert q.data.tobytes() == affine(
+        assert q.tobytes() == affine(
             layer_norm(inputs.visual.data, weights.ln_v), weights.p_q).tobytes()
         lns = layer_norm(inputs.spatial.data, weights.ln_s)
-        assert k.data.tobytes() == affine(lns, weights.p_k).tobytes()
-        assert v.data.tobytes() == affine(lns, weights.p_v).tobytes()
-        assert c.data.tobytes() == affine(inputs.camera.data, weights.p_c).tobytes()
+        assert k.tobytes() == affine(lns, weights.p_k).tobytes()
+        assert v.tobytes() == affine(lns, weights.p_v).tobytes()
+        assert c.tobytes() == affine(inputs.camera.data, weights.p_c).tobytes()
 
 
 class TestGeoBias:
@@ -172,8 +182,8 @@ class TestGeoBias:
         weights = replace(weights, geo_mlp=(zeroed(weights.geo_mlp[0]),
                                             zeroed(weights.geo_mlp[1])))
         inputs = synth_tokens(TINY, 1)
-        bias = geo_bias(inputs.spatial, inputs.camera, weights)
-        npt.assert_array_equal(bias.data, np.zeros(bias.shape))
+        bias = geo_bias(inputs.spatial.data, inputs.camera.data, weights)
+        npt.assert_array_equal(bias, np.zeros(bias.shape))
         # with a zero bias the geo toggle cannot change the result
         on = fuse(inputs, weights, TINY)
         off = fuse(inputs, weights, with_toggles(TINY, replace(TINY.toggles, geo_bias=False)))
@@ -183,15 +193,15 @@ class TestGeoBias:
         weights = init_weights(TINY, 2)
         rng = np.random.default_rng(3)
         spatial_frame = rng.standard_normal((1, TINY.m_spatial, TINY.d_spatial))
-        spatial = TokenTensor(np.repeat(spatial_frame, TINY.n_frames, axis=0))
-        camera = TokenTensor(rng.standard_normal((TINY.n_frames, 1, TINY.d_spatial)))
+        spatial = np.repeat(spatial_frame, TINY.n_frames, axis=0)
+        camera = rng.standard_normal((TINY.n_frames, 1, TINY.d_spatial))
         bias = geo_bias(spatial, camera, weights)
-        assert (bias.data[0] != bias.data[1]).any()
+        assert (bias[0] != bias[1]).any()
 
     def test_shape(self):
         weights = init_weights(TINY, 4)
         inputs = synth_tokens(TINY, 5)
-        assert geo_bias(inputs.spatial, inputs.camera, weights).shape == (2, 4, 4)
+        assert geo_bias(inputs.spatial.data, inputs.camera.data, weights).shape == (2, 4, 4)
 
 
 class TestTokenWeights:
@@ -200,8 +210,8 @@ class TestTokenWeights:
         weights = replace(weights, tw_mlp=(zeroed(weights.tw_mlp[0]),
                                            zeroed(weights.tw_mlp[1])))
         inputs = synth_tokens(TINY, 1)
-        tw = token_weights(inputs.spatial, weights)
-        npt.assert_array_equal(tw.data, np.full(tw.shape, 0.5))
+        tw = token_weights(inputs.spatial.data, weights)
+        npt.assert_array_equal(tw, np.full(tw.shape, 0.5))
 
     def test_ignores_visual_and_camera(self):
         weights = init_weights(TINY, 2)
@@ -209,14 +219,14 @@ class TestTokenWeights:
         b = replace(a,
                     visual=TokenTensor(a.visual.data + 1.0),
                     camera=TokenTensor(a.camera.data - 2.0))
-        ta = token_weights(a.spatial, weights)
-        tb = token_weights(b.spatial, weights)
-        assert ta.data.tobytes() == tb.data.tobytes()
+        ta = token_weights(a.spatial.data, weights)
+        tb = token_weights(b.spatial.data, weights)
+        assert ta.tobytes() == tb.tobytes()
 
     def test_open_unit_interval(self):
         weights = init_weights(TINY, 4)
-        tw = token_weights(synth_tokens(TINY, 5).spatial, weights)
-        assert (tw.data > 0).all() and (tw.data < 1).all()
+        tw = token_weights(synth_tokens(TINY, 5).spatial.data, weights)
+        assert (tw > 0).all() and (tw < 1).all()
 
 
 class TestAttend:
@@ -226,48 +236,48 @@ class TestAttend:
         config = FusionConfig(n_frames=2, m_visual=3, m_spatial=0,
                               d_visual=6, d_spatial=5, d_attn=4, n_heads=2)
         rng = np.random.default_rng(0)
-        q = TokenTensor(rng.standard_normal((2, 3, 4)))
-        k = TokenTensor.zeros(2, 0, 4)
-        v = TokenTensor.zeros(2, 0, 4)
-        c = TokenTensor(rng.standard_normal((2, 1, 4)))
+        q = rng.standard_normal((2, 3, 4))
+        k = np.zeros((2, 0, 4))
+        v = np.zeros((2, 0, 4))
+        c = rng.standard_normal((2, 1, 4))
         out = attend(q, k, v, c, config)
-        npt.assert_allclose(out.data, np.broadcast_to(c.data, out.shape), atol=1e-15)
+        npt.assert_allclose(out, np.broadcast_to(c, out.shape), atol=1e-15)
 
     def test_identical_keys_average_values(self):
         rng = np.random.default_rng(1)
         config = with_toggles(TINY, replace(TINY.toggles, camera_memory=False))
         key_row = rng.standard_normal(4)
-        k = TokenTensor(np.broadcast_to(key_row, (2, 4, 4)).copy())
-        v = TokenTensor(rng.standard_normal((2, 4, 4)))
-        q = TokenTensor(rng.standard_normal((2, 3, 4)))
-        c = TokenTensor(rng.standard_normal((2, 1, 4)))
+        k = np.broadcast_to(key_row, (2, 4, 4)).copy()
+        v = rng.standard_normal((2, 4, 4))
+        q = rng.standard_normal((2, 3, 4))
+        c = rng.standard_normal((2, 1, 4))
         out = attend(q, k, v, c, config)
-        expected = np.broadcast_to(v.data.mean(axis=1, keepdims=True), out.shape)
-        npt.assert_allclose(out.data, expected, atol=1e-12)
+        expected = np.broadcast_to(v.mean(axis=1, keepdims=True), out.shape)
+        npt.assert_allclose(out, expected, atol=1e-12)
 
     @pytest.mark.parametrize("heads", [1, 2])
     def test_against_loop_oracle(self, heads):
         rng = np.random.default_rng(2 + heads)
         config = FusionConfig(n_frames=1, m_visual=2, m_spatial=3,
                               d_visual=4, d_spatial=4, d_attn=4, n_heads=heads)
-        q = TokenTensor(rng.standard_normal((1, 2, 4)))
-        k = TokenTensor(rng.standard_normal((1, 3, 4)))
-        v = TokenTensor(rng.standard_normal((1, 3, 4)))
-        c = TokenTensor(rng.standard_normal((1, 1, 4)))
+        q = rng.standard_normal((1, 2, 4))
+        k = rng.standard_normal((1, 3, 4))
+        v = rng.standard_normal((1, 3, 4))
+        c = rng.standard_normal((1, 1, 4))
         out = attend(q, k, v, c, config)
-        kmem = np.concatenate([c.data, k.data], axis=1)
-        vmem = np.concatenate([c.data, v.data], axis=1)
-        expected = ref_attention(q.data, kmem, vmem, heads)
-        npt.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+        kmem = np.concatenate([c, k], axis=1)
+        vmem = np.concatenate([c, v], axis=1)
+        expected = ref_attention(q, kmem, vmem, heads)
+        npt.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
     def test_empty_memory_raises(self):
         # a valid config, but the op itself is handed empty memory tensors
         config = FusionConfig(n_frames=1, m_visual=2, m_spatial=1,
                               d_visual=4, d_spatial=4, d_attn=4, n_heads=2,
                               toggles=FusionToggles(camera_memory=False))
-        q = TokenTensor.zeros(1, 2, 4)
-        empty = TokenTensor.zeros(1, 0, 4)
-        c = TokenTensor.zeros(1, 1, 4)
+        q = np.zeros((1, 2, 4))
+        empty = np.zeros((1, 0, 4))
+        c = np.zeros((1, 1, 4))
         with pytest.raises(DimensionError, match="empty"):
             attend(q, empty, empty, c, config)
 
@@ -292,12 +302,12 @@ class TestGateAndFuse:
         weights = init_weights(TINY, 4)
         inputs = synth_tokens(TINY, 5)
         q, k, v, c = project_qkvc(inputs, weights)
-        bias = geo_bias(inputs.spatial, inputs.camera, weights)
-        k = TokenTensor(k.data + bias.data)
-        v = TokenTensor((v.data + bias.data) * token_weights(inputs.spatial, weights).data)
+        bias = geo_bias(inputs.spatial.data, inputs.camera.data, weights)
+        k = k + bias
+        v = (v + bias) * token_weights(inputs.spatial.data, weights)
         attended = attend(q, k, v, c, TINY)
-        staged = gate_and_fuse(attended, c, inputs.visual, weights, TINY)
-        assert staged.data.tobytes() == fuse(inputs, weights, TINY).data.tobytes()
+        staged = gate_and_fuse(attended, c, inputs.visual.data, weights, TINY)
+        assert staged.tobytes() == fuse(inputs, weights, TINY).data.tobytes()
 
 
 class TestFuse:
@@ -427,8 +437,8 @@ class TestFuseInvariants:
         q1, k1, _, _ = project_qkvc(inputs, weights)
         other = replace(inputs, camera=TokenTensor(inputs.camera.data * 3.0))
         q2, k2, _, _ = project_qkvc(other, weights)
-        assert k1.data.tobytes() == k2.data.tobytes()
-        assert q1.data.tobytes() == q2.data.tobytes()
+        assert k1.tobytes() == k2.tobytes()
+        assert q1.tobytes() == q2.tobytes()
 
 
 class TestFuseBackward:
@@ -473,3 +483,38 @@ class TestFuseBackward:
         inputs = synth_tokens(TINY, 0)
         with pytest.raises(DimensionError, match="cotangent"):
             fuse_backward(inputs, weights, TINY, TokenTensor.zeros(1, 1, 1))
+
+
+class TestBoundary:
+    """Streams are validated where they enter and leave, never in between."""
+
+    @pytest.mark.parametrize("bits", list(itertools.product([False, True], repeat=4)))
+    def test_token_tensors_built_per_pass(self, bits, monkeypatch):
+        config = with_toggles(TINY, FusionToggles(*bits))
+        weights = init_weights(config, 13)
+        inputs = synth_tokens(config, 14)
+        cot = TokenTensor(np.random.default_rng(15).standard_normal(inputs.visual.shape))
+        built = []
+        original = TokenTensor.__post_init__
+
+        def counting(self):
+            built.append(self.data.shape)
+            original(self)
+
+        monkeypatch.setattr(TokenTensor, "__post_init__", counting)
+        fuse(inputs, weights, config)
+        assert built == [inputs.visual.shape]  # the fused output only
+        built.clear()
+        fuse_backward(inputs, weights, config, cot)
+        assert built == [inputs.visual.shape, inputs.spatial.shape, inputs.camera.shape]
+
+    def test_float32_streams_match_widened_float64(self):
+        weights = init_weights(TINY, 16)
+        inputs = synth_tokens(TINY, 17)
+        narrow = [getattr(inputs, n).data.astype(np.float32)
+                  for n in ("visual", "spatial", "camera")]
+        a = fuse(FusionInputs(*(TokenTensor(x) for x in narrow)), weights, TINY)
+        b = fuse(FusionInputs(*(TokenTensor(x.astype(np.float64)) for x in narrow)),
+                 weights, TINY)
+        assert a.data.dtype == np.float64
+        assert a.data.tobytes() == b.data.tobytes()

@@ -74,7 +74,7 @@ class TestWeightsRoundTrip:
         with pytest.raises(ContainerError, match="p_q.weight"):
             load_weights(path, bigger)
 
-    def test_unknown_tensor_rejected_in_strict_mode(self, tmp_path):
+    def test_unknown_tensor_rejected(self, tmp_path):
         path = tmp_path / "weights.cft"
         weights = init_weights(CONFIG, 4)
         tensors = dict(iter_params(weights))
@@ -82,8 +82,20 @@ class TestWeightsRoundTrip:
         save_container(path, tensors, {"epsilons": {}})
         with pytest.raises(ContainerError, match="mystery"):
             load_weights(path, CONFIG)
-        loaded = load_weights(path, CONFIG, strict=False)
-        assert loaded.p_q.weight.shape == (6, 4)
+
+    @pytest.mark.parametrize("name", ["tw_mlp.1.weight", "p_q.weight", "ln_o.gain",
+                                      "p_g2.bias"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_non_finite_tensor_rejected(self, tmp_path, name, value, dtype):
+        path = tmp_path / "weights.cft"
+        tensors = {k: v.astype(dtype) for k, v in iter_params(init_weights(CONFIG, 10))}
+        tensors[name].flat[-1] = value
+        save_container(path, tensors, {"kind": "fusion-weights"})
+        with pytest.raises(ContainerError, match="non-finite") as err:
+            load_weights(path, CONFIG)
+        assert str(path) in str(err.value)
+        assert f"'{name}'" in str(err.value)
 
     def test_missing_tensor_rejected(self, tmp_path):
         path = tmp_path / "weights.cft"
@@ -222,6 +234,37 @@ class TestTokenStreams:
         assert meta["seed"] == 42
         assert meta["kind"] == "token-streams"
 
+    def test_f32_payload_widens_exactly(self, tmp_path):
+        path = tmp_path / "stream.cft"
+        inputs = synth_tokens(CONFIG, 3)
+        narrow = {n: getattr(inputs, n).data.astype(np.float32)
+                  for n in ("visual", "spatial", "camera")}
+        save_container(path, narrow, {})
+        loaded, _ = load_token_streams(path)
+        for name, arr in narrow.items():
+            got = getattr(loaded, name).data
+            assert got.dtype == np.float64
+            assert got.tobytes() == arr.astype(np.float64).tobytes()
+
+    @pytest.mark.parametrize("name", ["visual", "spatial", "camera", "register"])
+    @pytest.mark.parametrize("fault,message", [
+        ("nan", "non-finite"), ("inf", "non-finite"), ("rank", "rank 3"),
+    ])
+    def test_invalid_stream_names_file_and_stream(self, tmp_path, name, fault, message):
+        path = tmp_path / "stream.cft"
+        inputs = synth_tokens(CONFIG, 4)
+        tensors = {n: getattr(inputs, n).data.copy()
+                   for n in ("visual", "spatial", "camera", "register")}
+        if fault == "rank":
+            tensors[name] = tensors[name][0]
+        else:
+            tensors[name][-1, -1, -1] = float(fault)
+        save_container(path, tensors, {})
+        with pytest.raises(ContainerError, match=message) as err:
+            load_token_streams(path)
+        assert str(path) in str(err.value)
+        assert f"stream '{name}'" in str(err.value)
+
     def test_missing_stream_rejected(self, tmp_path):
         path = tmp_path / "stream.cft"
         inputs = synth_tokens(CONFIG, 0)
@@ -279,3 +322,24 @@ class TestConfigFiles:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ConfigError, match="divisible"):
             load_config(path)
+
+    @pytest.mark.parametrize("change,field", [
+        ({"d_attn": 5}, "divisible"),
+        ({"n_frames": 0}, "n_frames"),
+        ({"n_frames": True}, "n_frames"),
+        ({"m_spatial": -1}, "m_spatial"),
+        ({"d_attn": 4.0}, "d_attn"),
+        ({"m_spatial": 0, "toggles": {"camera_memory": False}}, "m_spatial"),
+        ({"toggles": {"gate": "off"}}, "gate"),
+        ({"toggles": {"geo_bias": 1}}, "geo_bias"),
+        ({"seed": -1}, "seed"),
+    ])
+    def test_invalid_values_name_the_path(self, tmp_path, change, field):
+        path = tmp_path / "config.json"
+        payload = dict(n_frames=2, m_visual=3, m_spatial=4, d_visual=6,
+                       d_spatial=5, d_attn=4, n_heads=2)
+        payload.update(change)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ConfigError, match=field) as err:
+            load_config(path)
+        assert str(err.value).startswith(f"{path}: ")

@@ -39,9 +39,24 @@ class TestTokenTensor:
         t = TokenTensor(np.arange(6).reshape(1, 2, 3))
         assert t.data.dtype == np.float64
 
-    def test_accepts_float32(self):
-        t = TokenTensor(np.zeros((1, 1, 1), dtype=np.float32))
-        assert t.data.dtype == np.float32
+    def test_boundary_types_widen_float32_exactly(self):
+        narrow = np.random.default_rng(0).standard_normal((2, 3, 4)).astype(np.float32)
+        wide = narrow.astype(np.float64)
+        lin = LinearMap(narrow[0], narrow[0, 0])
+        ln = LayerNormParams(narrow[0, 0], narrow[1, 0])
+        for got, expected in ((TokenTensor(narrow).data, wide), (lin.weight, wide[0]),
+                              (lin.bias, wide[0, 0]), (ln.gain, wide[0, 0]),
+                              (ln.shift, wide[1, 0])):
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert got.tobytes() == expected.tobytes()
+
+    def test_contiguous_float64_is_not_copied(self):
+        data = np.zeros((1, 2, 3))
+        assert TokenTensor(data).data is data
+
+    def test_scalar_is_not_rank_1(self):
+        with pytest.raises(DimensionError, match="rank 1"):
+            LinearMap(np.ones((2, 1)), 0.0)
 
 
 class TestMatmulTokens:
