@@ -77,7 +77,6 @@ from .tensor import (
     layer_norm_vjp,
     sigmoid,
     softmax_rows,
-    softmax_vjp,
     swish,
     swish_vjp,
 )

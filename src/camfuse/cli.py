@@ -2,8 +2,9 @@
 
 Subcommands: gen (synthetic token streams), fuse (run the module on a stream
 file or a fresh synthetic batch), gradcheck (analytic vs finite-difference
-gradients), ablate (structural variants on identical inputs), score (record
-files against a benchmark protocol), bench (fuse throughput).
+gradients, entry by entry or along one random direction), ablate (structural
+variants on identical inputs), score (record files against a benchmark
+protocol), bench (fuse throughput, per-stage medians and peak RSS).
 
 Exit codes: 0 success, 2 usage, 3 invalid input/config/file, 4 failed check.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 from dataclasses import replace
@@ -28,7 +30,7 @@ from .fusion import (
     variant_toggles,
     with_toggles,
 )
-from .gradcheck import check_fuse_gradients
+from .gradcheck import check_directional, check_fuse_gradients
 from .metrics import read_records, score_protocol
 from .pipeline import synth_tokens
 from .serde import (
@@ -54,6 +56,12 @@ TINY_CONFIG = FusionConfig(n_frames=2, m_visual=3, m_spatial=4,
                            d_visual=6, d_spatial=5, d_attn=4, n_heads=2)
 
 GRADCHECK_ENTRY_BUDGET = 50_000
+
+# default --tolerance per gradcheck mode; a directional error sums over every
+# entry, so a 1e-2 corruption reads ~4e-6 at the demo shape and correct
+# gradients read ~5e-12
+ENTRYWISE_TOLERANCE = 1e-5
+DIRECTIONAL_TOLERANCE = 1e-8
 
 
 def _apply_toggle_flags(config: FusionConfig, args) -> FusionConfig:
@@ -125,13 +133,30 @@ def _cmd_gradcheck(args) -> int:
         seed = args.seed
     config = _apply_toggle_flags(config, args)
 
+    if args.tolerance is not None:
+        tolerance = args.tolerance
+    else:
+        tolerance = DIRECTIONAL_TOLERANCE if args.directional else ENTRYWISE_TOLERANCE
+
     inputs = synth_tokens(config, seed)
+    if args.directional:
+        result = check_directional(inputs, init_weights(config, seed), config, seed=seed,
+                                   corruption=args.self_test_corruption)
+        ok = result["error"] <= tolerance
+        print(f"{'analytic':>20s}  {result['analytic']: .15e}")
+        print(f"{'numeric':>20s}  {result['numeric']: .15e}")
+        print(f"{'scale':>20s}  {result['scale']: .15e}")
+        print(f"{'error':>20s}  {result['error']:12.3e}  tolerance {tolerance:g}  "
+              f"{'ok' if ok else 'FAIL'}")
+        return EXIT_OK if ok else EXIT_CHECK_FAILED
+
     entries = param_count(config) + inputs.visual.data.size \
         + inputs.spatial.data.size + inputs.camera.data.size
     if entries > GRADCHECK_ENTRY_BUDGET:
         print(f"error: config has {entries} checkable entries, over the "
               f"{GRADCHECK_ENTRY_BUDGET} finite-difference budget; "
-              f"use smaller dims (the default config works)", file=sys.stderr)
+              f"use smaller dims (the default config works) or --directional",
+              file=sys.stderr)
         return EXIT_INVALID
 
     weights = init_weights(config, seed)
@@ -139,10 +164,10 @@ def _cmd_gradcheck(args) -> int:
                                    corruption=args.self_test_corruption)
     worst = max(results.values())
     for name, err in results.items():
-        marker = "ok" if err <= args.tolerance else "FAIL"
+        marker = "ok" if err <= tolerance else "FAIL"
         print(f"{name:>20s}  {err:12.3e}  {marker}")
-    print(f"{'worst':>20s}  {worst:12.3e}  tolerance {args.tolerance:g}")
-    return EXIT_OK if worst <= args.tolerance else EXIT_CHECK_FAILED
+    print(f"{'worst':>20s}  {worst:12.3e}  tolerance {tolerance:g}")
+    return EXIT_OK if worst <= tolerance else EXIT_CHECK_FAILED
 
 
 def _cmd_ablate(args) -> int:
@@ -210,15 +235,24 @@ def _cmd_bench(args) -> int:
     inputs = synth_tokens(config, seed)
     weights = init_weights(config, seed)
     times = []
+    stages: dict[str, list[float]] = {}
     for _ in range(args.reps):
+        timings: dict[str, float] = {}
         start = time.perf_counter()
-        fuse(inputs, weights, config)
+        fuse(inputs, weights, config, timings=timings)
         times.append(time.perf_counter() - start)
+        for stage, seconds in timings.items():
+            stages.setdefault(stage, []).append(seconds)
     median = float(np.median(times))
     p95 = float(np.percentile(times, 95))
     visual_tokens = config.n_frames * config.m_visual
     print(f"config: frames {config.n_frames}, visual {config.m_visual}x{config.d_visual}, "
           f"spatial {config.m_spatial}x{config.d_spatial}, attn {config.d_attn}/{config.n_heads}h")
+    for stage, seconds in stages.items():
+        print(f"{stage:>14s}  median {np.median(seconds):.3f} s")
+    # ru_maxrss is in KiB on Linux: the peak of this process, not of the machine
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"peak RSS {peak_mb:.1f} MB")
     print(f"reps {args.reps}: median {median:.3f} s, p95 {p95:.3f} s, "
           f"{visual_tokens / median:,.0f} visual tokens/s")
     return EXIT_OK
@@ -248,7 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="analytic vs finite-difference gradients")
     p.add_argument("--config", default=None, help="default: a built-in tiny config")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=1e-5)
+    p.add_argument("--tolerance", type=float, default=None,
+                   help=f"largest passing relative error; default {ENTRYWISE_TOLERANCE:g}, "
+                        f"or {DIRECTIONAL_TOLERANCE:g} with --directional")
+    p.add_argument("--directional", action="store_true",
+                   help="check one random direction over every input and parameter: "
+                        "two forward passes at any shape, no entry budget")
     p.add_argument("--self-test-corruption", type=float, default=0.0,
                    help="add a constant to every analytic gradient; a nonzero "
                         "value must make the check fail (negative control)")
@@ -279,6 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

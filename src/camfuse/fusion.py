@@ -16,6 +16,12 @@ identical inputs. `fuse_backward` returns analytic gradients for every
 parameter and input stream; `camfuse.gradcheck` holds the independent
 finite-difference harness that validates them.
 
+Attention walks each frame's queries in row tiles sized so that one tile's
+[heads, rows, memory] score block stays about 2 MiB, and memory is bounded by
+one tile in both passes. The reverse pass keeps no probability tensor: the
+forward saves each query row's log-sum-exp ([frames, heads, queries]), from
+which the backward recomputes the probabilities tile by tile.
+
 The output always has the visual stream's shape, so the module can sit in
 front of a downstream consumer without changing its interface.
 
@@ -43,8 +49,7 @@ from .tensor import (
     layer_norm,
     layer_norm_vjp,
     sigmoid,
-    softmax_rows,
-    softmax_vjp,
+    softmax_rows,  # noqa: F401 -- unused here; bench/test_bench.py patches it as a fusion attribute
     swish,
     swish_vjp,
 )
@@ -356,55 +361,96 @@ def token_weights(spatial: np.ndarray, weights: FusionWeights, *,
     return _keep(saved, "tw", sigmoid(affine(hidden, weights.tw_mlp[1])))
 
 
+# byte budget of one tile's [h, rows, mk] float64 score block, about an L2 cache
+_TILE_BYTES = 2 << 20
+
+
+def _tile_rows(n_heads: int, mk: int) -> int:
+    """Query rows per tile: as many as fit the score-block budget, at least one."""
+    return max(1, _TILE_BYTES // (8 * n_heads * mk))
+
+
+def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """[tokens, d_attn] -> [h, tokens, head_dim] view; heads are contiguous width slices."""
+    return x.reshape(x.shape[0], n_heads, -1).transpose(1, 0, 2)
+
+
+def _merge_heads(xh: np.ndarray) -> np.ndarray:
+    """[h, tokens, head_dim] -> [tokens, d_attn]."""
+    return xh.transpose(1, 0, 2).reshape(xh.shape[1], -1)
+
+
 def _attention_raw(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
-                   keep_cache: bool = False):
-    """Frame-local multi-head scaled dot-product attention.
+                   lse: np.ndarray | None = None) -> np.ndarray:
+    """Frame-local multi-head scaled dot-product attention, in query tiles.
 
-    Heads are contiguous width slices; scale is 1/sqrt(head_dim). Frames are
-    processed in a fixed order so results are deterministic and memory stays
-    bounded by one frame's score matrix.
+    Scale is 1/sqrt(head_dim). Each tile's [h, rows, mk] score block is
+    exponentiated in place and the [h, rows, dh] product with V is normalised,
+    so memory is bounded by one tile. Every tile sees the frame's whole memory,
+    so one pass gives the exact softmax. When given, `lse` ([n, h, mq]) receives
+    each row's log-sum-exp of the scaled scores, from which the backward pass
+    recomputes the probabilities.
     """
-    n, mq, da = q.shape
+    n, mq, _ = q.shape
     mk = k.shape[1]
-    dh = da // n_heads
-    scale = 1.0 / np.sqrt(dh)
+    scale = 1.0 / np.sqrt(q.shape[2] // n_heads)
+    rows = _tile_rows(n_heads, mk)
     out = np.empty_like(q)
-    probs_cache = np.empty((n, n_heads, mq, mk), dtype=q.dtype) if keep_cache else None
     for i in range(n):
-        qh = q[i].reshape(mq, n_heads, dh).transpose(1, 0, 2)  # [h, mq, dh]
-        kh = k[i].reshape(mk, n_heads, dh).transpose(1, 0, 2)
-        vh = v[i].reshape(mk, n_heads, dh).transpose(1, 0, 2)
-        scores = (qh @ kh.transpose(0, 2, 1)) * scale          # [h, mq, mk]
-        probs = softmax_rows(scores)
-        outh = probs @ vh                                      # [h, mq, dh]
-        out[i] = outh.transpose(1, 0, 2).reshape(mq, da)
-        if keep_cache:
-            probs_cache[i] = probs
-    return out, probs_cache
+        qh = _heads(q[i] * scale, n_heads)
+        kt = np.ascontiguousarray(_heads(k[i], n_heads).transpose(0, 2, 1))  # [h, dh, mk]
+        vh = np.ascontiguousarray(_heads(v[i], n_heads))
+        for lo in range(0, mq, rows):
+            hi = min(lo + rows, mq)
+            e = qh[:, lo:hi] @ kt
+            m = e.max(axis=-1, keepdims=True)
+            e -= m
+            np.exp(e, out=e)
+            z = e.sum(axis=-1, keepdims=True)
+            outh = e @ vh
+            outh /= z
+            out[i, lo:hi] = _merge_heads(outh)
+            if lse is not None:
+                lse[i, :, lo:hi] = (m + np.log(z))[..., 0]
+    return out
 
 
-def _attention_vjp_raw(q, k, v, probs, n_heads, g_out):
-    n, mq, da = q.shape
+def _attention_vjp_raw(q, k, v, out, lse, n_heads, g_out):
+    """Cotangents (gq, gk, gv) of ``<g_out, attention(q, k, v)>``.
+
+    `out` and `lse` are the forward's output and row log-sum-exps. Per query
+    tile the probabilities are recomputed as exp(scale * q k^T - lse), and with
+    D = rowsum(g_out * out) the score cotangent is p * (g_out v^T - D).
+    """
+    n, mq, _ = q.shape
     mk = k.shape[1]
-    dh = da // n_heads
-    scale = 1.0 / np.sqrt(dh)
+    scale = 1.0 / np.sqrt(q.shape[2] // n_heads)
+    rows = _tile_rows(n_heads, mk)
     gq = np.empty_like(q)
     gk = np.empty_like(k)
     gv = np.empty_like(v)
     for i in range(n):
-        qh = q[i].reshape(mq, n_heads, dh).transpose(1, 0, 2)
-        kh = k[i].reshape(mk, n_heads, dh).transpose(1, 0, 2)
-        vh = v[i].reshape(mk, n_heads, dh).transpose(1, 0, 2)
-        goh = g_out[i].reshape(mq, n_heads, dh).transpose(1, 0, 2)
-        p = probs[i]
-        g_probs = goh @ vh.transpose(0, 2, 1)                  # [h, mq, mk]
-        g_vh = p.transpose(0, 2, 1) @ goh                      # [h, mk, dh]
-        g_scores = softmax_vjp(p, g_probs)
-        g_qh = (g_scores @ kh) * scale
-        g_kh = (g_scores.transpose(0, 2, 1) @ qh) * scale
-        gq[i] = g_qh.transpose(1, 0, 2).reshape(mq, da)
-        gk[i] = g_kh.transpose(1, 0, 2).reshape(mk, da)
-        gv[i] = g_vh.transpose(1, 0, 2).reshape(mk, da)
+        qh = _heads(q[i] * scale, n_heads)
+        kh = _heads(k[i], n_heads)
+        kt = np.ascontiguousarray(kh.transpose(0, 2, 1))                 # [h, dh, mk]
+        vt = np.ascontiguousarray(_heads(v[i], n_heads).transpose(0, 2, 1))
+        goh = _heads(g_out[i], n_heads)
+        d = (goh * _heads(out[i], n_heads)).sum(axis=-1, keepdims=True)  # [h, mq, 1]
+        g_kh = np.zeros(kh.shape)
+        g_vh = np.zeros(kh.shape)
+        for lo in range(0, mq, rows):
+            hi = min(lo + rows, mq)
+            p = qh[:, lo:hi] @ kt
+            p -= lse[i, :, lo:hi, None]
+            np.exp(p, out=p)
+            g_vh += p.transpose(0, 2, 1) @ goh[:, lo:hi]
+            g_s = goh[:, lo:hi] @ vt
+            g_s -= d[:, lo:hi]
+            g_s *= p
+            gq[i, lo:hi] = _merge_heads(g_s @ kh) * scale
+            g_kh += g_s.transpose(0, 2, 1) @ qh[:, lo:hi]
+        gk[i] = _merge_heads(g_kh)
+        gv[i] = _merge_heads(g_vh)
     return gq, gk, gv
 
 
@@ -413,7 +459,8 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, c: np.ndarray,
     """Visual queries attend over spatial memory, prepended with the camera
     slot when camera_memory is enabled.
 
-    Only with `saved` is the full [frames, heads, mq, mk] probability tensor kept.
+    With `saved`, the reverse pass keeps q, the two memories and each query
+    row's log-sum-exp ([frames, heads, mq]); no probability tensor is stored.
     """
     if config.toggles.camera_memory:
         kmem = np.concatenate([c, k], axis=1)
@@ -424,10 +471,11 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, c: np.ndarray,
         raise DimensionError(
             "attention memory is empty: no spatial tokens and camera memory disabled"
         )
-    out, probs = _attention_raw(q, kmem, vmem, config.n_heads, keep_cache=saved is not None)
+    lse = None
     if saved is not None:
-        saved.update(q=q, kmem=kmem, vmem=vmem, probs=probs)
-    return out
+        lse = np.empty((q.shape[0], config.n_heads, q.shape[1]))
+        saved.update(q=q, kmem=kmem, vmem=vmem, lse=lse)
+    return _attention_raw(q, kmem, vmem, config.n_heads, lse)
 
 
 def gate_and_fuse(attended: np.ndarray, c: np.ndarray, visual: np.ndarray,
@@ -538,8 +586,8 @@ def fuse_backward(inputs: FusionInputs, weights: FusionWeights, config: FusionCo
     g_p, grads["ln_o.gain"], grads["ln_o.shift"] = layer_norm_vjp(s["p"], w.ln_o, g_fproj)
     g_fhat, grads["p_o.weight"], grads["p_o.bias"] = affine_vjp(s["fhat"], w.p_o, g_p)
 
-    g_q, g_kmem, g_vmem = _attention_vjp_raw(s["q"], s["kmem"], s["vmem"], s["probs"],
-                                             config.n_heads, g_fhat)
+    g_q, g_kmem, g_vmem = _attention_vjp_raw(s["q"], s["kmem"], s["vmem"], s["fhat"],
+                                             s["lse"], config.n_heads, g_fhat)
     if t.camera_memory:
         g_c += g_kmem[:, :1, :] + g_vmem[:, :1, :]
         g_k, g_v = g_kmem[:, 1:, :], g_vmem[:, 1:, :]

@@ -2,21 +2,38 @@
 
 This is the independent verification route: it only ever evaluates the
 forward pass, so agreement with `fuse_backward` validates the analytic
-gradients. Relative error per group is
+gradients. `check_fuse_gradients` checks entry by entry, two forward passes
+per entry, so it is for small configs. Its relative error per group is
 
     max_i |analytic_i - numeric_i| / max(|numeric_i|, floor)
 
 with a small floor so near-zero entries are judged absolutely.
+`check_directional` checks one random direction over every entry at once, two
+forward passes at any shape.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .fusion import FusionConfig, FusionInputs, FusionWeights, fuse, fuse_backward, iter_params
+from .fusion import (
+    FusionConfig,
+    FusionInputs,
+    FusionWeights,
+    fuse,
+    fuse_backward,
+    iter_params,
+    layer_norm_epsilons,
+    weights_from_arrays,
+)
 from .tensor import TokenTensor
 
-__all__ = ["finite_difference_grad", "max_relative_error", "check_fuse_gradients"]
+__all__ = ["finite_difference_grad", "max_relative_error", "check_fuse_gradients",
+           "check_directional"]
+
+_STREAMS = ("visual", "spatial", "camera")
 
 
 def finite_difference_grad(loss, array: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -67,9 +84,8 @@ def check_fuse_gradients(inputs: FusionInputs, weights: FusionWeights, config: F
         return float(np.sum(cot.data * fuse(inputs, weights, config).data))
 
     groups: list[tuple[str, np.ndarray, np.ndarray]] = [
-        ("input.visual", inputs.visual.data, input_grads.visual.data),
-        ("input.spatial", inputs.spatial.data, input_grads.spatial.data),
-        ("input.camera", inputs.camera.data, input_grads.camera.data),
+        (f"input.{name}", getattr(inputs, name).data, getattr(input_grads, name).data)
+        for name in _STREAMS
     ]
     analytic_by_name = dict(iter_params(weight_grads))
     for name, array in iter_params(weights):
@@ -80,3 +96,42 @@ def check_fuse_gradients(inputs: FusionInputs, weights: FusionWeights, config: F
         numeric = finite_difference_grad(loss, array, step)
         results[name] = max_relative_error(analytic + corruption, numeric, floor)
     return results
+
+
+def check_directional(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
+                      *, seed: int = 0, step: float = 1e-6,
+                      corruption: float = 0.0) -> dict[str, float]:
+    """Compare fuse_backward with a central difference along one random direction.
+
+    A standard-normal direction d is drawn over every input stream and
+    parameter at once. The analytic derivative <grads, d> of
+    ``L = <cot, fuse>`` is compared with (L(x + step d) - L(x - step d)) /
+    (2 step), so the check costs two forward passes and one backward pass at
+    any shape. Returns {analytic, numeric, scale, error} with
+    error = |analytic - numeric| / scale and scale = sum |grads * d|.
+    `corruption` adds a constant to every analytic gradient and exists purely
+    as a negative control for the checker itself.
+    """
+    rng = np.random.default_rng(seed)
+    cot = TokenTensor(rng.standard_normal(inputs.visual.shape))
+    input_grads, weight_grads = fuse_backward(inputs, weights, config, cot)
+
+    point = {f"input.{name}": getattr(inputs, name).data for name in _STREAMS}
+    point.update(iter_params(weights))
+    grads = {f"input.{name}": getattr(input_grads, name).data for name in _STREAMS}
+    grads.update(iter_params(weight_grads))
+    direction = {name: rng.standard_normal(array.shape) for name, array in point.items()}
+
+    def loss(sign: float) -> float:
+        moved = {name: array + sign * step * direction[name] for name, array in point.items()}
+        moved_inputs = replace(inputs, **{name: TokenTensor(moved[f"input.{name}"])
+                                          for name in _STREAMS})
+        moved_weights = weights_from_arrays(moved, layer_norm_epsilons(weights))
+        return float(np.sum(cot.data * fuse(moved_inputs, moved_weights, config).data))
+
+    numeric = (loss(1.0) - loss(-1.0)) / (2.0 * step)
+    terms = [(grads[name] + corruption) * direction[name] for name in point]
+    analytic = sum(float(term.sum()) for term in terms)
+    scale = sum(float(np.abs(term).sum()) for term in terms)
+    return {"analytic": analytic, "numeric": numeric, "scale": scale,
+            "error": abs(analytic - numeric) / scale}

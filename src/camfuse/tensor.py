@@ -4,8 +4,8 @@
 [frames, tokens, width]. The kernels act on plain numpy arrays along the last
 (width) axis, and `affine`, `layer_norm` and `swish` have companion ``*_vjp``
 functions returning the cotangents of ``<cotangent, op(inputs)>``, so larger
-modules compose an analytic backward pass without a tape; `softmax_vjp` works
-from the saved softmax output.
+modules compose an analytic backward pass without a tape. Attention's softmax
+and its VJP run inside `fusion`'s query-tiled kernel.
 
 float64 is the only working precision, so finite-difference gradient checks
 are meaningful. `TokenTensor`, `LinearMap` and `LayerNormParams` widen what
@@ -31,7 +31,6 @@ __all__ = [
     "swish",
     "affine_vjp",
     "layer_norm_vjp",
-    "softmax_vjp",
     "swish_vjp",
 ]
 
@@ -219,10 +218,6 @@ def layer_norm_vjp(x: np.ndarray, p: LayerNormParams, gy: np.ndarray):
     )
     return gx, ggain, gshift
 
-
-def softmax_vjp(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Grad w.r.t. the pre-softmax scores, given the softmax output `probs`."""
-    return probs * (g - (g * probs).sum(axis=-1, keepdims=True))
 
 
 def swish_vjp(x, cotangent) -> np.ndarray:

@@ -1,8 +1,11 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is written with explicit Python loops and scalar math on
-purpose: these functions share no code path with the package, so agreement
-is meaningful. Keep shapes tiny when calling them.
+Everything here shares no code path with the package, so agreement is
+meaningful. Most of it is written with explicit Python loops and scalar math
+on purpose; keep shapes tiny when calling those. The whole-frame attention
+kernel and its VJP are vectorised: they are the kernel the package ran before
+it switched to query tiles, kept as the reference that the tiled kernel must
+reproduce at any shape.
 """
 
 import math
@@ -82,6 +85,54 @@ def ref_attention(q, k, v, n_heads):
                     out[f, a, lo + i] = sum(probs[b] * float(v[f, b, lo + i])
                                             for b in range(mk))
     return out
+
+
+def whole_frame_attention(q, k, v, n_heads):
+    """Per frame, one [h, mq, mk] score block softmaxed as a whole.
+
+    Returns (out, probs) with probs the [n, h, mq, mk] probability tensor.
+    """
+    n, mq, da = q.shape
+    mk = k.shape[1]
+    dh = da // n_heads
+    scale = 1.0 / np.sqrt(dh)
+    out = np.empty_like(q)
+    probs = np.empty((n, n_heads, mq, mk))
+    for i in range(n):
+        qh = q[i].reshape(mq, n_heads, dh).transpose(1, 0, 2)  # [h, mq, dh]
+        kh = k[i].reshape(mk, n_heads, dh).transpose(1, 0, 2)
+        vh = v[i].reshape(mk, n_heads, dh).transpose(1, 0, 2)
+        scores = (qh @ kh.transpose(0, 2, 1)) * scale          # [h, mq, mk]
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        probs[i] = e / e.sum(axis=-1, keepdims=True)
+        out[i] = (probs[i] @ vh).transpose(1, 0, 2).reshape(mq, da)
+    return out, probs
+
+
+def whole_frame_attention_vjp(q, k, v, probs, n_heads, g_out):
+    """Cotangents (gq, gk, gv) of whole_frame_attention from its saved probs."""
+    n, mq, da = q.shape
+    mk = k.shape[1]
+    dh = da // n_heads
+    scale = 1.0 / np.sqrt(dh)
+    gq = np.empty_like(q)
+    gk = np.empty_like(k)
+    gv = np.empty_like(v)
+    for i in range(n):
+        qh = q[i].reshape(mq, n_heads, dh).transpose(1, 0, 2)
+        kh = k[i].reshape(mk, n_heads, dh).transpose(1, 0, 2)
+        vh = v[i].reshape(mk, n_heads, dh).transpose(1, 0, 2)
+        goh = g_out[i].reshape(mq, n_heads, dh).transpose(1, 0, 2)
+        p = probs[i]
+        g_probs = goh @ vh.transpose(0, 2, 1)                  # [h, mq, mk]
+        g_vh = p.transpose(0, 2, 1) @ goh                      # [h, mk, dh]
+        g_scores = p * (g_probs - (g_probs * p).sum(axis=-1, keepdims=True))
+        g_qh = (g_scores @ kh) * scale
+        g_kh = (g_scores.transpose(0, 2, 1) @ qh) * scale
+        gq[i] = g_qh.transpose(1, 0, 2).reshape(mq, da)
+        gk[i] = g_kh.transpose(1, 0, 2).reshape(mk, da)
+        gv[i] = g_vh.transpose(1, 0, 2).reshape(mk, da)
+    return gq, gk, gv
 
 
 def ref_fuse(inputs, weights, config):

@@ -162,6 +162,49 @@ class TestGradcheck:
         assert main(["gradcheck", "--config", str(big)]) == EXIT_INVALID
         assert "budget" in capsys.readouterr().err
 
+    @pytest.fixture
+    def multi_tile_config(self, tmp_path):
+        # over the entry budget, and each frame spans three query tiles
+        path = tmp_path / "multi_tile.json"
+        save_config(FusionConfig(n_frames=2, m_visual=60, m_spatial=4999,
+                                 d_visual=6, d_spatial=5, d_attn=4, n_heads=2), 0, path)
+        return str(path)
+
+    def test_directional_passes_over_the_entry_budget(self, multi_tile_config, capsys):
+        assert main(["gradcheck", "--config", multi_tile_config]) == EXIT_INVALID
+        capsys.readouterr()
+        assert main(["gradcheck", "--config", multi_tile_config, "--directional"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "analytic" in out and "numeric" in out
+        assert "tolerance 1e-08  ok" in out
+
+    def test_directional_corrupted_gradients_fail(self, multi_tile_config, capsys):
+        code = main(["gradcheck", "--config", multi_tile_config, "--directional",
+                     "--self-test-corruption", "1e-2"])
+        assert code == EXIT_CHECK_FAILED
+        assert "FAIL" in capsys.readouterr().out
+
+    def test_directional_default_config_and_tolerance(self):
+        assert main(["gradcheck", "--directional"]) == EXIT_OK
+        assert main(["gradcheck", "--directional", "--tolerance", "0"]) == EXIT_CHECK_FAILED
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--out", "o.cft"],
+        ["fuse", "--out", "o.cft"],
+        ["gradcheck"],
+        ["ablate"],
+        ["bench", "--reps", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_is_invalid_exit(self, argv, config_path, tmp_path, capsys):
+        argv = [argv[0], "--config", config_path, "--seed", "-1", *argv[1:]]
+        argv = [str(tmp_path / a) if a == "o.cft" else a for a in argv]
+        assert main(argv) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "--seed" in err and "-1" in err
+        assert not (tmp_path / "o.cft").exists()
+
 
 class TestAblate:
     def test_four_variants_and_nonzero_diffs(self, config_path, capsys):
@@ -234,6 +277,14 @@ class TestBench:
         assert "median" in out
         tokens_per_s = float(out.rsplit("median", 1)[1].split()[-3].replace(",", ""))
         assert tokens_per_s > 0
+
+    def test_reports_stage_medians_and_peak_rss(self, config_path, capsys):
+        assert main(["bench", "--config", config_path, "--reps", "3"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        stages = [l.split()[0] for l in lines if l.split()[1:2] == ["median"]]
+        assert stages == ["project", "geo_bias", "token_weight", "attend", "gate_fuse"]
+        rss = [l for l in lines if l.startswith("peak RSS ")]
+        assert len(rss) == 1 and float(rss[0].split()[2]) > 0
 
     def test_invalid_reps(self, config_path):
         assert main(["bench", "--config", config_path, "--reps", "0"]) == EXIT_INVALID

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,10 @@ import numpy.testing as npt
 import pytest
 
 from camfuse.fusion import (
+    _attention_raw,
+    _attention_vjp_raw,
+    _forward,
+    _tile_rows,
     ConfigError,
     FusionConfig,
     FusionInputs,
@@ -24,7 +29,7 @@ from camfuse.fusion import (
     variant_toggles,
     with_toggles,
 )
-from camfuse.gradcheck import check_fuse_gradients
+from camfuse.gradcheck import check_directional, check_fuse_gradients
 from camfuse.pipeline import synth_tokens
 from camfuse.tensor import (
     DimensionError,
@@ -35,11 +40,15 @@ from camfuse.tensor import (
     layer_norm,
 )
 
-from oracles import ref_attention, ref_fuse
+from oracles import ref_attention, ref_fuse, whole_frame_attention, whole_frame_attention_vjp
 
 
 TINY = FusionConfig(n_frames=2, m_visual=3, m_spatial=4,
                     d_visual=6, d_spatial=5, d_attn=4, n_heads=2)
+
+# 60 queries over 5000 memory slots in 2 heads: query tiles of 26, 26 and 8 rows
+MULTI_TILE = FusionConfig(n_frames=2, m_visual=60, m_spatial=4999,
+                          d_visual=6, d_spatial=5, d_attn=4, n_heads=2)
 
 
 def zeroed(lin: LinearMap) -> LinearMap:
@@ -282,6 +291,80 @@ class TestAttend:
             attend(q, empty, empty, c, config)
 
 
+def relative_error(actual, expected):
+    return float(np.abs(actual - expected).max() / np.abs(expected).max())
+
+
+class TestTiledAttention:
+    """The query-tiled kernel against the whole-frame kernel it replaced."""
+
+    @staticmethod
+    def check_against_whole_frame(q, k, v, n_heads, seed=0):
+        lse = np.empty((q.shape[0], n_heads, q.shape[1]))
+        out = _attention_raw(q, k, v, n_heads, lse)
+        expected, probs = whole_frame_attention(q, k, v, n_heads)
+        assert relative_error(out, expected) <= 1e-12
+        g_out = np.random.default_rng(seed).standard_normal(out.shape)
+        grads = _attention_vjp_raw(q, k, v, out, lse, n_heads, g_out)
+        expected_grads = whole_frame_attention_vjp(q, k, v, probs, n_heads, g_out)
+        # over a one-slot memory the q and k cotangents vanish in exact
+        # arithmetic; a zero reference is judged against the largest of all three
+        scale = max(np.abs(want).max() for want in expected_grads)
+        for name, got, want in zip("qkv", grads, expected_grads):
+            assert np.abs(got - want).max() <= 1e-10 * (np.abs(want).max() or scale), name
+        return out, lse
+
+    @pytest.mark.parametrize("n,mq,mk,da,heads,tiles", [
+        (2, 60, 5000, 4, 2, 3),   # ragged last tile of 8 rows
+        (1, 3, 20000, 8, 8, 3),   # memory so wide that each tile is one row
+        (3, 5, 1, 4, 2, 1),       # one memory slot
+    ])
+    def test_kernel_matches_whole_frame(self, n, mq, mk, da, heads, tiles):
+        assert -(-mq // _tile_rows(heads, mk)) == tiles
+        rng = np.random.default_rng(mq + mk)
+        q, k, v = (rng.standard_normal((n, m, da)) for m in (mq, mk, mk))
+        self.check_against_whole_frame(q, k, v, heads)
+
+    @pytest.mark.parametrize("config", [
+        *(with_toggles(TINY, FusionToggles(*bits))
+          for bits in itertools.product([False, True], repeat=4)),
+        replace(TINY, m_spatial=0),  # the camera slot is the whole memory
+        MULTI_TILE,
+    ])
+    def test_fusion_attention_matches_whole_frame(self, config):
+        saved: dict = {}
+        _forward(synth_tokens(config, 21), init_weights(config, 22), config, saved=saved)
+        out, lse = self.check_against_whole_frame(saved["q"], saved["kmem"], saved["vmem"],
+                                                  config.n_heads)
+        assert out.tobytes() == saved["fhat"].tobytes()
+        assert lse.tobytes() == saved["lse"].tobytes()
+
+    def test_saved_residuals_hold_no_probability_tensor(self):
+        config = MULTI_TILE
+        saved: dict = {}
+        _forward(synth_tokens(config, 23), init_weights(config, 24), config, saved=saved)
+        probs_entries = config.n_frames * config.n_heads * config.m_visual * (config.m_spatial + 1)
+        assert max(array.size for array in saved.values()) < probs_entries
+
+    def test_backward_peak_allocation_is_bounded_by_a_tile(self):
+        # the whole-frame kernel's probability cache here: 4*8*512*800 f64 = 105 MB
+        config = FusionConfig(n_frames=4, m_visual=512, m_spatial=799,
+                              d_visual=16, d_spatial=16, d_attn=16, n_heads=8)
+        cache_bytes = 8 * config.n_frames * config.n_heads * config.m_visual * 800
+        assert cache_bytes >= 100e6
+        inputs = synth_tokens(config, 25)
+        weights = init_weights(config, 26)
+        cot = TokenTensor(np.random.default_rng(27).standard_normal(inputs.visual.shape))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fuse_backward(inputs, weights, config, cot)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < cache_bytes / 4
+
+
 class TestGateAndFuse:
     def test_zero_gate_branch_collapses_to_residual(self):
         weights = init_weights(TINY, 0)
@@ -477,6 +560,14 @@ class TestFuseBackward:
         inputs = synth_tokens(config, 9)
         results = check_fuse_gradients(inputs, weights, config, cotangent_seed=10)
         assert max(results.values()) < 1e-5, results
+
+    @pytest.mark.parametrize("config", [TINY, MULTI_TILE])
+    def test_directional_derivative(self, config):
+        inputs = synth_tokens(config, 11)
+        weights = init_weights(config, 12)
+        assert check_directional(inputs, weights, config, seed=3)["error"] < 1e-8
+        corrupted = check_directional(inputs, weights, config, seed=3, corruption=1e-2)
+        assert corrupted["error"] > 1e-6
 
     def test_cotangent_shape_checked(self):
         weights = init_weights(TINY, 0)

@@ -15,7 +15,6 @@ from camfuse.tensor import (
     layer_norm_vjp,
     sigmoid,
     softmax_rows,
-    softmax_vjp,
     swish,
     swish_vjp,
 )
@@ -206,23 +205,6 @@ class TestVjps:
         assert max_relative_error(gx, finite_difference_grad(loss, x)) < 1e-5
         assert max_relative_error(ggain, finite_difference_grad(loss, p.gain)) < 1e-5
         assert max_relative_error(gshift, finite_difference_grad(loss, p.shift)) < 1e-5
-
-    def test_softmax_vjp_along_ones_is_zero(self):
-        # shift invariance: the Jacobian annihilates the all-ones direction
-        x = np.full((3, 4), 0.25)
-        out = softmax_vjp(softmax_rows(x), np.ones((3, 4)))
-        npt.assert_allclose(out, np.zeros((3, 4)), atol=1e-15)
-
-    def test_softmax_vjp_vs_finite_differences(self):
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal((3, 4))
-        g = rng.standard_normal((3, 4))
-        analytic = softmax_vjp(softmax_rows(x), g)
-
-        def loss():
-            return float(np.sum(g * softmax_rows(x)))
-
-        assert max_relative_error(analytic, finite_difference_grad(loss, x)) < 1e-5
 
     @pytest.mark.parametrize("op,op_vjp", [(swish, swish_vjp)])
     def test_elementwise_vjps_vs_finite_differences(self, op, op_vjp):
