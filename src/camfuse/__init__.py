@@ -27,7 +27,6 @@ from .fusion import (
     token_weights,
     variant_toggles,
     weights_from_arrays,
-    with_toggles,
 )
 from .gradcheck import check_fuse_gradients, finite_difference_grad, max_relative_error
 from .metrics import (

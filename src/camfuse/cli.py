@@ -28,7 +28,6 @@ from .fusion import (
     init_weights,
     param_count,
     variant_toggles,
-    with_toggles,
 )
 from .gradcheck import check_directional, check_fuse_gradients
 from .metrics import read_records, score_protocol
@@ -40,6 +39,7 @@ from .serde import (
     save_container,
     save_token_streams,
     save_weights,
+    write_atomic,
 )
 
 EXIT_OK = 0
@@ -180,7 +180,7 @@ def _cmd_ablate(args) -> int:
     names = ("shallow", "token-weight", "geo-bias", "full")
     outputs = {}
     for name in names:
-        variant = with_toggles(config, variant_toggles(name))
+        variant = replace(config, toggles=variant_toggles(name))
         outputs[name] = fuse(inputs, weights, variant).data
         print(f"{name:>14s}  |out| = {np.linalg.norm(outputs[name]):.6f}")
     print()
@@ -214,9 +214,7 @@ def _cmd_score(args) -> int:
         print(f"excluded for zero ground truth: {result['excluded']}")
 
     out = args.out if args.out else args.records + ".report.json"
-    with open(out, "w", encoding="utf-8") as handle:
-        json.dump(result, handle, indent=2)
-        handle.write("\n")
+    write_atomic(out, [json.dumps(result, indent=2).encode("utf-8"), b"\n"])
     print(f"wrote {out}")
     return EXIT_OK
 

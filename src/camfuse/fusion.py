@@ -35,7 +35,7 @@ float64 arrays and validate nothing.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,10 +124,6 @@ class FusionConfig:
                 f"d_attn ({self.d_attn}) must be divisible by n_heads ({self.n_heads})"
             )
 
-    @property
-    def head_dim(self) -> int:
-        return self.d_attn // self.n_heads
-
 
 @dataclass(frozen=True)
 class FusionWeights:
@@ -186,10 +182,6 @@ class FusionInputs:
                     f"register stream must be [frames, 4, {self.spatial.width}], "
                     f"got {self.register.shape}"
                 )
-
-    @property
-    def frames(self) -> int:
-        return self.visual.frames
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +243,7 @@ def iter_params(weights: FusionWeights):
     for name, kind, _ in _PARAM_GROUPS:
         node = _group(weights, name)
         for suffix in kind:
-            array = getattr(node, suffix)
-            if array is not None:
-                yield f"{name}.{suffix}", array
+            yield f"{name}.{suffix}", getattr(node, suffix)
 
 
 def layer_norm_epsilons(weights: FusionWeights) -> dict[str, float]:
@@ -267,7 +257,7 @@ def weights_from_arrays(arrays, epsilons=None) -> FusionWeights:
     fields: dict[str, object] = {}
     for name, kind, _ in _PARAM_GROUPS:
         if kind == _LINEAR:
-            node = LinearMap(arrays[f"{name}.weight"], arrays.get(f"{name}.bias"))
+            node = LinearMap(arrays[f"{name}.weight"], arrays[f"{name}.bias"])
         else:
             node = LayerNormParams(arrays[f"{name}.gain"], arrays[f"{name}.shift"],
                                    eps.get(name, 1e-6))
@@ -276,12 +266,8 @@ def weights_from_arrays(arrays, epsilons=None) -> FusionWeights:
     return FusionWeights(**fields)
 
 
-def init_weights(config: FusionConfig, seed: int, *, identity_init: bool = False) -> FusionWeights:
-    """Seeded initialization: weights ~ N(0, 1/in_width), biases zero, LN identity.
-
-    With identity_init the final visual projection (p_l) is zeroed, so the
-    module starts out as an exact no-op on the visual stream.
-    """
+def init_weights(config: FusionConfig, seed: int) -> FusionWeights:
+    """Seeded initialization: weights ~ N(0, 1/in_width), biases zero, LN identity."""
     rng = np.random.default_rng(seed)
     arrays: dict[str, np.ndarray] = {}
     for name, shape in _param_layout(config):
@@ -291,11 +277,7 @@ def init_weights(config: FusionConfig, seed: int, *, identity_init: bool = False
             arrays[name] = np.zeros(shape)
         else:  # .gain
             arrays[name] = np.ones(shape)
-    weights = weights_from_arrays(arrays)
-    if identity_init:
-        zero = LinearMap(np.zeros_like(weights.p_l.weight), np.zeros_like(weights.p_l.bias))
-        weights = replace(weights, p_l=zero)
-    return weights
+    return weights_from_arrays(arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +632,3 @@ def variant_toggles(name: str) -> FusionToggles:
         return table[name]
     except KeyError:
         raise ConfigError(f"unknown variant {name!r}; expected one of {sorted(table)}") from None
-
-
-def with_toggles(config: FusionConfig, toggles: FusionToggles) -> FusionConfig:
-    """Copy of `config` with a different toggle set."""
-    return replace(config, toggles=toggles)

@@ -5,7 +5,7 @@ forward pass, so agreement with `fuse_backward` validates the analytic
 gradients. `check_fuse_gradients` checks entry by entry, two forward passes
 per entry, so it is for small configs. Its relative error per group is
 
-    max_i |analytic_i - numeric_i| / max(|numeric_i|, floor)
+    max_i |analytic_i - numeric_i| / max(|numeric_i|, FLOOR)
 
 with a small floor so near-zero entries are judged absolutely.
 `check_directional` checks one random direction over every entry at once, two
@@ -35,8 +35,12 @@ __all__ = ["finite_difference_grad", "max_relative_error", "check_fuse_gradients
 
 _STREAMS = ("visual", "spatial", "camera")
 
+STEP = 1e-5              # central-difference step of the entrywise check
+DIRECTIONAL_STEP = 1e-6  # step along the unnormalised N(0, 1) direction
+FLOOR = 1e-3             # smallest |numeric| a relative error divides by
 
-def finite_difference_grad(loss, array: np.ndarray, step: float = 1e-5) -> np.ndarray:
+
+def finite_difference_grad(loss, array: np.ndarray) -> np.ndarray:
     """Central-difference gradient of scalar `loss()` w.r.t. `array`.
 
     Perturbs `array` in place and restores every entry; `loss` must read the
@@ -47,28 +51,27 @@ def finite_difference_grad(loss, array: np.ndarray, step: float = 1e-5) -> np.nd
     gflat = grad.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + step
+        flat[i] = orig + STEP
         fp = loss()
-        flat[i] = orig - step
+        flat[i] = orig - STEP
         fm = loss()
         flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * step)
+        gflat[i] = (fp - fm) / (2.0 * STEP)
     return grad
 
 
-def max_relative_error(analytic, numeric, floor: float = 1e-3) -> float:
+def max_relative_error(analytic, numeric) -> float:
     a = np.asarray(analytic, dtype=np.float64)
     n = np.asarray(numeric, dtype=np.float64)
     if a.shape != n.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {n.shape}")
     if a.size == 0:
         return 0.0
-    return float(np.max(np.abs(a - n) / np.maximum(np.abs(n), floor)))
+    return float(np.max(np.abs(a - n) / np.maximum(np.abs(n), FLOOR)))
 
 
 def check_fuse_gradients(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
-                         *, step: float = 1e-5, cotangent_seed: int = 0,
-                         corruption: float = 0.0, floor: float = 1e-3) -> dict[str, float]:
+                         *, cotangent_seed: int = 0, corruption: float = 0.0) -> dict[str, float]:
     """Compare fuse_backward against central differences, group by group.
 
     Returns a dict mapping each input stream and parameter name to its max
@@ -93,21 +96,20 @@ def check_fuse_gradients(inputs: FusionInputs, weights: FusionWeights, config: F
 
     results: dict[str, float] = {}
     for name, array, analytic in groups:
-        numeric = finite_difference_grad(loss, array, step)
-        results[name] = max_relative_error(analytic + corruption, numeric, floor)
+        numeric = finite_difference_grad(loss, array)
+        results[name] = max_relative_error(analytic + corruption, numeric)
     return results
 
 
 def check_directional(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
-                      *, seed: int = 0, step: float = 1e-6,
-                      corruption: float = 0.0) -> dict[str, float]:
+                      *, seed: int = 0, corruption: float = 0.0) -> dict[str, float]:
     """Compare fuse_backward with a central difference along one random direction.
 
     A standard-normal direction d is drawn over every input stream and
     parameter at once. The analytic derivative <grads, d> of
-    ``L = <cot, fuse>`` is compared with (L(x + step d) - L(x - step d)) /
-    (2 step), so the check costs two forward passes and one backward pass at
-    any shape. Returns {analytic, numeric, scale, error} with
+    ``L = <cot, fuse>`` is compared with (L(x + h d) - L(x - h d)) / (2 h),
+    h = DIRECTIONAL_STEP, so the check costs two forward passes and one
+    backward pass at any shape. Returns {analytic, numeric, scale, error} with
     error = |analytic - numeric| / scale and scale = sum |grads * d|.
     `corruption` adds a constant to every analytic gradient and exists purely
     as a negative control for the checker itself.
@@ -123,13 +125,14 @@ def check_directional(inputs: FusionInputs, weights: FusionWeights, config: Fusi
     direction = {name: rng.standard_normal(array.shape) for name, array in point.items()}
 
     def loss(sign: float) -> float:
-        moved = {name: array + sign * step * direction[name] for name, array in point.items()}
+        moved = {name: array + sign * DIRECTIONAL_STEP * direction[name]
+                 for name, array in point.items()}
         moved_inputs = replace(inputs, **{name: TokenTensor(moved[f"input.{name}"])
                                           for name in _STREAMS})
         moved_weights = weights_from_arrays(moved, layer_norm_epsilons(weights))
         return float(np.sum(cot.data * fuse(moved_inputs, moved_weights, config).data))
 
-    numeric = (loss(1.0) - loss(-1.0)) / (2.0 * step)
+    numeric = (loss(1.0) - loss(-1.0)) / (2.0 * DIRECTIONAL_STEP)
     terms = [(grads[name] + corruption) * direction[name] for name in point]
     analytic = sum(float(term.sum()) for term in terms)
     scale = sum(float(np.abs(term).sum()) for term in terms)

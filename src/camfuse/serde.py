@@ -12,6 +12,8 @@ Container layout (one file):
 
 The header stays diffable with text tools; payloads round-trip bit-exactly,
 and re-serializing a loaded container reproduces the file byte for byte.
+Every file is written to a temporary file beside its target and renamed over
+it, so a failed write leaves the previous file as it was.
 
 Config files are plain JSON documents; see load_config for the field names.
 """
@@ -20,7 +22,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import uuid
 from collections import OrderedDict
+from contextlib import suppress
 
 import numpy as np
 
@@ -49,6 +54,7 @@ __all__ = [
     "load_token_streams",
     "load_config",
     "save_config",
+    "write_atomic",
 ]
 
 FORMAT_VERSION = 1
@@ -59,6 +65,28 @@ _TAGS_BY_KIND = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 
 class ContainerError(ValueError):
     """Container file missing, malformed, or inconsistent."""
+
+
+def write_atomic(path, chunks) -> None:
+    """Write byte chunks to `path` through a temporary file in its directory.
+
+    The file appears under `path` only once every chunk is written (by
+    os.replace). On any error the temporary file is removed, the exception
+    propagates and a previous file at `path` is left untouched. There is no
+    fsync: this guards against failed or interrupted writes, not power loss.
+    """
+    directory, name = os.path.split(os.fspath(path))
+    temp = os.path.join(directory, f".{name}.{uuid.uuid4().hex}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the umask applies
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
+        os.replace(temp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(temp)
+        raise
 
 
 def save_container(path, tensors, meta=None) -> None:
@@ -86,73 +114,96 @@ def save_container(path, tensors, meta=None) -> None:
         "meta": meta or {},
     }
     try:
-        with open(path, "wb") as handle:
-            handle.write(json.dumps(header, separators=(",", ":")).encode("utf-8"))
-            handle.write(b"\n")
-            for blob in payloads:
-                handle.write(blob)
+        write_atomic(path, [json.dumps(header, separators=(",", ":")).encode("utf-8"), b"\n",
+                            *payloads])
     except OSError as exc:
         raise ContainerError(f"cannot write container {path}: {exc}") from exc
+
+
+def _is_count(value) -> bool:
+    """An int >= 0; JSON true/false decode to bools, which are not counts."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def load_container(path):
     """Read a container; returns (name -> array in header order, meta dict).
 
-    Any inconsistency (bad header, wrong version, non-dense offsets, or a
-    payload whose size disagrees with the header) raises ContainerError and
-    nothing is returned, so there is no partial result to misuse.
+    Any inconsistency (bad header, wrong version, an entry whose dtype, shape
+    or offsets are not as documented, non-dense offsets, or a payload whose
+    size disagrees with the header) raises ContainerError naming the file, and
+    the tensor where there is one; nothing is returned, so there is no partial
+    result to misuse. The payload is read once into one buffer and every array
+    is a writable view of it, so a load holds about the file's size.
     """
     try:
         with open(path, "rb") as handle:
-            raw = handle.read()
+            line = handle.readline()
+            blob = np.empty(max(0, os.fstat(handle.fileno()).st_size - len(line)), np.uint8)
+            complete = handle.readinto(blob) == blob.size and not handle.read(1)
     except OSError as exc:
         raise ContainerError(f"cannot read container {path}: {exc}") from exc
-    newline = raw.find(b"\n")
-    if newline < 0:
+    if not line.endswith(b"\n"):
         raise ContainerError(f"{path}: no header line found")
+    if not complete:
+        raise ContainerError(f"{path}: file changed size while it was read")
     try:
-        header = json.loads(raw[:newline].decode("utf-8"))
+        header = json.loads(line[:-1].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContainerError(f"{path}: header is not valid JSON ({exc})") from None
     if not isinstance(header, dict) or "format_version" not in header:
         raise ContainerError(f"{path}: header lacks a format_version")
-    if header["format_version"] != FORMAT_VERSION:
+    version = header["format_version"]
+    if isinstance(version, bool) or version != FORMAT_VERSION:
         raise ContainerError(
-            f"{path}: unsupported format version {header['format_version']!r} "
+            f"{path}: unsupported format version {version!r} "
             f"(this reader handles {FORMAT_VERSION})"
         )
-    blob = raw[newline + 1:]
+    entries = header.get("tensors", {})
+    if not isinstance(entries, dict):
+        raise ContainerError(f"{path}: header key 'tensors' must be a JSON object")
     tensors = OrderedDict()
     expected_offset = 0
-    for name, entry in header.get("tensors", {}).items():
+    for name, entry in entries.items():
         try:
             tag = entry["dtype"]
-            shape = tuple(int(d) for d in entry["shape"])
-            byte_offset = int(entry["byte_offset"])
-            byte_length = int(entry["byte_length"])
-        except (KeyError, TypeError, ValueError):
+            shape = entry["shape"]
+            byte_offset = entry["byte_offset"]
+            byte_length = entry["byte_length"]
+        except (KeyError, TypeError):
             raise ContainerError(f"{path}: malformed entry for tensor {name!r}") from None
-        dtype = _DTYPE_TAGS.get(tag)
+        dtype = _DTYPE_TAGS.get(tag) if isinstance(tag, str) else None
         if dtype is None:
             raise ContainerError(f"{path}: tensor {name!r} has unknown dtype {tag!r}")
+        if not (isinstance(shape, list) and all(_is_count(d) for d in shape)
+                and _is_count(byte_offset) and _is_count(byte_length)):
+            raise ContainerError(
+                f"{path}: tensor {name!r}: shape entries, byte_offset and byte_length "
+                f"must be integers >= 0, got shape {shape!r}, byte_offset {byte_offset!r}, "
+                f"byte_length {byte_length!r}"
+            )
         if byte_offset != expected_offset:
             raise ContainerError(
                 f"{path}: tensor {name!r} offset {byte_offset} is not densely packed"
             )
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)
         if byte_length != count * dtype.itemsize:
             raise ContainerError(
                 f"{path}: tensor {name!r} byte_length {byte_length} does not match "
                 f"shape {shape}"
             )
-        if byte_offset + byte_length > len(blob):
+        if byte_offset + byte_length > blob.size:
             raise ContainerError(f"{path}: truncated payload at tensor {name!r}")
-        data = np.frombuffer(blob, dtype=dtype, count=count, offset=byte_offset)
-        tensors[name] = data.reshape(shape).copy()
+        try:
+            data = np.frombuffer(blob, dtype=dtype, count=count, offset=byte_offset)
+            tensors[name] = data.reshape(shape)
+        except ValueError:  # an empty shape numpy cannot represent, e.g. [0, 10**30]
+            raise ContainerError(
+                f"{path}: tensor {name!r} has unsupported shape {shape}"
+            ) from None
         expected_offset += byte_length
-    if expected_offset != len(blob):
+    if expected_offset != blob.size:
         raise ContainerError(
-            f"{path}: payload has {len(blob)} bytes but header accounts for {expected_offset}"
+            f"{path}: payload has {blob.size} bytes but header accounts for {expected_offset}"
         )
     meta = header.get("meta", {})
     if not isinstance(meta, dict):
@@ -273,6 +324,8 @@ def load_config(path) -> tuple[FusionConfig, int]:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: expected a JSON object")
 
@@ -308,6 +361,4 @@ def save_config(config: FusionConfig, seed: int, path) -> None:
     payload = {name: getattr(config, name) for name in _CONFIG_INT_FIELDS}
     payload["seed"] = seed
     payload["toggles"] = {name: getattr(config.toggles, name) for name in _TOGGLE_FIELDS}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    write_atomic(path, [json.dumps(payload, indent=2).encode("utf-8"), b"\n"])

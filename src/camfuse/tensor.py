@@ -87,30 +87,21 @@ class TokenTensor:
 class LinearMap:
     """Affine map on the width axis: ``y = x @ weight + bias``.
 
-    weight is [in_width, out_width]; bias is [out_width] or None.
+    weight is [in_width, out_width]; bias is [out_width].
     """
 
     weight: np.ndarray
-    bias: np.ndarray | None = None
+    bias: np.ndarray
 
     def __post_init__(self):
         w = _as_float_array(self.weight, "linear weight", ndim=2)
+        b = _as_float_array(self.bias, "linear bias", ndim=1)
+        if b.shape[0] != w.shape[1]:
+            raise DimensionError(
+                f"bias length {b.shape[0]} does not match out_width {w.shape[1]}"
+            )
         object.__setattr__(self, "weight", w)
-        if self.bias is not None:
-            b = _as_float_array(self.bias, "linear bias", ndim=1)
-            if b.shape[0] != w.shape[1]:
-                raise DimensionError(
-                    f"bias length {b.shape[0]} does not match out_width {w.shape[1]}"
-                )
-            object.__setattr__(self, "bias", b)
-
-    @property
-    def in_width(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def out_width(self) -> int:
-        return self.weight.shape[1]
+        object.__setattr__(self, "bias", b)
 
 
 @dataclass(frozen=True)
@@ -131,10 +122,6 @@ class LayerNormParams:
         object.__setattr__(self, "gain", g)
         object.__setattr__(self, "shift", s)
 
-    @property
-    def width(self) -> int:
-        return self.gain.shape[0]
-
     @classmethod
     def identity(cls, width: int, epsilon: float = 1e-6) -> "LayerNormParams":
         return cls(np.ones(width), np.zeros(width), epsilon)
@@ -146,10 +133,7 @@ class LayerNormParams:
 
 def affine(x: np.ndarray, lin: LinearMap) -> np.ndarray:
     """Apply an affine map to every row: out[..., :] = x[..., :] @ W + b."""
-    out = x @ lin.weight
-    if lin.bias is not None:
-        out = out + lin.bias
-    return out
+    return x @ lin.weight + lin.bias
 
 
 def layer_norm(x: np.ndarray, p: LayerNormParams) -> np.ndarray:
@@ -169,14 +153,14 @@ def softmax_rows(x) -> np.ndarray:
 
 
 def sigmoid(x) -> np.ndarray:
-    """Numerically stable logistic function, elementwise."""
+    """Numerically stable logistic function, elementwise.
+
+    With e = exp(-|x|) this is 1 / (1 + e) for x >= 0 and e / (1 + e) below
+    zero: the exponent is never positive, so nothing overflows.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def swish(x) -> np.ndarray:
@@ -190,14 +174,14 @@ def swish(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def affine_vjp(x: np.ndarray, lin: LinearMap, g: np.ndarray):
-    """Cotangents of y = x @ W + b w.r.t. (x, W, b); grad_b is None if b is.
+    """Cotangents of y = x @ W + b w.r.t. (x, W, b).
 
     Works for 2-D or 3-D x.
     """
     gx = g @ lin.weight.T
     batch_axes = tuple(range(x.ndim - 1))
     gw = np.tensordot(x, g, axes=(batch_axes, batch_axes))
-    gb = g.sum(axis=batch_axes) if lin.bias is not None else None
+    gb = g.sum(axis=batch_axes)
     return gx, gw, gb
 
 

@@ -49,6 +49,22 @@ def ref_sigmoid(v):
     return 1.0 / (1.0 + math.exp(-v))
 
 
+def two_branch_sigmoid(x):
+    """Elementwise logistic function, one formula per sign of x.
+
+    1 / (1 + exp(-x)) on the gathered x >= 0 and exp(x) / (1 + exp(x)) on the
+    rest (NaN included), scattered back: the masked kernel the package ran
+    before its branch-free one, kept as the reference it must match bit for bit.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def ref_swish(v):
     return v * ref_sigmoid(v)
 

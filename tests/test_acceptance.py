@@ -23,7 +23,6 @@ from camfuse.fusion import (
     init_weights,
     iter_params,
     variant_toggles,
-    with_toggles,
 )
 from camfuse.gradcheck import check_fuse_gradients
 from camfuse.metrics import mean_relative_accuracy, spbench_aggregate
@@ -90,8 +89,7 @@ def test_c03_gradient_correctness():
     for i, config in enumerate(cases):
         inputs = synth_tokens(config, i)
         weights = init_weights(config, i + 10)
-        results = check_fuse_gradients(inputs, weights, config,
-                                       step=1e-5, cotangent_seed=i + 20)
+        results = check_fuse_gradients(inputs, weights, config, cotangent_seed=i + 20)
         case_worst = max(results.values())
         assert case_worst < 1e-5, (config, results)
         worst = max(worst, case_worst)
@@ -150,7 +148,7 @@ def test_c06_ablation_structure():
     weights = init_weights(config, 6)
     inputs = synth_tokens(config, 7)
     names = ("shallow", "token-weight", "geo-bias", "full")
-    outs = {n: fuse(inputs, weights, with_toggles(config, variant_toggles(n))).data
+    outs = {n: fuse(inputs, weights, replace(config, toggles=variant_toggles(n))).data
             for n in names}
     min_diff = min(float(np.max(np.abs(outs[a] - outs[b])))
                    for a, b in itertools.combinations(names, 2))
@@ -158,7 +156,7 @@ def test_c06_ablation_structure():
 
     no_camera = FusionToggles(geo_bias=False, token_weight=True,
                               camera_memory=False, gate=False)
-    cam_config = with_toggles(config, no_camera)
+    cam_config = replace(config, toggles=no_camera)
     rng = np.random.default_rng(606)
     other = replace(inputs, camera=TokenTensor(rng.standard_normal(inputs.camera.shape)))
     a = fuse(inputs, weights, cam_config).data

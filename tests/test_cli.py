@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -139,6 +140,15 @@ class TestFuse:
         assert code == EXIT_INVALID
         assert "visual" in capsys.readouterr().err
 
+    def test_malformed_stream_header_is_invalid_exit(self, tmp_path, config_path, capsys):
+        stream = tmp_path / "stream.cft"
+        stream.write_bytes(b'{"format_version": 1, "tensors": [], "meta": {}}\n')
+        out = tmp_path / "o.cft"
+        code = main(["fuse", "--config", config_path, "--in", str(stream), "--out", str(out)])
+        assert code == EXIT_INVALID
+        assert str(stream) in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGradcheck:
     def test_default_config_passes(self, capsys):
@@ -253,6 +263,22 @@ class TestScore:
         assert main(["score", "--records", path, "--protocol", "spbench"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "si:" in out and "mv:" in out and "overall:" in out
+
+    def test_failed_report_write_keeps_the_old_report(self, tmp_path, monkeypatch, capsys):
+        path = self._write(tmp_path / "r.jsonl",
+                           [EvalRecord("1", "count", AnswerType.NUMERICAL, 4.0, 4.0)])
+        report = tmp_path / "report.json"
+        report.write_text("previous report\n", encoding="utf-8")
+
+        def fail(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", fail)
+        code = main(["score", "--records", path, "--protocol", "vsi", "--out", str(report)])
+        assert code == EXIT_INVALID
+        assert "no space" in capsys.readouterr().err
+        assert report.read_text(encoding="utf-8") == "previous report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.jsonl", "report.json"]
 
     def test_malformed_line_reports_number(self, tmp_path, capsys):
         path = tmp_path / "r.jsonl"

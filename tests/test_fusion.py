@@ -27,7 +27,6 @@ from camfuse.fusion import (
     project_qkvc,
     token_weights,
     variant_toggles,
-    with_toggles,
 )
 from camfuse.gradcheck import check_directional, check_fuse_gradients
 from camfuse.pipeline import synth_tokens
@@ -52,8 +51,7 @@ MULTI_TILE = FusionConfig(n_frames=2, m_visual=60, m_spatial=4999,
 
 
 def zeroed(lin: LinearMap) -> LinearMap:
-    return LinearMap(np.zeros_like(lin.weight),
-                     None if lin.bias is None else np.zeros_like(lin.bias))
+    return LinearMap(np.zeros_like(lin.weight), np.zeros_like(lin.bias))
 
 
 class TestConfig:
@@ -147,12 +145,6 @@ class TestInitWeights:
         for name, shape in shapes.items():
             assert arrays[name].shape == shape, name
 
-    def test_identity_init_zeroes_output_projection(self):
-        weights = init_weights(TINY, 0, identity_init=True)
-        assert not weights.p_l.weight.any()
-        inputs = synth_tokens(TINY, 0)
-        npt.assert_array_equal(fuse(inputs, weights, TINY).data, inputs.visual.data)
-
 
 class TestProject:
     def test_zero_camera_yields_bias_rows(self):
@@ -195,7 +187,7 @@ class TestGeoBias:
         npt.assert_array_equal(bias, np.zeros(bias.shape))
         # with a zero bias the geo toggle cannot change the result
         on = fuse(inputs, weights, TINY)
-        off = fuse(inputs, weights, with_toggles(TINY, replace(TINY.toggles, geo_bias=False)))
+        off = fuse(inputs, weights, replace(TINY, toggles=replace(TINY.toggles, geo_bias=False)))
         npt.assert_array_equal(on.data, off.data)
 
     def test_depends_on_camera(self):
@@ -254,7 +246,7 @@ class TestAttend:
 
     def test_identical_keys_average_values(self):
         rng = np.random.default_rng(1)
-        config = with_toggles(TINY, replace(TINY.toggles, camera_memory=False))
+        config = replace(TINY, toggles=replace(TINY.toggles, camera_memory=False))
         key_row = rng.standard_normal(4)
         k = np.broadcast_to(key_row, (2, 4, 4)).copy()
         v = rng.standard_normal((2, 4, 4))
@@ -326,7 +318,7 @@ class TestTiledAttention:
         self.check_against_whole_frame(q, k, v, heads)
 
     @pytest.mark.parametrize("config", [
-        *(with_toggles(TINY, FusionToggles(*bits))
+        *(replace(TINY, toggles=FusionToggles(*bits))
           for bits in itertools.product([False, True], repeat=4)),
         replace(TINY, m_spatial=0),  # the camera slot is the whole memory
         MULTI_TILE,
@@ -373,10 +365,16 @@ class TestGateAndFuse:
         out = fuse(inputs, weights, TINY)
         npt.assert_array_equal(out.data, inputs.visual.data)
 
+    def test_zero_projection_collapses_to_residual_with_the_gate_on(self):
+        weights = init_weights(TINY, 0)
+        weights = replace(weights, p_l=zeroed(weights.p_l))
+        inputs = synth_tokens(TINY, 0)
+        npt.assert_array_equal(fuse(inputs, weights, TINY).data, inputs.visual.data)
+
     def test_gate_off_zero_projection_collapses_to_residual(self):
         weights = init_weights(TINY, 2)
         weights = replace(weights, p_l=zeroed(weights.p_l))
-        config = with_toggles(TINY, replace(TINY.toggles, gate=False))
+        config = replace(TINY, toggles=replace(TINY.toggles, gate=False))
         inputs = synth_tokens(TINY, 3)
         out = fuse(inputs, weights, config)
         npt.assert_array_equal(out.data, inputs.visual.data)
@@ -405,7 +403,7 @@ class TestFuse:
 
     @pytest.mark.parametrize("bits", list(itertools.product([False, True], repeat=4)))
     def test_straight_line_oracle_all_toggles(self, bits):
-        config = with_toggles(TINY, FusionToggles(*bits))
+        config = replace(TINY, toggles=FusionToggles(*bits))
         weights = init_weights(config, 7)
         inputs = synth_tokens(config, 8)
         expected = ref_fuse(inputs, weights, config)
@@ -426,7 +424,7 @@ class TestFuse:
             assert out.shape == inputs.visual.shape
 
     def test_all_toggles_off_with_zero_projection_is_identity(self):
-        config = with_toggles(TINY, FusionToggles(False, False, False, False))
+        config = replace(TINY, toggles=FusionToggles(False, False, False, False))
         weights = init_weights(config, 0)
         weights = replace(weights, p_l=zeroed(weights.p_l))
         inputs = synth_tokens(config, 1)
@@ -446,7 +444,7 @@ class TestFuse:
         weights = init_weights(TINY, 9)
         inputs = synth_tokens(TINY, 10)
         names = ("shallow", "token-weight", "geo-bias", "full")
-        outs = {n: fuse(inputs, weights, with_toggles(TINY, variant_toggles(n))).data
+        outs = {n: fuse(inputs, weights, replace(TINY, toggles=variant_toggles(n))).data
                 for n in names}
         for a, b in itertools.combinations(names, 2):
             assert np.max(np.abs(outs[a] - outs[b])) > 0, (a, b)
@@ -502,7 +500,7 @@ class TestFuseInvariants:
     def test_independent_of_camera_when_all_camera_paths_off(self):
         toggles = FusionToggles(geo_bias=False, token_weight=True,
                                 camera_memory=False, gate=False)
-        config = with_toggles(TINY, toggles)
+        config = replace(TINY, toggles=toggles)
         weights = init_weights(config, 6)
         inputs = synth_tokens(config, 7)
         rng = np.random.default_rng(8)
@@ -514,7 +512,7 @@ class TestFuseInvariants:
 
     def test_geo_bias_off_camera_reaches_output_only_via_projection(self):
         # with geo bias off, scaling the camera stream must leave K untouched
-        config = with_toggles(TINY, replace(TINY.toggles, geo_bias=False))
+        config = replace(TINY, toggles=replace(TINY.toggles, geo_bias=False))
         weights = init_weights(config, 9)
         inputs = synth_tokens(config, 10)
         q1, k1, _, _ = project_qkvc(inputs, weights)
@@ -537,7 +535,7 @@ class TestFuseBackward:
             assert not arr.any(), name
 
     def test_residual_path_passes_cotangent_to_visual(self):
-        config = with_toggles(TINY, replace(TINY.toggles, gate=False))
+        config = replace(TINY, toggles=replace(TINY.toggles, gate=False))
         weights = init_weights(config, 2)
         weights = replace(weights, p_l=zeroed(weights.p_l))
         inputs = synth_tokens(config, 3)
@@ -555,7 +553,7 @@ class TestFuseBackward:
 
     @pytest.mark.parametrize("bits", list(itertools.product([False, True], repeat=4)))
     def test_toggle_variants_match_finite_differences(self, bits):
-        config = with_toggles(TINY, FusionToggles(*bits))
+        config = replace(TINY, toggles=FusionToggles(*bits))
         weights = init_weights(config, 8)
         inputs = synth_tokens(config, 9)
         results = check_fuse_gradients(inputs, weights, config, cotangent_seed=10)
@@ -581,7 +579,7 @@ class TestBoundary:
 
     @pytest.mark.parametrize("bits", list(itertools.product([False, True], repeat=4)))
     def test_token_tensors_built_per_pass(self, bits, monkeypatch):
-        config = with_toggles(TINY, FusionToggles(*bits))
+        config = replace(TINY, toggles=FusionToggles(*bits))
         weights = init_weights(config, 13)
         inputs = synth_tokens(config, 14)
         cot = TokenTensor(np.random.default_rng(15).standard_normal(inputs.visual.shape))

@@ -1,9 +1,14 @@
 import json
+import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from camfuse.fusion import (
     ConfigError,
@@ -23,6 +28,7 @@ from camfuse.serde import (
     save_container,
     save_token_streams,
     save_weights,
+    write_atomic,
 )
 
 
@@ -153,6 +159,15 @@ class TestWeightsRoundTrip:
         assert first.read_bytes() == second.read_bytes()
 
 
+def _header_and_payload(path):
+    header_line, payload = path.read_bytes().split(b"\n", 1)
+    return json.loads(header_line), payload
+
+
+def _write_container(path, header, payload=b""):
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+
+
 class TestContainerFormat:
     def test_reserialization_is_byte_identical(self, tmp_path):
         first = tmp_path / "a.cft"
@@ -220,6 +235,104 @@ class TestContainerFormat:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ContainerError, match="cannot read"):
             load_container(tmp_path / "nope.cft")
+
+    @pytest.mark.parametrize("change,message", [
+        ({"dtype": ["f64"]}, "unknown dtype"),
+        ({"shape": [-1, -2]}, "integers >= 0"),
+        ({"shape": [10**30]}, "does not match"),
+        ({"shape": [1.5]}, "integers >= 0"),
+        ({"shape": [True, 2]}, "integers >= 0"),
+        ({"shape": "12"}, "integers >= 0"),
+        ({"shape": [0, 10**30], "byte_length": 0}, "unsupported shape"),
+        ({"byte_offset": -16}, "integers >= 0"),
+        ({"byte_offset": 16.0}, "integers >= 0"),
+        ({"byte_length": 16.0}, "integers >= 0"),
+        ({"byte_length": None}, "integers >= 0"),
+    ])
+    def test_malformed_entry_names_file_and_tensor(self, tmp_path, change, message):
+        path = tmp_path / "a.cft"
+        save_container(path, {"x": np.zeros(2), "y": np.ones(2)}, {})
+        header, payload = _header_and_payload(path)
+        header["tensors"]["y"].update(change)
+        _write_container(path, header, payload)
+        with pytest.raises(ContainerError, match=message) as err:
+            load_container(path)
+        assert str(path) in str(err.value) and "'y'" in str(err.value)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("tensors", [], "'tensors' must be a JSON object"),
+        ("tensors", {"x": "f64"}, "malformed entry for tensor 'x'"),
+        ("tensors", {"x": {"dtype": "f64"}}, "malformed entry for tensor 'x'"),
+        ("format_version", True, "version"),
+        ("meta", [], "meta"),
+    ])
+    def test_malformed_header_names_the_file(self, tmp_path, key, value, message):
+        path = tmp_path / "a.cft"
+        _write_container(path, {"format_version": 1, "tensors": {}, "meta": {}, key: value})
+        with pytest.raises(ContainerError, match=message) as err:
+            load_container(path)
+        assert str(path) in str(err.value)
+
+    def test_load_holds_one_copy_of_the_payload(self, tmp_path):
+        path = tmp_path / "stream.cft"
+        inputs = synth_tokens(FusionConfig(n_frames=4, m_visual=256, m_spatial=64, d_visual=64,
+                                           d_spatial=64, d_attn=64, n_heads=8), 0)
+        save_token_streams(inputs, path)
+        size = os.path.getsize(path)
+        tracemalloc.start()
+        try:
+            loaded, _ = load_token_streams(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * size, (peak, size)
+        for name in ("visual", "spatial", "camera", "register"):
+            data = getattr(loaded, name).data
+            assert data.flags.writeable and data.flags.aligned, name
+            assert data.tobytes() == getattr(inputs, name).data.tobytes(), name
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"previous contents")
+
+        def chunks():
+            yield b"half of the new"
+            raise RuntimeError("writer failed midway")
+
+        with pytest.raises(RuntimeError, match="midway"):
+            write_atomic(path, chunks())
+        assert path.read_bytes() == b"previous contents"
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+    def test_writes_whole_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"previous contents")
+        write_atomic(path, [b"new ", b"contents"])
+        assert path.read_bytes() == b"new contents"
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+    @pytest.mark.parametrize("writer", ["container", "config"])
+    def test_failed_rename_keeps_the_old_file(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "target"
+        if writer == "container":
+            save_container(path, {"x": np.zeros(2)}, {})
+        else:
+            save_config(CONFIG, 1, path)
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises((ContainerError, OSError), match="no space"):
+            if writer == "container":
+                save_container(path, {"x": np.ones(3)}, {})
+            else:
+                save_config(replace(CONFIG, n_frames=3), 2, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["target"]
 
 
 class TestTokenStreams:
@@ -343,3 +456,84 @@ class TestConfigFiles:
         with pytest.raises(ConfigError, match=field) as err:
             load_config(path)
         assert str(err.value).startswith(f"{path}: ")
+
+
+# any JSON value, NaN and the infinities included (Python's json reads and writes them)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+_ENTRY_KEYS = ("dtype", "shape", "byte_offset", "byte_length")
+_per_example_file = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+_tensor_dicts = st.dictionaries(
+    st.text(min_size=1, max_size=8),
+    hnp.arrays(st.sampled_from([np.float32, np.float64]),
+               hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+               elements=st.floats(width=32)),
+    max_size=4,
+)
+
+
+class TestContainerProperties:
+    @_per_example_file
+    @given(_tensor_dicts, st.dictionaries(st.text(max_size=6), _JSON, max_size=3))
+    def test_valid_container_round_trips_byte_for_byte(self, tmp_path, tensors, meta):
+        first, second = tmp_path / "a.cft", tmp_path / "b.cft"
+        save_container(first, tensors, meta)
+        loaded, loaded_meta = load_container(first)
+        assert list(loaded) == list(tensors)
+        for name, array in tensors.items():
+            assert loaded[name].dtype == array.dtype and loaded[name].shape == array.shape
+            assert loaded[name].tobytes() == array.tobytes(), name
+        save_container(second, loaded, loaded_meta)
+        assert first.read_bytes() == second.read_bytes()
+
+    @_per_example_file
+    @given(_tensor_dicts, st.data())
+    def test_damaged_container_loads_or_raises_container_error(self, tmp_path, tensors, data):
+        path = tmp_path / "a.cft"
+        save_container(path, tensors, {"kind": "test"})
+        raw = path.read_bytes()
+        header = json.loads(raw.split(b"\n", 1)[0])
+        damage = data.draw(st.sampled_from(["truncate", "byte", "header", "entry"]))
+        if damage == "truncate":
+            raw = raw[:data.draw(st.integers(0, len(raw)))]
+        elif damage == "byte":
+            at = data.draw(st.integers(0, len(raw) - 1))
+            raw = raw[:at] + bytes([data.draw(st.integers(0, 255))]) + raw[at + 1:]
+        else:
+            if damage == "header" or not tensors:
+                header[data.draw(st.sampled_from(["format_version", "tensors", "meta"]))] = \
+                    data.draw(_JSON)
+            else:  # one field of one entry: a bad dtype, shape or offset
+                entry = header["tensors"][data.draw(st.sampled_from(sorted(tensors)))]
+                entry[data.draw(st.sampled_from(_ENTRY_KEYS))] = data.draw(
+                    _JSON | st.integers(-2**70, 2**70) | st.lists(st.integers(-3, 2**70)))
+            raw = json.dumps(header).encode("utf-8") + b"\n" + raw.split(b"\n", 1)[1]
+        path.write_bytes(raw)
+        try:
+            load_container(path)
+        except ContainerError:
+            pass
+
+    @_per_example_file
+    @given(st.one_of(
+        st.binary(max_size=40),
+        _JSON.map(lambda value: json.dumps(value).encode("utf-8")),
+        st.dictionaries(st.sampled_from(["n_frames", "m_visual", "m_spatial", "d_visual",
+                                         "d_spatial", "d_attn", "n_heads", "seed", "toggles",
+                                         "geo_bias", "gate"]),
+                        _JSON | st.integers(-2, 9), min_size=6)
+        .map(lambda doc: json.dumps(doc).encode("utf-8")),
+    ))
+    def test_config_document_parses_or_raises_config_error(self, tmp_path, document):
+        path = tmp_path / "config.json"
+        path.write_bytes(document)
+        try:
+            config, seed = load_config(path)
+        except ConfigError:
+            return
+        assert isinstance(config, FusionConfig) and seed >= 0

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from camfuse.tensor import (
     DimensionError,
@@ -20,7 +23,14 @@ from camfuse.tensor import (
 )
 from camfuse.gradcheck import finite_difference_grad, max_relative_error
 
-from oracles import ref_affine
+from oracles import ref_affine, two_branch_sigmoid
+
+# the edges of float64 that a logistic function must get right: signed zeros,
+# subnormals, the exp underflow/overflow thresholds (about ±708 and ±745) and
+# the infinities
+_SIGMOID_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300, -1e-300,
+                  36.0, -36.0, 708.0, -708.0, 710.0, -710.0, 745.0, -745.0, 746.0, -746.0,
+                  1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan]
 
 
 class TestTokenTensor:
@@ -56,6 +66,12 @@ class TestTokenTensor:
     def test_scalar_is_not_rank_1(self):
         with pytest.raises(DimensionError, match="rank 1"):
             LinearMap(np.ones((2, 1)), 0.0)
+
+    def test_bias_is_required(self):
+        with pytest.raises(DimensionError, match="linear bias"):
+            LinearMap(np.ones((2, 1)), None)
+        with pytest.raises(TypeError):
+            LinearMap(np.ones((2, 1)))
 
 
 class TestMatmulTokens:
@@ -144,6 +160,17 @@ class TestActivations:
         extreme = sigmoid(np.array([-1e4, 1e4]))  # saturates, but never NaN/Inf
         assert np.isfinite(extreme).all()
         assert (extreme >= 0).all() and (extreme <= 1).all()
+
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=24),
+                      elements=st.one_of(st.floats(), st.sampled_from(_SIGMOID_EDGES))))
+    @example(np.array(_SIGMOID_EDGES))
+    @example(np.random.default_rng(0).standard_normal(100_003) * 40)
+    def test_sigmoid_is_bit_identical_to_two_branch_oracle(self, x):
+        got, expected = sigmoid(x), two_branch_sigmoid(x)
+        assert got.shape == x.shape and got.dtype == np.float64
+        nan = np.isnan(x)
+        npt.assert_array_equal(np.isnan(got), nan)  # NaN maps to NaN, nothing else does
+        assert got[~nan].tobytes() == expected[~nan].tobytes()
 
     def test_swish_at_zero(self):
         assert swish(np.array([0.0]))[0] == 0.0
