@@ -18,9 +18,16 @@ finite-difference harness that validates them.
 
 Attention walks each frame's queries in row tiles sized so that one tile's
 [heads, rows, memory] score block stays about 2 MiB, and memory is bounded by
-one tile in both passes. The reverse pass keeps no probability tensor: the
-forward saves each query row's log-sum-exp ([frames, heads, queries]), from
-which the backward recomputes the probabilities tile by tile.
+one tile in both passes. Per frame the keys and values (with the camera slot
+written in as slot 0) are laid out once as augmented buffers with a row of
+ones, so a tile makes three passes over its score block: the QK^T GEMM, an
+in-place `exp` and the PV GEMM. The softmax shift rides in the first GEMM:
+each query row carries -c, where c = |q| max|k| bounds the row's scores by
+Cauchy-Schwarz. The row sum rides in the second, as its last column. Rows
+whose shifted sum falls below e^-600 are redone with their exact row max.
+The reverse pass keeps no probability tensor: the forward saves each query
+row's log-sum-exp ([frames, heads, queries]), which the backward folds into
+its QK^T GEMM the same way to recompute the probabilities tile by tile.
 
 The output always has the visual stream's shape, so the module can sit in
 front of a downstream consumer without changing its interface.
@@ -346,6 +353,11 @@ def token_weights(spatial: np.ndarray, weights: FusionWeights, *,
 # byte budget of one tile's [h, rows, mk] float64 score block, about an L2 cache
 _TILE_BYTES = 2 << 20
 
+# A row whose bound-shifted exp sum z is at least e^-600 has a largest term of
+# at least e^-600 / mk, far above the subnormal range; below that (or for a
+# non-finite z) the row is recomputed shifted by its exact max.
+_Z_MIN = float(np.exp(-600.0))
+
 
 def _tile_rows(n_heads: int, mk: int) -> int:
     """Query rows per tile: as many as fit the score-block budget, at least one."""
@@ -354,7 +366,7 @@ def _tile_rows(n_heads: int, mk: int) -> int:
 
 def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     """[tokens, d_attn] -> [h, tokens, head_dim] view; heads are contiguous width slices."""
-    return x.reshape(x.shape[0], n_heads, -1).transpose(1, 0, 2)
+    return x.reshape(x.shape[0], n_heads, x.shape[1] // n_heads).transpose(1, 0, 2)
 
 
 def _merge_heads(xh: np.ndarray) -> np.ndarray:
@@ -362,72 +374,121 @@ def _merge_heads(xh: np.ndarray) -> np.ndarray:
     return xh.transpose(1, 0, 2).reshape(xh.shape[1], -1)
 
 
+def _memory_t(x: np.ndarray, slot: np.ndarray | None, n_heads: int) -> np.ndarray:
+    """One frame's memory [mk, d_attn] as [h, head_dim + 1, slots], with a last
+    row of ones; `slot` ([1, d_attn]), when given, is memory slot 0."""
+    lead = 0 if slot is None else 1
+    dh = x.shape[1] // n_heads
+    mt = np.empty((n_heads, dh + 1, lead + x.shape[0]))
+    if slot is not None:
+        mt[:, :dh, :1] = _heads(slot, n_heads).transpose(0, 2, 1)
+    mt[:, :dh, lead:] = _heads(x, n_heads).transpose(0, 2, 1)
+    mt[:, dh] = 1.0
+    return mt
+
+
+def _exact_shift_rows(qa, kt, vt, o, shift, bad):
+    """Recompute a tile's flagged (head, row) pairs shifted by their exact row max.
+
+    `qa` holds the tile's augmented queries, `o` their [h, rows, dh + 1]
+    product with the augmented V (row sums last) and `shift` the per-row
+    shifts; `o` and `shift` are overwritten for every pair flagged in `bad`.
+    """
+    dh = kt.shape[1] - 1
+    for h, r in zip(*np.nonzero(bad)):
+        s = qa[h, r, :dh] @ kt[h, :dh]
+        shift[h, r] = s.max()
+        o[h, r] = np.exp(s - shift[h, r]) @ vt[h].T
+
+
 def _attention_raw(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
-                   lse: np.ndarray | None = None) -> np.ndarray:
+                   lse: np.ndarray | None = None, *, slot: np.ndarray | None = None
+                   ) -> np.ndarray:
     """Frame-local multi-head scaled dot-product attention, in query tiles.
 
-    Scale is 1/sqrt(head_dim). Each tile's [h, rows, mk] score block is
-    exponentiated in place and the [h, rows, dh] product with V is normalised,
-    so memory is bounded by one tile. Every tile sees the frame's whole memory,
-    so one pass gives the exact softmax. When given, `lse` ([n, h, mq]) receives
+    Scale is 1/sqrt(head_dim). `slot` ([n, 1, d_attn]), when given, is one
+    more memory slot placed before k and v, serving as both key and value.
+    Per frame the keys and values are laid out once as [h, dh + 1, mk] with a
+    last row of ones, and each scaled query row gets a last entry -c, where
+    c = |q_i| max_j |k_j| bounds every score of the row (Cauchy-Schwarz). A
+    tile is then three passes over its [h, rows, mk] block: the QK^T GEMM
+    returns scores already shifted by c, `exp` runs in place, and the PV GEMM
+    returns the row sums z as its last column, so the log-sum-exp is
+    c + log z. Rows with z < e^-600 or a non-finite z are recomputed with
+    their exact row max. Every tile sees the frame's whole memory, so one
+    pass gives the exact softmax. When given, `lse` ([n, h, mq]) receives
     each row's log-sum-exp of the scaled scores, from which the backward pass
     recomputes the probabilities.
     """
-    n, mq, _ = q.shape
-    mk = k.shape[1]
-    scale = 1.0 / np.sqrt(q.shape[2] // n_heads)
-    rows = _tile_rows(n_heads, mk)
+    n, mq, da = q.shape
+    dh = da // n_heads
+    scale = 1.0 / np.sqrt(dh)
     out = np.empty_like(q)
+    qa = np.empty((n_heads, mq, dh + 1))
+    qh = qa[..., :dh]
     for i in range(n):
-        qh = _heads(q[i] * scale, n_heads)
-        kt = np.ascontiguousarray(_heads(k[i], n_heads).transpose(0, 2, 1))  # [h, dh, mk]
-        vh = np.ascontiguousarray(_heads(v[i], n_heads))
+        frame_slot = None if slot is None else slot[i]
+        kt = _memory_t(k[i], frame_slot, n_heads)
+        vt = _memory_t(v[i], frame_slot, n_heads)
+        np.multiply(_heads(q[i], n_heads), scale, out=qh)
+        k_norm = np.sqrt(np.einsum("hdk,hdk->hk", kt[:, :dh], kt[:, :dh]).max(axis=1))
+        shift = np.sqrt(np.einsum("hqd,hqd->hq", qh, qh)) * k_norm[:, None]
+        np.negative(shift, out=qa[..., dh])
+        rows = _tile_rows(n_heads, kt.shape[2])
         for lo in range(0, mq, rows):
             hi = min(lo + rows, mq)
-            e = qh[:, lo:hi] @ kt
-            m = e.max(axis=-1, keepdims=True)
-            e -= m
+            e = qa[:, lo:hi] @ kt
             np.exp(e, out=e)
-            z = e.sum(axis=-1, keepdims=True)
-            outh = e @ vh
-            outh /= z
-            out[i, lo:hi] = _merge_heads(outh)
+            o = e @ vt.transpose(0, 2, 1)  # [h, rows, dh + 1]; the last column is z
+            z = o[..., dh]
+            bad = ~((z >= _Z_MIN) & (z < np.inf))
+            if bad.any():
+                _exact_shift_rows(qa[:, lo:hi], kt, vt, o, shift[:, lo:hi], bad)
+            out[i, lo:hi] = _merge_heads(o[..., :dh] / o[..., dh:])
             if lse is not None:
-                lse[i, :, lo:hi] = (m + np.log(z))[..., 0]
+                lse[i, :, lo:hi] = shift[:, lo:hi] + np.log(z)
     return out
 
 
-def _attention_vjp_raw(q, k, v, out, lse, n_heads, g_out):
+def _attention_vjp_raw(q, k, v, out, lse, n_heads, g_out, *, slot=None):
     """Cotangents (gq, gk, gv) of ``<g_out, attention(q, k, v)>``.
 
-    `out` and `lse` are the forward's output and row log-sum-exps. Per query
-    tile the probabilities are recomputed as exp(scale * q k^T - lse), and with
-    D = rowsum(g_out * out) the score cotangent is p * (g_out v^T - D).
+    `out` and `lse` are the forward's output and row log-sum-exps. With
+    `slot`, gk and gv cover the whole memory: slot 0 first, then k's and v's
+    rows. The memory is laid out as in the forward, with a ones row under
+    K^T and V^T. Per query tile the scaled queries carry a last entry -lse,
+    so one GEMM and an in-place `exp` recompute the probabilities p; with
+    D = rowsum(g_out * out) the cotangent rows carry -D, so one more GEMM
+    gives g_out v^T - D, and the score cotangent is p times that.
     """
-    n, mq, _ = q.shape
-    mk = k.shape[1]
-    scale = 1.0 / np.sqrt(q.shape[2] // n_heads)
-    rows = _tile_rows(n_heads, mk)
+    n, mq, da = q.shape
+    dh = da // n_heads
+    scale = 1.0 / np.sqrt(dh)
+    mk = k.shape[1] + (slot is not None)
     gq = np.empty_like(q)
-    gk = np.empty_like(k)
-    gv = np.empty_like(v)
+    gk = np.empty((n, mk, da))
+    gv = np.empty((n, mk, da))
+    qa = np.empty((n_heads, mq, dh + 1))
+    ga = np.empty((n_heads, mq, dh + 1))
+    qh, goh = qa[..., :dh], ga[..., :dh]
     for i in range(n):
-        qh = _heads(q[i] * scale, n_heads)
-        kh = _heads(k[i], n_heads)
-        kt = np.ascontiguousarray(kh.transpose(0, 2, 1))                 # [h, dh, mk]
-        vt = np.ascontiguousarray(_heads(v[i], n_heads).transpose(0, 2, 1))
-        goh = _heads(g_out[i], n_heads)
-        d = (goh * _heads(out[i], n_heads)).sum(axis=-1, keepdims=True)  # [h, mq, 1]
-        g_kh = np.zeros(kh.shape)
-        g_vh = np.zeros(kh.shape)
+        frame_slot = None if slot is None else slot[i]
+        kt = _memory_t(k[i], frame_slot, n_heads)
+        vt = _memory_t(v[i], frame_slot, n_heads)
+        kh = kt[:, :dh].transpose(0, 2, 1)
+        np.multiply(_heads(q[i], n_heads), scale, out=qh)
+        np.negative(lse[i], out=qa[..., dh])
+        goh[...] = _heads(g_out[i], n_heads)
+        ga[..., dh] = -(goh * _heads(out[i], n_heads)).sum(axis=-1)
+        g_kh = np.zeros((n_heads, mk, dh))
+        g_vh = np.zeros((n_heads, mk, dh))
+        rows = _tile_rows(n_heads, mk)
         for lo in range(0, mq, rows):
             hi = min(lo + rows, mq)
-            p = qh[:, lo:hi] @ kt
-            p -= lse[i, :, lo:hi, None]
+            p = qa[:, lo:hi] @ kt
             np.exp(p, out=p)
             g_vh += p.transpose(0, 2, 1) @ goh[:, lo:hi]
-            g_s = goh[:, lo:hi] @ vt
-            g_s -= d[:, lo:hi]
+            g_s = ga[:, lo:hi] @ vt
             g_s *= p
             gq[i, lo:hi] = _merge_heads(g_s @ kh) * scale
             g_kh += g_s.transpose(0, 2, 1) @ qh[:, lo:hi]
@@ -441,23 +502,22 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, c: np.ndarray,
     """Visual queries attend over spatial memory, prepended with the camera
     slot when camera_memory is enabled.
 
-    With `saved`, the reverse pass keeps q, the two memories and each query
-    row's log-sum-exp ([frames, heads, mq]); no probability tensor is stored.
+    The camera slot goes straight into the kernel's per-frame key and value
+    buffers, so no [frames, 1 + m_spatial, d_attn] memory is built. With
+    `saved`, the reverse pass keeps q, k, v, the camera slot (None when
+    camera_memory is off) and each query row's log-sum-exp ([frames, heads,
+    mq]); no probability tensor is stored.
     """
-    if config.toggles.camera_memory:
-        kmem = np.concatenate([c, k], axis=1)
-        vmem = np.concatenate([c, v], axis=1)
-    else:
-        kmem, vmem = k, v
-    if kmem.shape[1] == 0:
+    slot = c if config.toggles.camera_memory else None
+    if k.shape[1] == 0 and slot is None:
         raise DimensionError(
             "attention memory is empty: no spatial tokens and camera memory disabled"
         )
     lse = None
     if saved is not None:
         lse = np.empty((q.shape[0], config.n_heads, q.shape[1]))
-        saved.update(q=q, kmem=kmem, vmem=vmem, lse=lse)
-    return _attention_raw(q, kmem, vmem, config.n_heads, lse)
+        saved.update(q=q, k=k, v=v, c=slot, lse=lse)
+    return _attention_raw(q, k, v, config.n_heads, lse, slot=slot)
 
 
 def gate_and_fuse(attended: np.ndarray, c: np.ndarray, visual: np.ndarray,
@@ -568,8 +628,9 @@ def fuse_backward(inputs: FusionInputs, weights: FusionWeights, config: FusionCo
     g_p, grads["ln_o.gain"], grads["ln_o.shift"] = layer_norm_vjp(s["p"], w.ln_o, g_fproj)
     g_fhat, grads["p_o.weight"], grads["p_o.bias"] = affine_vjp(s["fhat"], w.p_o, g_p)
 
-    g_q, g_kmem, g_vmem = _attention_vjp_raw(s["q"], s["kmem"], s["vmem"], s["fhat"],
-                                             s["lse"], config.n_heads, g_fhat)
+    # the attention residuals are not read again: popped, they are freed on return
+    g_q, g_kmem, g_vmem = _attention_vjp_raw(s.pop("q"), s.pop("k"), s.pop("v"), s.pop("fhat"),
+                                             s.pop("lse"), config.n_heads, g_fhat, slot=s["c"])
     if t.camera_memory:
         g_c += g_kmem[:, :1, :] + g_vmem[:, :1, :]
         g_k, g_v = g_kmem[:, 1:, :], g_vmem[:, 1:, :]

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from enum import Enum
 from statistics import fmean
 
+from .serde import write_atomic
+
 __all__ = [
     "ScoringError",
     "RecordError",
@@ -356,13 +358,15 @@ def read_records(path) -> list[EvalRecord]:
 
 
 def write_records(path, records) -> None:
-    """Write records as JSON lines (inverse of read_records)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for rec in records:
-            handle.write(json.dumps({
-                "id": rec.id,
-                "subtask": rec.subtask,
-                "answer_type": rec.answer_type.value,
-                "prediction": rec.prediction,
-                "ground_truth": rec.ground_truth,
-            }) + "\n")
+    """Write records as JSON lines (inverse of read_records).
+
+    The file is written atomically: if a record cannot be written (or the
+    records iterable raises), a previous file at `path` is left as it was.
+    """
+    write_atomic(path, (json.dumps({
+        "id": rec.id,
+        "subtask": rec.subtask,
+        "answer_type": rec.answer_type.value,
+        "prediction": rec.prediction,
+        "ground_truth": rec.ground_truth,
+    }).encode("utf-8") + b"\n" for rec in records))

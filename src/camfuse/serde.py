@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import uuid
 from collections import OrderedDict
 from contextlib import suppress
@@ -99,15 +100,16 @@ def save_container(path, tensors, meta=None) -> None:
         tag = _TAGS_BY_KIND.get(arr.dtype)
         if tag is None:
             raise ContainerError(f"tensor {name!r}: unsupported dtype {arr.dtype}")
-        blob = np.ascontiguousarray(arr, dtype=_DTYPE_TAGS[tag]).tobytes()
+        # the array's own buffer, copied only when it is not C-contiguous
+        blob = np.ascontiguousarray(arr, dtype=_DTYPE_TAGS[tag]).reshape(-1).view(np.uint8)
         entries[name] = {
             "dtype": tag,
             "shape": list(arr.shape),
             "byte_offset": offset,
-            "byte_length": len(blob),
+            "byte_length": blob.nbytes,
         }
         payloads.append(blob)
-        offset += len(blob)
+        offset += blob.nbytes
     header = {
         "format_version": FORMAT_VERSION,
         "tensors": entries,
@@ -125,6 +127,11 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def _open_nonblocking(path, flags):
+    """`open` opener: a pipe without a writer opens at once instead of blocking."""
+    return os.open(path, flags | os.O_NONBLOCK)
+
+
 def load_container(path):
     """Read a container; returns (name -> array in header order, meta dict).
 
@@ -133,12 +140,17 @@ def load_container(path):
     size disagrees with the header) raises ContainerError naming the file, and
     the tensor where there is one; nothing is returned, so there is no partial
     result to misuse. The payload is read once into one buffer and every array
-    is a writable view of it, so a load holds about the file's size.
+    is a writable view of it, so a load holds about the file's size. A path
+    that is not a regular file is refused before any read; the file is opened
+    non-blocking, so a pipe without a writer does not hang.
     """
     try:
-        with open(path, "rb") as handle:
+        with open(path, "rb", opener=_open_nonblocking) as handle:
+            info = os.fstat(handle.fileno())
+            if not stat.S_ISREG(info.st_mode):
+                raise ContainerError(f"{path}: not a regular file")
             line = handle.readline()
-            blob = np.empty(max(0, os.fstat(handle.fileno()).st_size - len(line)), np.uint8)
+            blob = np.empty(max(0, info.st_size - len(line)), np.uint8)
             complete = handle.readinto(blob) == blob.size and not handle.read(1)
     except OSError as exc:
         raise ContainerError(f"cannot read container {path}: {exc}") from exc

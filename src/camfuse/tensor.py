@@ -5,7 +5,9 @@
 (width) axis, and `affine`, `layer_norm` and `swish` have companion ``*_vjp``
 functions returning the cotangents of ``<cotangent, op(inputs)>``, so larger
 modules compose an analytic backward pass without a tape. Attention's softmax
-and its VJP run inside `fusion`'s query-tiled kernel.
+and its VJP run inside `fusion`'s query-tiled kernel, folded into its GEMMs:
+the shift and row sum come out of the QK^T and PV products, not out of
+`softmax_rows`, which no package code calls.
 
 float64 is the only working precision, so finite-difference gradient checks
 are meaningful. `TokenTensor`, `LinearMap` and `LayerNormParams` widen what
@@ -156,11 +158,16 @@ def sigmoid(x) -> np.ndarray:
     """Numerically stable logistic function, elementwise.
 
     With e = exp(-|x|) this is 1 / (1 + e) for x >= 0 and e / (1 + e) below
-    zero: the exponent is never positive, so nothing overflows.
+    zero: the exponent is never positive, so nothing overflows. The
+    denominator and the quotient are formed in place, in e and in the
+    numerator, to hold one full-size temporary fewer.
     """
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    num = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    num /= e
+    return num
 
 
 def swish(x) -> np.ndarray:

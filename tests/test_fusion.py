@@ -5,7 +5,10 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from camfuse import fusion
 from camfuse.fusion import (
     _attention_raw,
     _attention_vjp_raw,
@@ -291,14 +294,16 @@ class TestTiledAttention:
     """The query-tiled kernel against the whole-frame kernel it replaced."""
 
     @staticmethod
-    def check_against_whole_frame(q, k, v, n_heads, seed=0):
+    def check_against_whole_frame(q, k, v, n_heads, seed=0, slot=None):
         lse = np.empty((q.shape[0], n_heads, q.shape[1]))
-        out = _attention_raw(q, k, v, n_heads, lse)
-        expected, probs = whole_frame_attention(q, k, v, n_heads)
+        out = _attention_raw(q, k, v, n_heads, lse, slot=slot)
+        kmem, vmem = (k, v) if slot is None else (np.concatenate([slot, k], axis=1),
+                                                  np.concatenate([slot, v], axis=1))
+        expected, probs = whole_frame_attention(q, kmem, vmem, n_heads)
         assert relative_error(out, expected) <= 1e-12
         g_out = np.random.default_rng(seed).standard_normal(out.shape)
-        grads = _attention_vjp_raw(q, k, v, out, lse, n_heads, g_out)
-        expected_grads = whole_frame_attention_vjp(q, k, v, probs, n_heads, g_out)
+        grads = _attention_vjp_raw(q, k, v, out, lse, n_heads, g_out, slot=slot)
+        expected_grads = whole_frame_attention_vjp(q, kmem, vmem, probs, n_heads, g_out)
         # over a one-slot memory the q and k cotangents vanish in exact
         # arithmetic; a zero reference is judged against the largest of all three
         scale = max(np.abs(want).max() for want in expected_grads)
@@ -326,10 +331,67 @@ class TestTiledAttention:
     def test_fusion_attention_matches_whole_frame(self, config):
         saved: dict = {}
         _forward(synth_tokens(config, 21), init_weights(config, 22), config, saved=saved)
-        out, lse = self.check_against_whole_frame(saved["q"], saved["kmem"], saved["vmem"],
-                                                  config.n_heads)
+        out, lse = self.check_against_whole_frame(saved["q"], saved["k"], saved["v"],
+                                                  config.n_heads, slot=saved["c"])
         assert out.tobytes() == saved["fhat"].tobytes()
         assert lse.tobytes() == saved["lse"].tobytes()
+
+    @given(st.data())
+    def test_kernel_matches_whole_frame_at_random_shapes(self, data):
+        n, mq, mk, heads, dh = (data.draw(st.integers(1, hi), label=name) for name, hi in
+                                (("n", 3), ("mq", 9), ("mk", 9), ("heads", 3), ("dh", 4)))
+        with_slot = data.draw(st.booleans(), label="slot")
+        # a score block of a few rows at most, so ragged and one-row tiles are the norm
+        tile_bytes = data.draw(st.integers(1, 8 * heads * (mk + with_slot) * 4), label="tile")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        q, k, v = (rng.standard_normal((n, m, heads * dh)) for m in (mq, mk, mk))
+        slot = rng.standard_normal((n, 1, heads * dh)) if with_slot else None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fusion, "_TILE_BYTES", tile_bytes)
+            self.check_against_whole_frame(q, k, v, heads, slot=slot)
+
+    @staticmethod
+    def count_exact_shift_rows(monkeypatch) -> list:
+        """Patch the fallback with a wrapper that records how many rows each call redoes."""
+        counts: list = []
+        exact = fusion._exact_shift_rows
+
+        def counted(qa, kt, vt, o, shift, bad):
+            counts.append(int(bad.sum()))
+            return exact(qa, kt, vt, o, shift, bad)
+
+        monkeypatch.setattr(fusion, "_exact_shift_rows", counted)
+        return counts
+
+    def test_far_bound_rows_take_the_exact_shift_fallback(self, monkeypatch):
+        counts = self.count_exact_shift_rows(monkeypatch)
+        monkeypatch.setattr(fusion, "_TILE_BYTES", 8 * 2 * 7 * 3)  # tiles of 3 rows
+        n, heads, dh, mq, mk = 2, 2, 4, 8, 6
+        basis = np.eye(dh)
+        rng = np.random.default_rng(31)
+        # per head: a large slot key along e0, one small key along e1 and the
+        # rest in the span of e2, e3. Even rows are 30 e1, orthogonal to every
+        # key but the small one: their bound |q| |slot| / sqrt(dh) = 1500 sits
+        # ~1500 above their largest score (0.75). Odd rows are short, and
+        # their bound is close.
+        slot_h = 100.0 * basis[0]
+        keys_h = np.vstack([0.05 * basis[1], rng.standard_normal((mk - 1, 2)) @ basis[2:]])
+        rows_h = np.tile(30.0 * basis[1], (mq, 1))
+        rows_h[1::2] = 0.01 * rng.standard_normal((mq // 2, dh))
+        q = np.tile(rows_h, (n, 1, heads))
+        k = np.tile(keys_h, (n, 1, heads))
+        slot = np.tile(slot_h, (n, 1, heads))
+        v = rng.standard_normal(k.shape) * 10.0
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            out, lse = self.check_against_whole_frame(q, k, v, heads, slot=slot)
+        assert np.isfinite(out).all() and np.isfinite(lse).all()
+        assert sum(counts) == n * heads * mq // 2  # every even row, and only those
+
+    def test_fallback_stays_idle_on_ordinary_inputs(self, monkeypatch):
+        counts = self.count_exact_shift_rows(monkeypatch)
+        config = MULTI_TILE
+        fuse(synth_tokens(config, 32), init_weights(config, 33), config)
+        assert counts == []
 
     def test_saved_residuals_hold_no_probability_tensor(self):
         config = MULTI_TILE

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -251,6 +252,20 @@ class TestRecordIO:
                    rec("3", "what", "free_text", "a table", "table")]
         write_records(path, records)
         assert read_records(path) == records
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_records(path, [rec("1", "count", "numerical", 7.0, 10.0)])
+        before = path.read_bytes()
+
+        def records():
+            yield rec("2", "dir", "multiple_choice", "A", "B")
+            raise RuntimeError("record source failed midway")
+
+        with pytest.raises(RuntimeError, match="midway"):
+            write_records(path, records())
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["records.jsonl"]
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"

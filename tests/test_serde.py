@@ -1,5 +1,6 @@
 import json
 import os
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -290,6 +291,47 @@ class TestContainerFormat:
             data = getattr(loaded, name).data
             assert data.flags.writeable and data.flags.aligned, name
             assert data.tobytes() == getattr(inputs, name).data.tobytes(), name
+
+    def test_save_writes_each_array_from_its_own_buffer(self, tmp_path):
+        path = tmp_path / "stream.cft"
+        inputs = synth_tokens(FusionConfig(n_frames=4, m_visual=256, m_spatial=64, d_visual=64,
+                                           d_spatial=64, d_attn=64, n_heads=8), 0)
+        tracemalloc.start()
+        try:
+            save_token_streams(inputs, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = os.path.getsize(path)
+        assert size > 500_000 and peak <= 0.05 * size, (peak, size)
+
+    @pytest.mark.parametrize("array", [np.arange(12.0).reshape(3, 4).T,
+                                       np.arange(6, dtype=np.float32)[::2]])
+    def test_save_writes_a_strided_array_in_row_major_order(self, tmp_path, array):
+        path = tmp_path / "a.cft"
+        save_container(path, {"x": array})
+        loaded, _ = load_container(path)
+        assert loaded["x"].shape == array.shape
+        assert loaded["x"].tobytes() == array.tobytes()
+
+    def test_fifo_is_refused_as_not_a_regular_file(self, tmp_path):
+        fifo = tmp_path / "pipe.cft"
+        os.mkfifo(fifo)
+        waited = []
+
+        def unblock():  # should the open wait for a writer, one that comes and goes ends it
+            waited.append(True)
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+
+        timer = threading.Timer(10.0, unblock)
+        timer.start()
+        try:
+            with pytest.raises(ContainerError, match="not a regular file") as err:
+                load_container(fifo)
+        finally:
+            timer.cancel()
+        assert str(fifo) in str(err.value)
+        assert not waited
 
 
 class TestAtomicWrites:

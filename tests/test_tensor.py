@@ -165,6 +165,7 @@ class TestActivations:
                       elements=st.one_of(st.floats(), st.sampled_from(_SIGMOID_EDGES))))
     @example(np.array(_SIGMOID_EDGES))
     @example(np.random.default_rng(0).standard_normal(100_003) * 40)
+    @example(np.linspace(-745.0, 745.0, 29_801))  # step 0.05, through 0 and both ends
     def test_sigmoid_is_bit_identical_to_two_branch_oracle(self, x):
         got, expected = sigmoid(x), two_branch_sigmoid(x)
         assert got.shape == x.shape and got.dtype == np.float64
