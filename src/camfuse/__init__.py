@@ -14,6 +14,7 @@ from .fusion import (
     FusionInputs,
     FusionToggles,
     FusionWeights,
+    VARIANTS,
     attend,
     fuse,
     fuse_backward,
@@ -25,7 +26,6 @@ from .fusion import (
     param_shapes,
     project_qkvc,
     token_weights,
-    variant_toggles,
     weights_from_arrays,
 )
 from .gradcheck import check_fuse_gradients, finite_difference_grad, max_relative_error
@@ -33,9 +33,7 @@ from .metrics import (
     AnswerType,
     EvalRecord,
     RecordError,
-    ReportSummary,
     ScoringError,
-    SubtaskReport,
     choice_accuracy,
     exact_match,
     mean_relative_accuracy,
@@ -46,8 +44,6 @@ from .metrics import (
     write_records,
 )
 from .pipeline import (
-    PatchGeometry,
-    PreprocessSpec,
     SamplingPlan,
     patch_tokens,
     plan_sampling,

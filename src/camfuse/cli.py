@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage, 3 invalid input/config/file, 4 failed check.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import resource
 import sys
@@ -21,13 +22,13 @@ from dataclasses import replace
 import numpy as np
 
 from .fusion import (
+    VARIANTS,
     ConfigError,
     FusionConfig,
     FusionToggles,
     fuse,
     init_weights,
     param_count,
-    variant_toggles,
 )
 from .gradcheck import check_directional, check_fuse_gradients
 from .metrics import read_records, score_protocol
@@ -38,7 +39,6 @@ from .serde import (
     load_weights,
     save_container,
     save_token_streams,
-    save_weights,
     write_atomic,
 )
 
@@ -64,14 +64,20 @@ ENTRYWISE_TOLERANCE = 1e-5
 DIRECTIONAL_TOLERANCE = 1e-8
 
 
+def _config_and_seed(args, default: FusionConfig | None = None) -> tuple[FusionConfig, int]:
+    """The --config file's config and seed, or `default` and seed 0 when
+    --config is optional and absent; --seed overrides the seed."""
+    if args.config is not None:
+        config, seed = load_config(args.config)
+    else:
+        config, seed = default, 0
+    return config, seed if args.seed is None else args.seed
+
+
 def _apply_toggle_flags(config: FusionConfig, args) -> FusionConfig:
-    toggles = FusionToggles(
-        geo_bias=config.toggles.geo_bias and not args.no_geo_bias,
-        token_weight=config.toggles.token_weight and not args.no_token_weight,
-        camera_memory=config.toggles.camera_memory and not args.no_camera_memory,
-        gate=config.toggles.gate and not args.no_gate,
-    )
-    return replace(config, toggles=toggles)
+    toggles = {name: on and not getattr(args, f"no_{name}")
+               for name, on in vars(config.toggles).items()}
+    return replace(config, toggles=FusionToggles(**toggles))
 
 
 def _add_toggle_flags(parser) -> None:
@@ -86,9 +92,7 @@ def _add_toggle_flags(parser) -> None:
 
 
 def _cmd_gen(args) -> int:
-    config, seed = load_config(args.config)
-    if args.seed is not None:
-        seed = args.seed
+    config, seed = _config_and_seed(args)
     inputs = synth_tokens(config, seed, args.distribution)
     save_token_streams(inputs, args.out, meta={"seed": seed, "distribution": args.distribution})
     print(f"wrote {args.out}: visual {inputs.visual.shape}, spatial {inputs.spatial.shape}, "
@@ -125,12 +129,7 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if args.config is not None:
-        config, seed = load_config(args.config)
-    else:
-        config, seed = TINY_CONFIG, 0
-    if args.seed is not None:
-        seed = args.seed
+    config, seed = _config_and_seed(args, TINY_CONFIG)
     config = _apply_toggle_flags(config, args)
 
     if args.tolerance is not None:
@@ -171,24 +170,19 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    config, seed = load_config(args.config)
-    if args.seed is not None:
-        seed = args.seed
+    config, seed = _config_and_seed(args)
     inputs = synth_tokens(config, seed)
     weights = init_weights(config, seed)
 
-    names = ("shallow", "token-weight", "geo-bias", "full")
     outputs = {}
-    for name in names:
-        variant = replace(config, toggles=variant_toggles(name))
-        outputs[name] = fuse(inputs, weights, variant).data
+    for name, toggles in VARIANTS.items():
+        outputs[name] = fuse(inputs, weights, replace(config, toggles=toggles)).data
         print(f"{name:>14s}  |out| = {np.linalg.norm(outputs[name]):.6f}")
     print()
     print("max pairwise |difference|:")
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            diff = float(np.max(np.abs(outputs[a] - outputs[b])))
-            print(f"{a:>14s} vs {b:<14s} {diff:.6e}")
+    for a, b in itertools.combinations(VARIANTS, 2):
+        diff = float(np.max(np.abs(outputs[a] - outputs[b])))
+        print(f"{a:>14s} vs {b:<14s} {diff:.6e}")
     return EXIT_OK
 
 
@@ -220,12 +214,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.config is not None:
-        config, seed = load_config(args.config)
-    else:
-        config, seed = DEMO_CONFIG, 0
-    if args.seed is not None:
-        seed = args.seed
+    config, seed = _config_and_seed(args, DEMO_CONFIG)
     config = _apply_toggle_flags(config, args)
     if args.reps < 1:
         raise ValueError("--reps must be at least 1")

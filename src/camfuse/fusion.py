@@ -64,6 +64,7 @@ from .tensor import (
 __all__ = [
     "ConfigError",
     "FusionToggles",
+    "VARIANTS",
     "FusionConfig",
     "FusionWeights",
     "FusionInputs",
@@ -101,6 +102,15 @@ class FusionToggles:
         for name, value in vars(self).items():
             if not isinstance(value, bool):
                 raise ConfigError(f"toggle '{name}': expected boolean, got {value!r}")
+
+
+# the structural ablation, in the order `camfuse ablate` runs and prints it
+VARIANTS = {
+    "shallow": FusionToggles(geo_bias=False, token_weight=False, gate=False),
+    "token-weight": FusionToggles(geo_bias=False, gate=False),
+    "geo-bias": FusionToggles(gate=False),
+    "full": FusionToggles(),
+}
 
 
 @dataclass(frozen=True)
@@ -676,20 +686,3 @@ def fuse_backward(inputs: FusionInputs, weights: FusionWeights, config: FusionCo
         camera=TokenTensor(g_xc),
     )
     return input_grads, weights_from_arrays(grads, layer_norm_epsilons(w))
-
-
-def variant_toggles(name: str) -> FusionToggles:
-    """Named structural variants used by the ablation runner."""
-    table = {
-        "shallow": FusionToggles(geo_bias=False, token_weight=False,
-                                 camera_memory=True, gate=False),
-        "token-weight": FusionToggles(geo_bias=False, token_weight=True,
-                                      camera_memory=True, gate=False),
-        "geo-bias": FusionToggles(geo_bias=True, token_weight=True,
-                                  camera_memory=True, gate=False),
-        "full": FusionToggles(),
-    }
-    try:
-        return table[name]
-    except KeyError:
-        raise ConfigError(f"unknown variant {name!r}; expected one of {sorted(table)}") from None

@@ -2,15 +2,17 @@
 
 Three answer formats are supported:
 
-* numerical -- mean relative accuracy: the fraction of confidence
-  thresholds under which |pred - truth| / |truth| is acceptable;
+* numerical -- mean relative accuracy: the fraction of the confidence
+  thresholds 0.50..0.95 (DEFAULT_MRA_THRESHOLDS) under which
+  |pred - truth| / |truth| is acceptable;
 * multiple_choice -- letter accuracy with lenient "A" / "A)" / "A." parsing;
 * free_text -- exact match after normalization, plus a relaxed variant that
   also accepts containment in either direction.
 
-`report` groups records by subtask and averages subtask scores uniformly.
-`spbench_aggregate` implements the two-level single-image / multi-view
-averaging. Record files are JSON lines; see read_records.
+`report` groups records by subtask and averages subtask scores uniformly;
+its dict is the "vsi" protocol report. `spbench_aggregate` implements the
+two-level single-image / multi-view averaging. Record files are JSON lines;
+see read_records.
 """
 
 from __future__ import annotations
@@ -24,15 +26,13 @@ from dataclasses import dataclass
 from enum import Enum
 from statistics import fmean
 
-from .serde import write_atomic
+from .serde import decode_json, write_atomic
 
 __all__ = [
     "ScoringError",
     "RecordError",
     "AnswerType",
     "EvalRecord",
-    "SubtaskReport",
-    "ReportSummary",
     "DEFAULT_MRA_THRESHOLDS",
     "mean_relative_accuracy",
     "choice_accuracy",
@@ -74,28 +74,18 @@ class EvalRecord:
             for field in ("prediction", "ground_truth"):
                 raw = getattr(self, field)
                 try:
+                    if isinstance(raw, bool):  # JSON true/false decode to bools
+                        raise TypeError
                     value = float(raw)
                 except (TypeError, ValueError):
                     raise RecordError(
                         f"record {self.id!r}: numerical {field} is not a number: {raw!r}"
                     ) from None
+                except OverflowError:  # an integer beyond the float range
+                    value = math.inf
                 if not math.isfinite(value):
                     raise RecordError(f"record {self.id!r}: numerical {field} is not finite")
                 object.__setattr__(self, field, value)
-
-
-@dataclass(frozen=True)
-class SubtaskReport:
-    subtask: str
-    score: float
-    count: int
-
-
-@dataclass(frozen=True)
-class ReportSummary:
-    subtasks: tuple[SubtaskReport, ...]
-    average: float
-    excluded: tuple[str, ...]  # record ids skipped for zero ground truth
 
 
 # confidence sweep 0.50 .. 0.95 in steps of 0.05
@@ -106,19 +96,13 @@ DEFAULT_MRA_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 _TIE_GUARD = 1e-12
 
 
-def mean_relative_accuracy(pred: float, truth: float,
-                           thresholds=DEFAULT_MRA_THRESHOLDS) -> float:
-    """Fraction of thresholds t for which |pred - truth| / |truth| < 1 - t."""
-    if not thresholds:
-        raise ValueError("threshold list is empty")
-    for t in thresholds:
-        if not 0.0 < t < 1.0:
-            raise ValueError(f"thresholds must lie in (0, 1), got {t}")
+def mean_relative_accuracy(pred: float, truth: float) -> float:
+    """Fraction of DEFAULT_MRA_THRESHOLDS t for which |pred - truth| / |truth| < 1 - t."""
     if truth == 0:
         raise ScoringError("relative accuracy is undefined for zero ground truth")
     rel = abs(pred - truth) / abs(truth)
-    passed = sum(1 for t in thresholds if rel < (1.0 - t) - _TIE_GUARD)
-    return passed / len(thresholds)
+    passed = sum(1 for t in DEFAULT_MRA_THRESHOLDS if rel < (1.0 - t) - _TIE_GUARD)
+    return passed / len(DEFAULT_MRA_THRESHOLDS)
 
 
 _CHOICE_RE = re.compile(r"^\s*([A-Za-z])\s*(?:[).:]\s*.*)?$", re.DOTALL)
@@ -216,12 +200,12 @@ def _score_group(subtask: str, records: list) -> tuple[float, int, list[str]]:
     return exact_match(records), len(records), []
 
 
-def report(records, expected_subtasks=None) -> ReportSummary:
-    """Per-subtask scores plus their unweighted mean.
+def report(records) -> dict:
+    """Per-subtask scores plus their unweighted mean:
+    {"subtasks": [{subtask, score, count}], "average", "excluded"}.
 
     Numerical subtasks average per-record relative accuracy; records with a
-    zero ground truth are excluded and reported by id, never silently scored.
-    If `expected_subtasks` is given, unexpected or missing labels are errors.
+    zero ground truth are excluded and listed by id, never silently scored.
     """
     records = list(records)
     if not records:
@@ -229,23 +213,14 @@ def report(records, expected_subtasks=None) -> ReportSummary:
     groups: dict[str, list] = {}
     for rec in records:
         groups.setdefault(rec.subtask, []).append(rec)
-    if expected_subtasks is not None:
-        expected = list(expected_subtasks)
-        unknown = [s for s in groups if s not in expected]
-        if unknown:
-            raise ScoringError(f"unknown subtask label(s): {unknown}")
-        missing = [s for s in expected if s not in groups]
-        if missing:
-            raise ScoringError(f"subtask(s) with no records: {missing}")
-
-    reports = []
+    subtasks = []
     excluded: list[str] = []
     for subtask, group in groups.items():
         score, count, skipped = _score_group(subtask, group)
-        reports.append(SubtaskReport(subtask, score, count))
+        subtasks.append({"subtask": subtask, "score": score, "count": count})
         excluded.extend(skipped)
-    average = fmean(r.score for r in reports)
-    return ReportSummary(tuple(reports), average, tuple(excluded))
+    average = fmean(entry["score"] for entry in subtasks)
+    return {"subtasks": subtasks, "average": average, "excluded": excluded}
 
 
 def score_protocol(records, protocol: str) -> dict:
@@ -258,24 +233,11 @@ def score_protocol(records, protocol: str) -> dict:
     """
     records = list(records)
     if protocol == "vsi":
-        summary = report(records)
-        return {
-            "protocol": "vsi",
-            "subtasks": [
-                {"subtask": r.subtask, "score": r.score, "count": r.count}
-                for r in summary.subtasks
-            ],
-            "average": summary.average,
-            "excluded": list(summary.excluded),
-        }
+        return {"protocol": "vsi", **report(records)}
     if protocol == "sqa3d":
-        summary = report(records)
         return {
             "protocol": "sqa3d",
-            "subtasks": [
-                {"subtask": r.subtask, "score": r.score, "count": r.count}
-                for r in summary.subtasks
-            ],
+            "subtasks": report(records)["subtasks"],
             "em_at_1": exact_match(records),
             "em_at_r1": exact_match(records, refined=True),
             "count": len(records),
@@ -318,17 +280,15 @@ _RECORD_FIELDS = ("id", "subtask", "answer_type", "prediction", "ground_truth")
 
 def read_records(path) -> list[EvalRecord]:
     """Read JSON-lines records with the fields id, subtask, answer_type,
-    prediction, ground_truth. Blank lines are skipped; any malformed line is
-    reported with its line number."""
+    prediction, ground_truth. Blank lines are skipped. A malformed line (not
+    UTF-8, not JSON, a wrong field, or a numerical answer that is not a
+    finite number) raises RecordError naming path:line."""
     records = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for lineno, line in enumerate(handle, 1):
             if not line.strip():
                 continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RecordError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+            payload = decode_json(line, RecordError, f"{path}:{lineno}")
             if not isinstance(payload, dict):
                 raise RecordError(f"{path}:{lineno}: expected a JSON object")
             missing = [f for f in _RECORD_FIELDS if f not in payload]

@@ -1,9 +1,11 @@
 """Upstream geometry and synthetic token generation.
 
 Covers what sits in front of fusion without any neural weights: uniform
-frame sampling with boundary drop, patch-grid token arithmetic, resize/pad
-placement geometry, and seeded synthetic stand-ins for the two encoders.
-Only geometry is computed here; no pixels are resampled.
+frame sampling with boundary drop (SAMPLE_COUNT probes), patch-grid token
+arithmetic, resize/pad placement geometry for the two encoder inputs
+(VISUAL_SIZE for InternViT, SPATIAL_SIZE for VGGT), and seeded synthetic
+stand-ins for the two encoders. Only geometry is computed here; no pixels
+are resampled.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from .tensor import TokenTensor
 
 __all__ = [
     "SAMPLE_COUNT",
+    "VISUAL_SIZE",
+    "SPATIAL_SIZE",
     "SamplingPlan",
     "plan_sampling",
-    "PatchGeometry",
     "patch_tokens",
-    "PreprocessSpec",
     "ResizePlacement",
     "PaddedPlacement",
     "preprocess_geometry",
@@ -31,6 +33,11 @@ __all__ = [
 # uniform probes per clip; first and last are dropped after sampling
 SAMPLE_COUNT = 34
 
+# (height, width) of the visual (InternViT) and spatial (VGGT) encoder inputs;
+# the spatial canvas covers the visual content
+VISUAL_SIZE = (448, 448)
+SPATIAL_SIZE = (518, 518)
+
 
 @dataclass(frozen=True)
 class SamplingPlan:
@@ -39,40 +46,19 @@ class SamplingPlan:
     kept_indices: tuple[int, ...]
 
 
-def plan_sampling(total_frames: int, sample_count: int = SAMPLE_COUNT) -> SamplingPlan:
-    """Uniformly probe `sample_count` frame indices, then drop the first and
+def plan_sampling(total_frames: int) -> SamplingPlan:
+    """Uniformly probe SAMPLE_COUNT frame indices, then drop the first and
     last sampled frames.
 
-    Probe k lands on floor(k * total_frames / sample_count). Short clips
-    (total_frames < sample_count) repeat indices; repeats are collapsed, so
+    Probe k lands on floor(k * total_frames / SAMPLE_COUNT). Short clips
+    (total_frames < SAMPLE_COUNT) repeat indices; repeats are collapsed, so
     the kept list degrades gracefully instead of failing.
     """
     if total_frames < 1:
         raise ValueError("cannot sample from an empty clip")
-    if sample_count < 1:
-        raise ValueError("sample_count must be positive")
-    raw = [k * total_frames // sample_count for k in range(sample_count)]
+    raw = [k * total_frames // SAMPLE_COUNT for k in range(SAMPLE_COUNT)]
     sampled = tuple(sorted(set(raw)))
     return SamplingPlan(total_frames, sampled, sampled[1:-1])
-
-
-@dataclass(frozen=True)
-class PatchGeometry:
-    """Patch grid of one encoder over an image plane."""
-
-    height: int
-    width: int
-    patch: int
-    tokens: int
-
-    def __post_init__(self):
-        expected = (self.height // self.patch) * (self.width // self.patch)
-        if self.tokens != expected:
-            raise ValueError(f"token count {self.tokens} inconsistent with grid ({expected})")
-
-    @classmethod
-    def of(cls, height: int, width: int, patch: int) -> "PatchGeometry":
-        return cls(height, width, patch, patch_tokens(height, width, patch))
 
 
 def patch_tokens(height: int, width: int, patch: int) -> int:
@@ -80,22 +66,6 @@ def patch_tokens(height: int, width: int, patch: int) -> int:
     if height < 1 or width < 1 or patch < 1:
         raise ValueError(f"dimensions must be positive, got {height}x{width} patch {patch}")
     return (height // patch) * (width // patch)
-
-
-@dataclass(frozen=True)
-class PreprocessSpec:
-    """Target geometry for the two encoder inputs."""
-
-    visual_size: tuple[int, int] = (448, 448)
-    spatial_size: tuple[int, int] = (518, 518)
-    pad_value: float = 0.0
-    pad_layout: str = "centered"
-
-    def __post_init__(self):
-        if self.spatial_size[0] < self.visual_size[0] or self.spatial_size[1] < self.visual_size[1]:
-            raise ValueError("spatial canvas must be at least as large as the visual target")
-        if self.pad_layout != "centered":
-            raise ValueError(f"unsupported pad layout {self.pad_layout!r}")
 
 
 @dataclass(frozen=True)
@@ -110,7 +80,7 @@ class ResizePlacement:
 
 @dataclass(frozen=True)
 class PaddedPlacement:
-    """Resized content centered on a constant-valued canvas."""
+    """Resized content centered on a zero canvas."""
 
     canvas_h: int
     canvas_w: int
@@ -118,22 +88,19 @@ class PaddedPlacement:
     content_w: int
     offset_y: int
     offset_x: int
-    pad_value: float
 
 
-def preprocess_geometry(src_h: int, src_w: int,
-                        spec: PreprocessSpec = PreprocessSpec()
-                        ) -> tuple[ResizePlacement, PaddedPlacement]:
+def preprocess_geometry(src_h: int, src_w: int) -> tuple[ResizePlacement, PaddedPlacement]:
     """Placement geometry for a source image on both encoder inputs.
 
-    The visual branch scales the source to its fixed target. The spatial
-    branch takes the same resized content and centers it on a larger
-    zero-valued canvas.
+    The visual branch scales the source to VISUAL_SIZE. The spatial branch
+    takes the same resized content and centers it on a zero canvas of
+    SPATIAL_SIZE.
     """
     if src_h < 1 or src_w < 1:
         raise ValueError(f"source image has no area: {src_h}x{src_w}")
-    vh, vw = spec.visual_size
-    sh, sw = spec.spatial_size
+    vh, vw = VISUAL_SIZE
+    sh, sw = SPATIAL_SIZE
     visual = ResizePlacement(vh, vw, vh / src_h, vw / src_w)
     spatial = PaddedPlacement(
         canvas_h=sh,
@@ -142,7 +109,6 @@ def preprocess_geometry(src_h: int, src_w: int,
         content_w=vw,
         offset_y=(sh - vh) // 2,
         offset_x=(sw - vw) // 2,
-        pad_value=spec.pad_value,
     )
     return visual, spatial
 

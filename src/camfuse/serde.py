@@ -27,6 +27,7 @@ import stat
 import uuid
 from collections import OrderedDict
 from contextlib import suppress
+from dataclasses import fields
 
 import numpy as np
 
@@ -56,6 +57,7 @@ __all__ = [
     "load_config",
     "save_config",
     "write_atomic",
+    "decode_json",
 ]
 
 FORMAT_VERSION = 1
@@ -66,6 +68,17 @@ _TAGS_BY_KIND = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 
 class ContainerError(ValueError):
     """Container file missing, malformed, or inconsistent."""
+
+
+def decode_json(data: bytes, error: type[Exception], where: str):
+    """Decode one UTF-8 JSON document, raising `error` prefixed with `where`
+    (the file, or file:line) on any failure: bytes that are not UTF-8, text
+    that is not JSON, nesting past the recursion limit, or an integer past
+    the int-string digit limit."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # JSON and Unicode errors are ValueErrors
+        raise error(f"{where}: invalid JSON ({exc})") from None
 
 
 def write_atomic(path, chunks) -> None:
@@ -158,10 +171,7 @@ def load_container(path):
         raise ContainerError(f"{path}: no header line found")
     if not complete:
         raise ContainerError(f"{path}: file changed size while it was read")
-    try:
-        header = json.loads(line[:-1].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ContainerError(f"{path}: header is not valid JSON ({exc})") from None
+    header = decode_json(line[:-1], ContainerError, f"{path}: header")
     if not isinstance(header, dict) or "format_version" not in header:
         raise ContainerError(f"{path}: header lacks a format_version")
     version = header["format_version"]
@@ -316,9 +326,8 @@ def load_token_streams(path) -> tuple[FusionInputs, dict]:
 # config files
 # ---------------------------------------------------------------------------
 
-_CONFIG_INT_FIELDS = ("n_frames", "m_visual", "m_spatial", "d_visual",
-                      "d_spatial", "d_attn", "n_heads")
-_TOGGLE_FIELDS = ("geo_bias", "token_weight", "camera_memory", "gate")
+_CONFIG_INT_FIELDS = tuple(f.name for f in fields(FusionConfig) if f.name != "toggles")
+_TOGGLE_FIELDS = tuple(f.name for f in fields(FusionToggles))
 
 
 def load_config(path) -> tuple[FusionConfig, int]:
@@ -330,14 +339,11 @@ def load_config(path) -> tuple[FusionConfig, int]:
     Problems are reported per field, prefixed with the path.
     """
     try:
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    payload = decode_json(data, ConfigError, path)
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: expected a JSON object")
 

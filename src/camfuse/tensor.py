@@ -80,10 +80,6 @@ class TokenTensor:
     def shape(self) -> tuple[int, int, int]:
         return self.data.shape
 
-    @classmethod
-    def zeros(cls, frames: int, tokens: int, width: int) -> "TokenTensor":
-        return cls(np.zeros((frames, tokens, width)))
-
 
 @dataclass(frozen=True)
 class LinearMap:
@@ -123,10 +119,6 @@ class LayerNormParams:
             raise ValueError(f"layer-norm epsilon must be positive, got {self.epsilon}")
         object.__setattr__(self, "gain", g)
         object.__setattr__(self, "shift", s)
-
-    @classmethod
-    def identity(cls, width: int, epsilon: float = 1e-6) -> "LayerNormParams":
-        return cls(np.ones(width), np.zeros(width), epsilon)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from camfuse.fusion import (
     fuse,
     init_weights,
     iter_params,
-    variant_toggles,
+    VARIANTS,
 )
 from camfuse.gradcheck import check_fuse_gradients
 from camfuse.metrics import mean_relative_accuracy, spbench_aggregate
@@ -147,11 +147,10 @@ def test_c06_ablation_structure():
     config = FusionConfig(2, 3, 4, 6, 5, 4, 2)
     weights = init_weights(config, 6)
     inputs = synth_tokens(config, 7)
-    names = ("shallow", "token-weight", "geo-bias", "full")
-    outs = {n: fuse(inputs, weights, replace(config, toggles=variant_toggles(n))).data
-            for n in names}
+    outs = {n: fuse(inputs, weights, replace(config, toggles=t)).data
+            for n, t in VARIANTS.items()}
     min_diff = min(float(np.max(np.abs(outs[a] - outs[b])))
-                   for a, b in itertools.combinations(names, 2))
+                   for a, b in itertools.combinations(VARIANTS, 2))
     assert min_diff > 0
 
     no_camera = FusionToggles(geo_bias=False, token_weight=True,

@@ -1,6 +1,6 @@
 import json
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,11 +11,12 @@ from camfuse.cli import (
     EXIT_OK,
     main,
 )
-from camfuse.fusion import FusionConfig, init_weights, iter_params
+from camfuse.fusion import FusionConfig, FusionToggles, init_weights, iter_params
 from camfuse.metrics import AnswerType, EvalRecord, write_records
 from camfuse.serde import load_container, save_config, save_container, save_weights
 from camfuse.tensor import LinearMap
 
+from helpers import DEEP_JSON, LONG_INT_JSON
 
 TINY = FusionConfig(n_frames=2, m_visual=3, m_spatial=4,
                     d_visual=6, d_spatial=5, d_attn=4, n_heads=2)
@@ -139,6 +140,27 @@ class TestFuse:
                      "--out", str(tmp_path / "o.cft")])
         assert code == EXIT_INVALID
         assert "visual" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document", [DEEP_JSON, b'{"n_frames": ' + LONG_INT_JSON + b"}"],
+                             ids=["deep", "long-int"])
+    def test_undecodable_config_is_invalid_exit(self, tmp_path, capsys, document):
+        config = tmp_path / "config.json"
+        config.write_bytes(document)
+        code = main(["fuse", "--config", str(config), "--seed", "1",
+                     "--out", str(tmp_path / "o.cft")])
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err.startswith(f"error: {config}: invalid JSON")
+
+    @pytest.mark.parametrize("document", [DEEP_JSON, b'{"format_version": ' + LONG_INT_JSON + b"}"],
+                             ids=["deep", "long-int"])
+    def test_undecodable_stream_header_is_invalid_exit(self, tmp_path, config_path, capsys,
+                                                       document):
+        stream = tmp_path / "stream.cft"
+        stream.write_bytes(document + b"\n")
+        code = main(["fuse", "--config", config_path, "--in", str(stream),
+                     "--out", str(tmp_path / "o.cft")])
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err.startswith(f"error: {stream}: header: invalid JSON")
 
     def test_malformed_stream_header_is_invalid_exit(self, tmp_path, config_path, capsys):
         stream = tmp_path / "stream.cft"
@@ -287,6 +309,24 @@ class TestScore:
         assert code == EXIT_INVALID
         assert ":1:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [
+        b"\xff\xfe{}\n",
+        DEEP_JSON + b"\n",
+        b'{"id": "2", "prediction": ' + LONG_INT_JSON + b"}\n",
+        b'{"id": "2", "subtask": "count", "answer_type": "numerical", '
+        b'"prediction": 1' + b"0" * 400 + b', "ground_truth": 4}\n',
+        b'{"id": "2", "subtask": "count", "answer_type": "numerical", '
+        b'"prediction": true, "ground_truth": 1}\n',
+    ], ids=["not-utf8", "deep", "long-int", "overflow", "bool"])
+    def test_malformed_record_file_is_invalid_exit(self, tmp_path, capsys, line):
+        path = tmp_path / "r.jsonl"
+        write_records(path, [EvalRecord("1", "count", AnswerType.NUMERICAL, 4.0, 4.0)])
+        path.write_bytes(path.read_bytes() + line)
+        code = main(["score", "--records", str(path), "--protocol", "vsi"])
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: ")
+        assert not (tmp_path / "r.jsonl.report.json").exists()
+
     def test_report_file_written_next_to_records(self, tmp_path):
         records = [EvalRecord("1", "what", AnswerType.FREE_TEXT, "a table", "table")]
         path = self._write(tmp_path / "r.jsonl", records)
@@ -317,6 +357,19 @@ class TestBench:
 
 
 class TestToggleFlags:
+    @pytest.mark.parametrize("name", [f.name for f in fields(FusionToggles)])
+    def test_flag_writes_what_the_config_field_writes(self, tmp_path, config_path, name):
+        off_config = tmp_path / "off.json"
+        save_config(replace(TINY, toggles=FusionToggles(**{name: False})), 5, off_config)
+        full, flag, field = tmp_path / "full.cft", tmp_path / "flag.cft", tmp_path / "field.cft"
+        base = ["fuse", "--seed", "1", "--out"]
+        assert main([*base, str(full), "--config", config_path]) == EXIT_OK
+        assert main([*base, str(flag), "--config", config_path,
+                     f"--no-{name.replace('_', '-')}"]) == EXIT_OK
+        assert main([*base, str(field), "--config", str(off_config)]) == EXIT_OK
+        assert flag.read_bytes() == field.read_bytes()
+        assert flag.read_bytes() != full.read_bytes()
+
     def test_no_gate_changes_output(self, tmp_path, config_path):
         a, b = tmp_path / "a.cft", tmp_path / "b.cft"
         main(["fuse", "--config", config_path, "--seed", "1", "--out", str(a)])

@@ -29,7 +29,7 @@ from camfuse.fusion import (
     param_shapes,
     project_qkvc,
     token_weights,
-    variant_toggles,
+    VARIANTS,
 )
 from camfuse.gradcheck import check_directional, check_fuse_gradients
 from camfuse.pipeline import synth_tokens
@@ -42,6 +42,7 @@ from camfuse.tensor import (
     layer_norm,
 )
 
+from helpers import zero_tokens
 from oracles import ref_attention, ref_fuse, whole_frame_attention, whole_frame_attention_vjp
 
 
@@ -90,22 +91,22 @@ class TestConfig:
 class TestInputs:
     def test_frame_disagreement(self):
         with pytest.raises(DimensionError, match="frame counts"):
-            FusionInputs(visual=TokenTensor.zeros(2, 3, 6),
-                         spatial=TokenTensor.zeros(3, 4, 5),
-                         camera=TokenTensor.zeros(2, 1, 5))
+            FusionInputs(visual=zero_tokens(2, 3, 6),
+                         spatial=zero_tokens(3, 4, 5),
+                         camera=zero_tokens(2, 1, 5))
 
     def test_camera_must_be_single_token(self):
         with pytest.raises(DimensionError, match="1 token"):
-            FusionInputs(visual=TokenTensor.zeros(2, 3, 6),
-                         spatial=TokenTensor.zeros(2, 4, 5),
-                         camera=TokenTensor.zeros(2, 2, 5))
+            FusionInputs(visual=zero_tokens(2, 3, 6),
+                         spatial=zero_tokens(2, 4, 5),
+                         camera=zero_tokens(2, 2, 5))
 
     def test_register_shape(self):
         with pytest.raises(DimensionError, match="register"):
-            FusionInputs(visual=TokenTensor.zeros(2, 3, 6),
-                         spatial=TokenTensor.zeros(2, 4, 5),
-                         camera=TokenTensor.zeros(2, 1, 5),
-                         register=TokenTensor.zeros(2, 3, 5))
+            FusionInputs(visual=zero_tokens(2, 3, 6),
+                         spatial=zero_tokens(2, 4, 5),
+                         camera=zero_tokens(2, 1, 5),
+                         register=zero_tokens(2, 3, 5))
 
 
 class TestInitWeights:
@@ -156,7 +157,7 @@ class TestProject:
         bias = rng.standard_normal(TINY.d_attn)
         weights = replace(weights, p_c=LinearMap(weights.p_c.weight, bias))
         inputs = synth_tokens(TINY, 1)
-        inputs = replace(inputs, camera=TokenTensor.zeros(TINY.n_frames, 1, TINY.d_spatial))
+        inputs = replace(inputs, camera=zero_tokens(TINY.n_frames, 1, TINY.d_spatial))
         _, _, _, c = project_qkvc(inputs, weights)
         npt.assert_array_equal(c, np.broadcast_to(bias, c.shape))
 
@@ -505,10 +506,9 @@ class TestFuse:
     def test_variant_rows_are_pairwise_distinct(self):
         weights = init_weights(TINY, 9)
         inputs = synth_tokens(TINY, 10)
-        names = ("shallow", "token-weight", "geo-bias", "full")
-        outs = {n: fuse(inputs, weights, replace(TINY, toggles=variant_toggles(n))).data
-                for n in names}
-        for a, b in itertools.combinations(names, 2):
+        outs = {n: fuse(inputs, weights, replace(TINY, toggles=t)).data
+                for n, t in VARIANTS.items()}
+        for a, b in itertools.combinations(VARIANTS, 2):
             assert np.max(np.abs(outs[a] - outs[b])) > 0, (a, b)
 
     def test_identical_toggles_identical_outputs(self):
@@ -588,7 +588,7 @@ class TestFuseBackward:
     def test_zero_cotangent_gives_zero_gradients(self):
         weights = init_weights(TINY, 0)
         inputs = synth_tokens(TINY, 1)
-        zero = TokenTensor.zeros(*inputs.visual.shape)
+        zero = zero_tokens(*inputs.visual.shape)
         input_grads, weight_grads = fuse_backward(inputs, weights, TINY, zero)
         assert not input_grads.visual.data.any()
         assert not input_grads.spatial.data.any()
@@ -633,7 +633,7 @@ class TestFuseBackward:
         weights = init_weights(TINY, 0)
         inputs = synth_tokens(TINY, 0)
         with pytest.raises(DimensionError, match="cotangent"):
-            fuse_backward(inputs, weights, TINY, TokenTensor.zeros(1, 1, 1))
+            fuse_backward(inputs, weights, TINY, zero_tokens(1, 1, 1))
 
 
 class TestBoundary:

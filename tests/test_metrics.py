@@ -3,6 +3,8 @@ import math
 import os
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from camfuse.metrics import (
     DEFAULT_MRA_THRESHOLDS,
@@ -20,6 +22,8 @@ from camfuse.metrics import (
     spbench_aggregate,
     write_records,
 )
+
+from helpers import DEEP_JSON, LONG_INT_JSON
 
 
 def rec(id, subtask, kind, pred, truth):
@@ -56,12 +60,6 @@ class TestMeanRelativeAccuracy:
     def test_zero_truth_is_an_error(self):
         with pytest.raises(ScoringError):
             mean_relative_accuracy(1.0, 0.0)
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            mean_relative_accuracy(1.0, 1.0, thresholds=())
-        with pytest.raises(ValueError):
-            mean_relative_accuracy(1.0, 1.0, thresholds=(0.5, 1.5))
 
 
 class TestChoiceAccuracy:
@@ -159,43 +157,33 @@ class TestReport:
         records = [rec(f"{s}-{i}", f"task{s}", "multiple_choice", "A", "A")
                    for s in range(8) for i in range(3)]
         summary = report(records)
-        assert len(summary.subtasks) == 8
-        assert all(r.score == 1.0 for r in summary.subtasks)
-        assert summary.average == 1.0
+        assert len(summary["subtasks"]) == 8
+        assert all(r["score"] == 1.0 for r in summary["subtasks"])
+        assert summary["average"] == 1.0
 
     def test_single_record_subtask_equals_metric(self):
         records = [rec("1", "count", "numerical", 7.0, 10.0)]
         summary = report(records)
-        assert summary.subtasks[0].score == mean_relative_accuracy(7.0, 10.0)
+        assert summary["subtasks"][0]["score"] == mean_relative_accuracy(7.0, 10.0)
 
     def test_average_is_unweighted_over_subtasks(self):
         records = [rec("1", "a", "multiple_choice", "A", "A")]
         records += [rec(f"b{i}", "b", "multiple_choice", "B", "C") for i in range(9)]
         summary = report(records)
         # subtask mean, not record mean: (1.0 + 0.0) / 2
-        assert summary.average == 0.5
+        assert summary["average"] == 0.5
 
     def test_zero_truth_records_are_excluded_and_reported(self):
         records = [rec("ok", "size", "numerical", 5.0, 5.0),
                    rec("bad", "size", "numerical", 5.0, 0.0)]
         summary = report(records)
-        assert summary.excluded == ("bad",)
-        assert summary.subtasks[0].count == 1
-        assert summary.subtasks[0].score == 1.0
+        assert summary["excluded"] == ["bad"]
+        assert summary["subtasks"][0]["count"] == 1
+        assert summary["subtasks"][0]["score"] == 1.0
 
     def test_subtask_with_nothing_scoreable_is_an_error(self):
         with pytest.raises(ScoringError, match="no scoreable"):
             report([rec("bad", "size", "numerical", 5.0, 0.0)])
-
-    def test_unknown_label_with_expected_set(self):
-        records = [rec("1", "mystery", "multiple_choice", "A", "A")]
-        with pytest.raises(ScoringError, match="unknown subtask"):
-            report(records, expected_subtasks=["count"])
-
-    def test_missing_expected_subtask(self):
-        records = [rec("1", "count", "multiple_choice", "A", "A")]
-        with pytest.raises(ScoringError, match="no records"):
-            report(records, expected_subtasks=["count", "size"])
 
     def test_mixed_answer_types_within_subtask(self):
         records = [rec("1", "s", "multiple_choice", "A", "A"),
@@ -242,6 +230,23 @@ class TestScoreProtocol:
     def test_unknown_protocol(self):
         with pytest.raises(ValueError):
             score_protocol([], "imagenet")
+
+
+def _record_line(**change) -> bytes:
+    payload = {"id": "1", "subtask": "s", "answer_type": "numerical",
+               "prediction": 1.0, "ground_truth": 2.0}
+    payload.update(change)
+    return json.dumps(payload).encode("utf-8") + b"\n"
+
+
+_RECORD_KEYS = ("id", "subtask", "answer_type", "prediction", "ground_truth", "extra")
+_RECORD_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**400, 10**400) | st.floats()
+    | st.text(max_size=6) | st.sampled_from([kind.value for kind in AnswerType]),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=4,
+)
 
 
 class TestRecordIO:
@@ -296,6 +301,45 @@ class TestRecordIO:
         path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
         with pytest.raises(RecordError, match="not a number"):
             read_records(path)
+
+    @pytest.mark.parametrize("line,message", [
+        (b"\xff\xfe{}\n", "utf-8"),
+        (DEEP_JSON + b"\n", "recursion"),
+        (b'{"id": "2", "prediction": ' + LONG_INT_JSON + b"}\n", "digits"),
+        (_record_line(prediction=10**400), "not finite"),
+        (_record_line(ground_truth=-10**400), "not finite"),
+        (_record_line(prediction=True), "not a number"),
+        (_record_line(ground_truth=False), "not a number"),
+    ], ids=["not-utf8", "deep", "long-int", "overflow-prediction", "overflow-truth",
+            "bool-prediction", "bool-truth"])
+    def test_malformed_line_raises_record_error_naming_path_and_line(self, tmp_path, line,
+                                                                       message):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(_record_line() + line)
+        with pytest.raises(RecordError, match=message) as err:
+            read_records(path)
+        assert str(err.value).startswith(f"{path}:2: ")
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(
+        st.binary(max_size=60),
+        st.lists(st.dictionaries(st.sampled_from(_RECORD_KEYS), _RECORD_VALUES, min_size=4),
+                 max_size=3)
+        .map(lambda lines: b"".join(json.dumps(line).encode("utf-8") + b"\n"
+                                    for line in lines)),
+    ))
+    @example(DEEP_JSON)
+    def test_record_file_parses_or_raises_record_error(self, tmp_path, document):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(document)
+        try:
+            records = read_records(path)
+        except RecordError as exc:
+            assert str(exc).startswith(f"{path}:")
+            return
+        for record in records:
+            if record.answer_type is AnswerType.NUMERICAL:
+                assert math.isfinite(record.prediction) and math.isfinite(record.ground_truth)
 
     def test_non_finite_rejected(self):
         with pytest.raises(RecordError):

@@ -4,8 +4,6 @@ import pytest
 
 from camfuse.fusion import FusionConfig
 from camfuse.pipeline import (
-    PatchGeometry,
-    PreprocessSpec,
     patch_tokens,
     plan_sampling,
     preprocess_geometry,
@@ -76,12 +74,6 @@ class TestPatchTokens:
             assert patch_tokens(int(h), int(w) + 1, p) >= base
             assert patch_tokens(int(h), int(w), p + 1) <= base
 
-    def test_geometry_type_checks_consistency(self):
-        geom = PatchGeometry.of(448, 448, 14)
-        assert geom.tokens == 1024
-        with pytest.raises(ValueError):
-            PatchGeometry(448, 448, 14, 1000)
-
     def test_rejects_degenerate_dims(self):
         with pytest.raises(ValueError):
             patch_tokens(0, 448, 14)
@@ -96,7 +88,6 @@ class TestPreprocessGeometry:
     def test_centered_margins(self):
         _, spatial = preprocess_geometry(480, 640)
         assert spatial.offset_y == spatial.offset_x == 35
-        assert spatial.pad_value == 0.0
 
     def test_canvas_accounts_for_content_and_margins(self):
         _, spatial = preprocess_geometry(123, 456)
@@ -106,14 +97,6 @@ class TestPreprocessGeometry:
     def test_zero_source_rejected(self):
         with pytest.raises(ValueError):
             preprocess_geometry(0, 10)
-
-    def test_spec_canvas_must_cover_content(self):
-        with pytest.raises(ValueError):
-            PreprocessSpec((448, 448), (400, 400))
-
-    def test_only_centered_padding_supported(self):
-        with pytest.raises(ValueError):
-            PreprocessSpec(pad_layout="corner")
 
 
 class TestSynthTokens:

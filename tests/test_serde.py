@@ -2,12 +2,12 @@ import json
 import os
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -32,6 +32,7 @@ from camfuse.serde import (
     write_atomic,
 )
 
+from helpers import DEEP_JSON, LONG_INT_JSON
 
 CONFIG = FusionConfig(n_frames=2, m_visual=3, m_spatial=4,
                       d_visual=6, d_spatial=5, d_attn=4, n_heads=2)
@@ -439,6 +440,13 @@ class TestConfigFiles:
         assert loaded == config
         assert seed == 17
 
+    @pytest.mark.parametrize("name", [f.name for f in fields(FusionToggles)])
+    def test_round_trip_with_each_toggle_off(self, tmp_path, name):
+        path = tmp_path / "config.json"
+        config = replace(CONFIG, toggles=FusionToggles(**{name: False}))
+        save_config(config, 3, path)
+        assert load_config(path) == (config, 3)
+
     def test_missing_field_named(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text('{"n_frames": 2}', encoding="utf-8")
@@ -562,6 +570,18 @@ class TestContainerProperties:
             pass
 
     @_per_example_file
+    @given(st.binary(max_size=40) | _JSON.map(lambda value: json.dumps(value).encode("utf-8")))
+    @example(DEEP_JSON)
+    @example(b'{"format_version": ' + LONG_INT_JSON + b"}")
+    def test_header_line_loads_or_raises_container_error(self, tmp_path, header):
+        path = tmp_path / "a.cft"
+        path.write_bytes(header.replace(b"\n", b" ") + b"\n")
+        try:
+            load_container(path)
+        except ContainerError as exc:
+            assert str(exc).startswith(f"{path}: ")
+
+    @_per_example_file
     @given(st.one_of(
         st.binary(max_size=40),
         _JSON.map(lambda value: json.dumps(value).encode("utf-8")),
@@ -571,11 +591,14 @@ class TestContainerProperties:
                         _JSON | st.integers(-2, 9), min_size=6)
         .map(lambda doc: json.dumps(doc).encode("utf-8")),
     ))
+    @example(DEEP_JSON)
+    @example(b'{"n_frames": ' + LONG_INT_JSON + b"}")
     def test_config_document_parses_or_raises_config_error(self, tmp_path, document):
         path = tmp_path / "config.json"
         path.write_bytes(document)
         try:
             config, seed = load_config(path)
-        except ConfigError:
+        except ConfigError as exc:
+            assert str(exc).startswith(f"{path}: ")
             return
         assert isinstance(config, FusionConfig) and seed >= 0

@@ -23,6 +23,7 @@ from camfuse.tensor import (
 )
 from camfuse.gradcheck import finite_difference_grad, max_relative_error
 
+from helpers import identity_layer_norm
 from oracles import ref_affine, two_branch_sigmoid
 
 # the edges of float64 that a logistic function must get right: signed zeros,
@@ -100,12 +101,12 @@ class TestMatmulTokens:
 
 class TestLayerNorm:
     def test_constant_row_maps_to_zero(self):
-        p = LayerNormParams.identity(4)
+        p = identity_layer_norm(4)
         x = np.full((2, 3, 4), 7.25)
         npt.assert_array_equal(layer_norm(x, p), np.zeros((2, 3, 4)))
 
     def test_already_normalized_row(self):
-        p = LayerNormParams.identity(2, epsilon=1e-15)
+        p = identity_layer_norm(2, epsilon=1e-15)
         x = np.array([[[1.0, -1.0]]])
         npt.assert_allclose(layer_norm(x, p), x, atol=1e-9)
 
@@ -113,7 +114,7 @@ class TestLayerNorm:
         rng = np.random.default_rng(3)
         row = rng.standard_normal(16)
         row = (row - row.mean()) / row.std()  # pin variance so the check is sharp
-        out = layer_norm(row.reshape(1, 1, 16), LayerNormParams.identity(16))[0, 0]
+        out = layer_norm(row.reshape(1, 1, 16), identity_layer_norm(16))[0, 0]
         assert abs(out.mean()) < 1e-10
         assert abs(out.var() - 1.0) < 1e-6
 
@@ -193,7 +194,7 @@ class TestShapePurity:
         x = rng.standard_normal((n, m, a))
         lin = LinearMap(rng.standard_normal((a, b)), rng.standard_normal(b))
         assert affine(x, lin).shape == (n, m, b)
-        assert layer_norm(x, LayerNormParams.identity(a)).shape == (n, m, a)
+        assert layer_norm(x, identity_layer_norm(a)).shape == (n, m, a)
         assert softmax_rows(rng.standard_normal((m, a))).shape == (m, a)
 
 
