@@ -4,7 +4,7 @@ Subcommands: gen (synthetic token streams), fuse (run the module on a stream
 file or a fresh synthetic batch), gradcheck (analytic vs finite-difference
 gradients, entry by entry or along one random direction), ablate (structural
 variants on identical inputs), score (record files against a benchmark
-protocol), bench (fuse throughput, per-stage medians and peak RSS).
+protocol).
 
 Exit codes: 0 success, 2 usage, 3 invalid input/config/file, 4 failed check.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import resource
 import sys
 import time
 from dataclasses import replace
@@ -46,11 +45,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INVALID = 3
 EXIT_CHECK_FAILED = 4
-
-# laptop-scale demo shape: 32 kept frames, 448/14 and 518/14 patch grids,
-# widths cut to 64 so a fuse pass stays cheap
-DEMO_CONFIG = FusionConfig(n_frames=32, m_visual=1024, m_spatial=1369,
-                           d_visual=64, d_spatial=64, d_attn=64, n_heads=8)
 
 TINY_CONFIG = FusionConfig(n_frames=2, m_visual=3, m_spatial=4,
                            d_visual=6, d_spatial=5, d_attn=4, n_heads=2)
@@ -132,10 +126,11 @@ def _cmd_gradcheck(args) -> int:
     config, seed = _config_and_seed(args, TINY_CONFIG)
     config = _apply_toggle_flags(config, args)
 
-    if args.tolerance is not None:
-        tolerance = args.tolerance
-    else:
+    tolerance = args.tolerance
+    if tolerance is None:
         tolerance = DIRECTIONAL_TOLERANCE if args.directional else ENTRYWISE_TOLERANCE
+    elif not (np.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"--tolerance must be a finite number >= 0, got {tolerance}")
 
     inputs = synth_tokens(config, seed)
     if args.directional:
@@ -213,38 +208,6 @@ def _cmd_score(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    config, seed = _config_and_seed(args, DEMO_CONFIG)
-    config = _apply_toggle_flags(config, args)
-    if args.reps < 1:
-        raise ValueError("--reps must be at least 1")
-
-    inputs = synth_tokens(config, seed)
-    weights = init_weights(config, seed)
-    times = []
-    stages: dict[str, list[float]] = {}
-    for _ in range(args.reps):
-        timings: dict[str, float] = {}
-        start = time.perf_counter()
-        fuse(inputs, weights, config, timings=timings)
-        times.append(time.perf_counter() - start)
-        for stage, seconds in timings.items():
-            stages.setdefault(stage, []).append(seconds)
-    median = float(np.median(times))
-    p95 = float(np.percentile(times, 95))
-    visual_tokens = config.n_frames * config.m_visual
-    print(f"config: frames {config.n_frames}, visual {config.m_visual}x{config.d_visual}, "
-          f"spatial {config.m_spatial}x{config.d_spatial}, attn {config.d_attn}/{config.n_heads}h")
-    for stage, seconds in stages.items():
-        print(f"{stage:>14s}  median {np.median(seconds):.3f} s")
-    # ru_maxrss is in KiB on Linux: the peak of this process, not of the machine
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"peak RSS {peak_mb:.1f} MB")
-    print(f"reps {args.reps}: median {median:.3f} s, p95 {p95:.3f} s, "
-          f"{visual_tokens / median:,.0f} visual tokens/s")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="camfuse", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -291,13 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=("vsi", "sqa3d", "spbench"), required=True)
     p.add_argument("--out", default=None, help="report path; default <records>.report.json")
     p.set_defaults(func=_cmd_score)
-
-    p = sub.add_parser("bench", help="fuse throughput over repeated runs")
-    p.add_argument("--config", default=None, help="default: the built-in demo config")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--reps", type=int, default=5)
-    _add_toggle_flags(p)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

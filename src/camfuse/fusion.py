@@ -624,23 +624,23 @@ def fuse_backward(inputs: FusionInputs, weights: FusionWeights, config: FusionCo
     g_xv = g_out.copy()  # residual path
     g_c = np.zeros_like(s["q"][:, :1, :])  # the camera token in attention space
     if t.gate:
-        g_mapped = g_out * s["gate"][:, None, :]
-        g_gate = np.einsum("nmd,nmd->nd", g_out, s["mapped"])
-        g_u = swish_vjp(s["u"], g_gate * s["vg"])
+        g_mapped = g_out * s.pop("gate")[:, None, :]
+        g_gate = np.einsum("nmd,nmd->nd", g_out, s.pop("mapped"))
+        g_u = swish_vjp(s.pop("u"), g_gate * s.pop("vg"))
         g_cbar1, grads["p_g1.weight"], grads["p_g1.bias"] = affine_vjp(s["cbar"], w.p_g1, g_u)
         g_cbar2, grads["p_g2.weight"], grads["p_g2.bias"] = affine_vjp(
-            s["cbar"], w.p_g2, g_gate * s["su"])
+            s.pop("cbar"), w.p_g2, g_gate * s.pop("su"))
         g_c[:, 0, :] += g_cbar1 + g_cbar2
     else:
         g_mapped = g_out
 
-    g_fproj, grads["p_l.weight"], grads["p_l.bias"] = affine_vjp(s["fproj"], w.p_l, g_mapped)
-    g_p, grads["ln_o.gain"], grads["ln_o.shift"] = layer_norm_vjp(s["p"], w.ln_o, g_fproj)
+    g_fproj, grads["p_l.weight"], grads["p_l.bias"] = affine_vjp(s.pop("fproj"), w.p_l, g_mapped)
+    g_p, grads["ln_o.gain"], grads["ln_o.shift"] = layer_norm_vjp(s.pop("p"), w.ln_o, g_fproj)
     g_fhat, grads["p_o.weight"], grads["p_o.bias"] = affine_vjp(s["fhat"], w.p_o, g_p)
 
     # the attention residuals are not read again: popped, they are freed on return
     g_q, g_kmem, g_vmem = _attention_vjp_raw(s.pop("q"), s.pop("k"), s.pop("v"), s.pop("fhat"),
-                                             s.pop("lse"), config.n_heads, g_fhat, slot=s["c"])
+                                             s.pop("lse"), config.n_heads, g_fhat, slot=s.pop("c"))
     if t.camera_memory:
         g_c += g_kmem[:, :1, :] + g_vmem[:, :1, :]
         g_k, g_v = g_kmem[:, 1:, :], g_vmem[:, 1:, :]
@@ -650,33 +650,33 @@ def fuse_backward(inputs: FusionInputs, weights: FusionWeights, config: FusionCo
     g_xs = np.zeros_like(xs)
     g_xc = np.zeros_like(xc)
     if t.token_weight:
-        tw = s["tw"]
-        g_tz = (g_v * s["v_unweighted"]).sum(axis=-1, keepdims=True) * tw * (1.0 - tw)
+        tw = s.pop("tw")
+        g_tz = (g_v * s.pop("v_unweighted")).sum(axis=-1, keepdims=True) * tw * (1.0 - tw)
         g_v = g_v * tw
         g_ta, grads["tw_mlp.1.weight"], grads["tw_mlp.1.bias"] = affine_vjp(
-            s["ta"], w.tw_mlp[1], g_tz)
+            s.pop("ta"), w.tw_mlp[1], g_tz)
         g_xs_tw, grads["tw_mlp.0.weight"], grads["tw_mlp.0.bias"] = affine_vjp(
-            xs, w.tw_mlp[0], swish_vjp(s["th"], g_ta))
+            xs, w.tw_mlp[0], swish_vjp(s.pop("th"), g_ta))
         g_xs += g_xs_tw
 
     if t.geo_bias:  # the bias enters both keys and values
         g_ga, grads["geo_mlp.1.weight"], grads["geo_mlp.1.bias"] = affine_vjp(
-            s["ga"], w.geo_mlp[1], g_k + g_v)
+            s.pop("ga"), w.geo_mlp[1], g_k + g_v)
         g_gin, grads["geo_mlp.0.weight"], grads["geo_mlp.0.bias"] = affine_vjp(
-            s["gin"], w.geo_mlp[0], swish_vjp(s["gh"], g_ga))
+            s.pop("gin"), w.geo_mlp[0], swish_vjp(s.pop("gh"), g_ga))
         ds = xs.shape[2]
         g_xs += g_gin[..., :ds]
         g_xc += g_gin[..., ds:].sum(axis=1, keepdims=True)
 
     g_lns_k, grads["p_k.weight"], grads["p_k.bias"] = affine_vjp(s["lns"], w.p_k, g_k)
-    g_lns_v, grads["p_v.weight"], grads["p_v.bias"] = affine_vjp(s["lns"], w.p_v, g_v)
+    g_lns_v, grads["p_v.weight"], grads["p_v.bias"] = affine_vjp(s.pop("lns"), w.p_v, g_v)
     g_xs_ln, grads["ln_s.gain"], grads["ln_s.shift"] = layer_norm_vjp(xs, w.ln_s, g_lns_k + g_lns_v)
     g_xs += g_xs_ln
 
     g_xc_c, grads["p_c.weight"], grads["p_c.bias"] = affine_vjp(xc, w.p_c, g_c)
     g_xc += g_xc_c
 
-    g_lnv, grads["p_q.weight"], grads["p_q.bias"] = affine_vjp(s["lnv"], w.p_q, g_q)
+    g_lnv, grads["p_q.weight"], grads["p_q.bias"] = affine_vjp(s.pop("lnv"), w.p_q, g_q)
     g_xv_ln, grads["ln_v.gain"], grads["ln_v.shift"] = layer_norm_vjp(xv, w.ln_v, g_lnv)
     g_xv += g_xv_ln
 

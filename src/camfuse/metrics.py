@@ -168,7 +168,11 @@ def exact_match(records, refined: bool = False) -> float:
 def spbench_aggregate(si_nq: float, si_mcq: float,
                       mv_nq: float, mv_mcq: float) -> tuple[float, float, float]:
     """Two-level aggregation: per-subset mean of NQ and MCQ, then the mean of
-    the two subset scores. Inputs must share one scale ([0,1] or [0,100])."""
+    the two subset scores. Inputs must share one scale ([0,1] or [0,100]).
+
+    Keeping to one scale is the caller's duty, and it cannot be checked
+    here: a 100-scale score below 1 looks like a 1-scale score, so only a
+    value outside [0, 100] is refused."""
     values = (si_nq, si_mcq, mv_nq, mv_mcq)
     for v in values:
         if not 0.0 <= v <= 100.0:
@@ -281,9 +285,11 @@ _RECORD_FIELDS = ("id", "subtask", "answer_type", "prediction", "ground_truth")
 def read_records(path) -> list[EvalRecord]:
     """Read JSON-lines records with the fields id, subtask, answer_type,
     prediction, ground_truth. Blank lines are skipped. A malformed line (not
-    UTF-8, not JSON, a wrong field, or a numerical answer that is not a
-    finite number) raises RecordError naming path:line."""
+    UTF-8, not JSON, a wrong field, an id or subtask that is not a JSON
+    string, a numerical answer that is not a finite number, or an id already
+    used on an earlier line) raises RecordError naming path:line."""
     records = []
+    first_line: dict[str, int] = {}
     with open(path, "rb") as handle:
         for lineno, line in enumerate(handle, 1):
             if not line.strip():
@@ -297,6 +303,10 @@ def read_records(path) -> list[EvalRecord]:
             extra = [f for f in payload if f not in _RECORD_FIELDS]
             if extra:
                 raise RecordError(f"{path}:{lineno}: unknown field(s) {extra}")
+            for field in ("id", "subtask"):
+                if not isinstance(payload[field], str):
+                    raise RecordError(
+                        f"{path}:{lineno}: {field} must be a JSON string, got {payload[field]!r}")
             try:
                 kind = AnswerType(payload["answer_type"])
             except ValueError:
@@ -306,14 +316,18 @@ def read_records(path) -> list[EvalRecord]:
                 ) from None
             try:
                 records.append(EvalRecord(
-                    id=str(payload["id"]),
-                    subtask=str(payload["subtask"]),
+                    id=payload["id"],
+                    subtask=payload["subtask"],
                     answer_type=kind,
                     prediction=payload["prediction"],
                     ground_truth=payload["ground_truth"],
                 ))
             except RecordError as exc:
                 raise RecordError(f"{path}:{lineno}: {exc}") from None
+            first = first_line.setdefault(payload["id"], lineno)
+            if first != lineno:
+                raise RecordError(
+                    f"{path}:{lineno}: duplicate id {payload['id']!r}, first on line {first}")
     return records
 
 

@@ -2,7 +2,13 @@
 
 import numpy as np
 
+from camfuse.fusion import FusionConfig
 from camfuse.tensor import LayerNormParams, TokenTensor
+
+# laptop-scale demo shape: 32 kept frames, 448/14 and 518/14 patch grids,
+# widths cut to 64 so a fuse pass stays cheap
+DEMO_CONFIG = FusionConfig(n_frames=32, m_visual=1024, m_spatial=1369,
+                           d_visual=64, d_spatial=64, d_attn=64, n_heads=8)
 
 # JSON that Python's decoder refuses with something other than a JSONDecodeError:
 # nesting past the recursion limit, and an integer past the int-string digit limit

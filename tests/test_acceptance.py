@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to get one printed
 pass/fail line per criterion alongside the pytest verdicts.
 """
 
+import importlib
 import itertools
 import time
 from dataclasses import replace
@@ -13,7 +14,6 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from camfuse.cli import DEMO_CONFIG
 from camfuse.fusion import (
     FusionConfig,
     FusionInputs,
@@ -30,6 +30,7 @@ from camfuse.pipeline import patch_tokens, plan_sampling, synth_tokens
 from camfuse.serde import ContainerError, load_weights, save_weights
 from camfuse.tensor import LinearMap, TokenTensor, softmax_rows
 
+from helpers import DEMO_CONFIG
 from oracles import ref_attention
 
 
@@ -259,3 +260,11 @@ def test_c11_performance_smoke():
     rate = DEMO_CONFIG.n_frames * DEMO_CONFIG.m_visual / elapsed
     _ok(f"criterion 11: demo-shape fuse pass in {elapsed:.2f}s < 60s "
         f"({rate:,.0f} visual tokens/s)")
+
+
+@pytest.mark.parametrize("module", ["tensor", "fusion", "gradcheck", "metrics", "pipeline",
+                                    "serde"])
+def test_every_exported_name_exists(module):
+    """Each module's __all__ names only attributes the module defines."""
+    mod = importlib.import_module(f"camfuse.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

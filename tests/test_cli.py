@@ -16,7 +16,7 @@ from camfuse.metrics import AnswerType, EvalRecord, write_records
 from camfuse.serde import load_container, save_config, save_container, save_weights
 from camfuse.tensor import LinearMap
 
-from helpers import DEEP_JSON, LONG_INT_JSON
+from helpers import DEEP_JSON, DEMO_CONFIG, LONG_INT_JSON
 
 TINY = FusionConfig(n_frames=2, m_visual=3, m_spatial=4,
                     d_visual=6, d_spatial=5, d_attn=4, n_heads=2)
@@ -65,8 +65,10 @@ class TestFuse:
         out = tmp_path / "fused.cft"
         code = main(["fuse", "--config", config_path, "--seed", "5", "--out", str(out)])
         assert code == EXIT_OK
-        printed = capsys.readouterr().out
-        assert "tokens/s" in printed
+        lines = capsys.readouterr().out.splitlines()
+        assert [l.split()[0] for l in lines if l.split()[2:3] == ["ms"]] == [
+            "project", "geo_bias", "token_weight", "attend", "gate_fuse", "total"]
+        assert "tokens/s" in lines[-2]
         tensors, _ = load_container(out)
         assert tensors["fused"].shape == (2, 3, 6)
 
@@ -187,10 +189,15 @@ class TestGradcheck:
     def test_zero_tolerance_fails(self):
         assert main(["gradcheck", "--tolerance", "0"]) == EXIT_CHECK_FAILED
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_bad_tolerance_is_invalid_exit(self, value, capsys):
+        assert main(["gradcheck", "--tolerance", value]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "--tolerance" in err and value in err
+
     def test_oversize_config_refused(self, tmp_path, capsys):
         big = tmp_path / "big.json"
-        save_config(FusionConfig(n_frames=32, m_visual=1024, m_spatial=1369,
-                                 d_visual=64, d_spatial=64, d_attn=64), 0, big)
+        save_config(DEMO_CONFIG, 0, big)
         assert main(["gradcheck", "--config", str(big)]) == EXIT_INVALID
         assert "budget" in capsys.readouterr().err
 
@@ -227,7 +234,6 @@ class TestSeedFlag:
         ["fuse", "--out", "o.cft"],
         ["gradcheck"],
         ["ablate"],
-        ["bench", "--reps", "1"],
     ], ids=lambda argv: argv[0])
     def test_negative_seed_is_invalid_exit(self, argv, config_path, tmp_path, capsys):
         argv = [argv[0], "--config", config_path, "--seed", "-1", *argv[1:]]
@@ -317,7 +323,11 @@ class TestScore:
         b'"prediction": 1' + b"0" * 400 + b', "ground_truth": 4}\n',
         b'{"id": "2", "subtask": "count", "answer_type": "numerical", '
         b'"prediction": true, "ground_truth": 1}\n',
-    ], ids=["not-utf8", "deep", "long-int", "overflow", "bool"])
+        b'{"id": null, "subtask": "count", "answer_type": "numerical", '
+        b'"prediction": 4, "ground_truth": 4}\n',
+        b'{"id": "1", "subtask": "count", "answer_type": "numerical", '
+        b'"prediction": 4, "ground_truth": 4}\n',
+    ], ids=["not-utf8", "deep", "long-int", "overflow", "bool", "null-id", "duplicate-id"])
     def test_malformed_record_file_is_invalid_exit(self, tmp_path, capsys, line):
         path = tmp_path / "r.jsonl"
         write_records(path, [EvalRecord("1", "count", AnswerType.NUMERICAL, 4.0, 4.0)])
@@ -334,26 +344,6 @@ class TestScore:
         payload = json.loads((tmp_path / "r.jsonl.report.json").read_text(encoding="utf-8"))
         assert payload["em_at_1"] == 0.0
         assert payload["em_at_r1"] == 1.0
-
-
-class TestBench:
-    def test_single_repetition(self, config_path, capsys):
-        assert main(["bench", "--config", config_path, "--reps", "1"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "median" in out
-        tokens_per_s = float(out.rsplit("median", 1)[1].split()[-3].replace(",", ""))
-        assert tokens_per_s > 0
-
-    def test_reports_stage_medians_and_peak_rss(self, config_path, capsys):
-        assert main(["bench", "--config", config_path, "--reps", "3"]) == EXIT_OK
-        lines = capsys.readouterr().out.splitlines()
-        stages = [l.split()[0] for l in lines if l.split()[1:2] == ["median"]]
-        assert stages == ["project", "geo_bias", "token_weight", "attend", "gate_fuse"]
-        rss = [l for l in lines if l.startswith("peak RSS ")]
-        assert len(rss) == 1 and float(rss[0].split()[2]) > 0
-
-    def test_invalid_reps(self, config_path):
-        assert main(["bench", "--config", config_path, "--reps", "0"]) == EXIT_INVALID
 
 
 class TestToggleFlags:

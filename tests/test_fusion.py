@@ -42,7 +42,7 @@ from camfuse.tensor import (
     layer_norm,
 )
 
-from helpers import zero_tokens
+from helpers import DEMO_CONFIG, zero_tokens
 from oracles import ref_attention, ref_fuse, whole_frame_attention, whole_frame_attention_vjp
 
 
@@ -628,6 +628,25 @@ class TestFuseBackward:
         assert check_directional(inputs, weights, config, seed=3)["error"] < 1e-8
         corrupted = check_directional(inputs, weights, config, seed=3, corruption=1e-2)
         assert corrupted["error"] > 1e-6
+
+    def test_backward_peak_allocation_is_under_twice_its_residuals(self):
+        # each residual is freed at its last read, not when fuse_backward returns
+        config = replace(DEMO_CONFIG, n_frames=2)
+        inputs = synth_tokens(config, 28)
+        weights = init_weights(config, 29)
+        saved: dict = {}
+        _forward(inputs, weights, config, saved=saved)
+        residual_bytes = sum(array.nbytes for array in saved.values() if array is not None)
+        del saved
+        cot = TokenTensor(np.random.default_rng(30).standard_normal(inputs.visual.shape))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fuse_backward(inputs, weights, config, cot)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * residual_bytes
 
     def test_cotangent_shape_checked(self):
         weights = init_weights(TINY, 0)

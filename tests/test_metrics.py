@@ -310,8 +310,13 @@ class TestRecordIO:
         (_record_line(ground_truth=-10**400), "not finite"),
         (_record_line(prediction=True), "not a number"),
         (_record_line(ground_truth=False), "not a number"),
+        (_record_line(id=None), "id must be a JSON string, got None"),
+        (_record_line(id=2), "id must be a JSON string, got 2"),
+        (_record_line(subtask=["s"]), r"subtask must be a JSON string, got \['s'\]"),
+        (_record_line(), "duplicate id '1', first on line 1"),
     ], ids=["not-utf8", "deep", "long-int", "overflow-prediction", "overflow-truth",
-            "bool-prediction", "bool-truth"])
+            "bool-prediction", "bool-truth", "null-id", "integer-id", "list-subtask",
+            "duplicate-id"])
     def test_malformed_line_raises_record_error_naming_path_and_line(self, tmp_path, line,
                                                                        message):
         path = tmp_path / "bad.jsonl"
