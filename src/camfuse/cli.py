@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -28,6 +29,7 @@ from .fusion import (
     fuse,
     init_weights,
     param_count,
+    stream_shapes,
 )
 from .gradcheck import check_directional, check_fuse_gradients
 from .metrics import read_records, score_protocol
@@ -103,7 +105,7 @@ def _cmd_fuse(args) -> int:
     else:
         weights = init_weights(config, config_seed)
     if args.input_path is not None:
-        inputs, _ = load_token_streams(args.input_path)
+        inputs, _ = load_token_streams(args.input_path, config)
     else:
         inputs = synth_tokens(config, args.seed)
 
@@ -132,9 +134,20 @@ def _cmd_gradcheck(args) -> int:
     elif not (np.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"--tolerance must be a finite number >= 0, got {tolerance}")
 
+    if not args.directional:
+        checked = [shape for name, shape in stream_shapes(config).items() if name != "register"]
+        entries = param_count(config) + sum(map(math.prod, checked))
+        if entries > GRADCHECK_ENTRY_BUDGET:
+            print(f"error: config has {entries} checkable entries, over the "
+                  f"{GRADCHECK_ENTRY_BUDGET} finite-difference budget; "
+                  f"use smaller dims (the default config works) or --directional",
+                  file=sys.stderr)
+            return EXIT_INVALID
+
     inputs = synth_tokens(config, seed)
+    weights = init_weights(config, seed)
     if args.directional:
-        result = check_directional(inputs, init_weights(config, seed), config, seed=seed,
+        result = check_directional(inputs, weights, config, seed=seed,
                                    corruption=args.self_test_corruption)
         ok = result["error"] <= tolerance
         print(f"{'analytic':>20s}  {result['analytic']: .15e}")
@@ -144,16 +157,6 @@ def _cmd_gradcheck(args) -> int:
               f"{'ok' if ok else 'FAIL'}")
         return EXIT_OK if ok else EXIT_CHECK_FAILED
 
-    entries = param_count(config) + inputs.visual.data.size \
-        + inputs.spatial.data.size + inputs.camera.data.size
-    if entries > GRADCHECK_ENTRY_BUDGET:
-        print(f"error: config has {entries} checkable entries, over the "
-              f"{GRADCHECK_ENTRY_BUDGET} finite-difference budget; "
-              f"use smaller dims (the default config works) or --directional",
-              file=sys.stderr)
-        return EXIT_INVALID
-
-    weights = init_weights(config, seed)
     results = check_fuse_gradients(inputs, weights, config,
                                    corruption=args.self_test_corruption)
     worst = max(results.values())

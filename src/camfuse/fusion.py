@@ -33,10 +33,11 @@ The output always has the visual stream's shape, so the module can sit in
 front of a downstream consumer without changing its interface.
 
 Streams enter as `TokenTensor`s (finite, rank 3, float64) inside a
-`FusionInputs`, and `fuse` / `fuse_backward` return their results as
-`TokenTensor`s. Between those boundaries the five stages (`project_qkvc`,
-`geo_bias`, `token_weights`, `attend`, `gate_and_fuse`) take and return plain
-float64 arrays and validate nothing.
+`FusionInputs`, shaped as `stream_shapes(config)` states, and `fuse` /
+`fuse_backward` check them and return `TokenTensor`s. Between those
+boundaries the five stages (`project_qkvc`, `geo_bias`, `token_weights`,
+`attend`, `gate_and_fuse`) take and return plain float64 arrays and validate
+nothing.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ __all__ = [
     "init_weights",
     "layer_norm_epsilons",
     "param_shapes",
+    "stream_shapes",
     "param_count",
     "iter_params",
     "weights_from_arrays",
@@ -169,6 +171,7 @@ class FusionWeights:
 class FusionInputs:
     """One batch of per-frame token streams.
 
+    Their shapes depend on a config, so `fuse` and `fuse_backward` check them.
     `register` carries the spatial encoder's four auxiliary tokens per frame;
     fusion drops them, but they are kept here so the discard path is real.
     """
@@ -177,28 +180,6 @@ class FusionInputs:
     spatial: TokenTensor
     camera: TokenTensor
     register: TokenTensor | None = None
-
-    def __post_init__(self):
-        if not (self.visual.frames == self.spatial.frames == self.camera.frames):
-            raise DimensionError(
-                "frame counts disagree: visual "
-                f"{self.visual.frames}, spatial {self.spatial.frames}, "
-                f"camera {self.camera.frames}"
-            )
-        if self.camera.tokens != 1:
-            raise DimensionError(f"camera stream must have 1 token, got {self.camera.tokens}")
-        if self.camera.width != self.spatial.width:
-            raise DimensionError(
-                f"camera width {self.camera.width} != spatial width {self.spatial.width}"
-            )
-        if self.register is not None:
-            if self.register.frames != self.visual.frames:
-                raise DimensionError("register frame count disagrees with the other streams")
-            if self.register.tokens != 4 or self.register.width != self.spatial.width:
-                raise DimensionError(
-                    f"register stream must be [frames, 4, {self.spatial.width}], "
-                    f"got {self.register.shape}"
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +229,16 @@ def _param_layout(config: FusionConfig):
 def param_shapes(config: FusionConfig) -> dict[str, tuple[int, ...]]:
     """Canonical name -> shape map of every learnable array."""
     return dict(_param_layout(config))
+
+
+def stream_shapes(config: FusionConfig) -> dict[str, tuple[int, int, int]]:
+    """Name -> (frames, tokens, width) of every input stream, in file order;
+    `register` is optional."""
+    n, ds = config.n_frames, config.d_spatial
+    return {"visual": (n, config.m_visual, config.d_visual),
+            "spatial": (n, config.m_spatial, ds),
+            "camera": (n, 1, ds),
+            "register": (n, 4, ds)}
 
 
 def param_count(config: FusionConfig) -> int:
@@ -302,15 +293,10 @@ def init_weights(config: FusionConfig, seed: int) -> FusionWeights:
 # ---------------------------------------------------------------------------
 
 def _check_inputs(inputs: FusionInputs, config: FusionConfig) -> None:
-    expected = {
-        "visual": (config.n_frames, config.m_visual, config.d_visual),
-        "spatial": (config.n_frames, config.m_spatial, config.d_spatial),
-        "camera": (config.n_frames, 1, config.d_spatial),
-    }
-    for name, shape in expected.items():
-        actual = getattr(inputs, name).shape
-        if actual != shape:
-            raise DimensionError(f"{name} stream has shape {actual}, config expects {shape}")
+    for name, shape in stream_shapes(config).items():
+        stream = getattr(inputs, name)
+        if stream is not None and stream.shape != shape:
+            raise DimensionError(f"{name} stream has shape {stream.shape}, config expects {shape}")
 
 
 def _keep(saved: dict | None, name: str, value: np.ndarray) -> np.ndarray:
@@ -384,14 +370,13 @@ def _merge_heads(xh: np.ndarray) -> np.ndarray:
     return xh.transpose(1, 0, 2).reshape(xh.shape[1], -1)
 
 
-def _memory_t(x: np.ndarray, slot: np.ndarray | None, n_heads: int) -> np.ndarray:
+def _memory_t(x: np.ndarray, slot: np.ndarray, n_heads: int) -> np.ndarray:
     """One frame's memory [mk, d_attn] as [h, head_dim + 1, slots], with a last
-    row of ones; `slot` ([1, d_attn]), when given, is memory slot 0."""
-    lead = 0 if slot is None else 1
+    row of ones; the rows of `slot` ([0 or 1, d_attn]) lead the memory."""
+    lead = slot.shape[0]
     dh = x.shape[1] // n_heads
     mt = np.empty((n_heads, dh + 1, lead + x.shape[0]))
-    if slot is not None:
-        mt[:, :dh, :1] = _heads(slot, n_heads).transpose(0, 2, 1)
+    mt[:, :dh, :lead] = _heads(slot, n_heads).transpose(0, 2, 1)
     mt[:, :dh, lead:] = _heads(x, n_heads).transpose(0, 2, 1)
     mt[:, dh] = 1.0
     return mt
@@ -411,13 +396,12 @@ def _exact_shift_rows(qa, kt, vt, o, shift, bad):
         o[h, r] = np.exp(s - shift[h, r]) @ vt[h].T
 
 
-def _attention_raw(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
-                   lse: np.ndarray | None = None, *, slot: np.ndarray | None = None
-                   ) -> np.ndarray:
+def _attention_raw(q: np.ndarray, k: np.ndarray, v: np.ndarray, slot: np.ndarray,
+                   n_heads: int, lse: np.ndarray | None = None) -> np.ndarray:
     """Frame-local multi-head scaled dot-product attention, in query tiles.
 
-    Scale is 1/sqrt(head_dim). `slot` ([n, 1, d_attn]), when given, is one
-    more memory slot placed before k and v, serving as both key and value.
+    Scale is 1/sqrt(head_dim). `slot` ([n, 0 or 1, d_attn]) holds the memory
+    slots placed before k and v, each serving as both key and value.
     Per frame the keys and values are laid out once as [h, dh + 1, mk] with a
     last row of ones, and each scaled query row gets a last entry -c, where
     c = |q_i| max_j |k_j| bounds every score of the row (Cauchy-Schwarz). A
@@ -437,9 +421,8 @@ def _attention_raw(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
     qa = np.empty((n_heads, mq, dh + 1))
     qh = qa[..., :dh]
     for i in range(n):
-        frame_slot = None if slot is None else slot[i]
-        kt = _memory_t(k[i], frame_slot, n_heads)
-        vt = _memory_t(v[i], frame_slot, n_heads)
+        kt = _memory_t(k[i], slot[i], n_heads)
+        vt = _memory_t(v[i], slot[i], n_heads)
         np.multiply(_heads(q[i], n_heads), scale, out=qh)
         k_norm = np.sqrt(np.einsum("hdk,hdk->hk", kt[:, :dh], kt[:, :dh]).max(axis=1))
         shift = np.sqrt(np.einsum("hqd,hqd->hq", qh, qh)) * k_norm[:, None]
@@ -460,12 +443,12 @@ def _attention_raw(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
     return out
 
 
-def _attention_vjp_raw(q, k, v, out, lse, n_heads, g_out, *, slot=None):
+def _attention_vjp_raw(q, k, v, slot, out, lse, n_heads, g_out):
     """Cotangents (gq, gk, gv) of ``<g_out, attention(q, k, v)>``.
 
-    `out` and `lse` are the forward's output and row log-sum-exps. With
-    `slot`, gk and gv cover the whole memory: slot 0 first, then k's and v's
-    rows. The memory is laid out as in the forward, with a ones row under
+    `out` and `lse` are the forward's output and row log-sum-exps. gk and gv
+    cover the whole memory: `slot`'s rows first, then k's and v's rows. The
+    memory is laid out as in the forward, with a ones row under
     K^T and V^T. Per query tile the scaled queries carry a last entry -lse,
     so one GEMM and an in-place `exp` recompute the probabilities p; with
     D = rowsum(g_out * out) the cotangent rows carry -D, so one more GEMM
@@ -474,7 +457,7 @@ def _attention_vjp_raw(q, k, v, out, lse, n_heads, g_out, *, slot=None):
     n, mq, da = q.shape
     dh = da // n_heads
     scale = 1.0 / np.sqrt(dh)
-    mk = k.shape[1] + (slot is not None)
+    mk = k.shape[1] + slot.shape[1]
     gq = np.empty_like(q)
     gk = np.empty((n, mk, da))
     gv = np.empty((n, mk, da))
@@ -482,9 +465,8 @@ def _attention_vjp_raw(q, k, v, out, lse, n_heads, g_out, *, slot=None):
     ga = np.empty((n_heads, mq, dh + 1))
     qh, goh = qa[..., :dh], ga[..., :dh]
     for i in range(n):
-        frame_slot = None if slot is None else slot[i]
-        kt = _memory_t(k[i], frame_slot, n_heads)
-        vt = _memory_t(v[i], frame_slot, n_heads)
+        kt = _memory_t(k[i], slot[i], n_heads)
+        vt = _memory_t(v[i], slot[i], n_heads)
         kh = kt[:, :dh].transpose(0, 2, 1)
         np.multiply(_heads(q[i], n_heads), scale, out=qh)
         np.negative(lse[i], out=qa[..., dh])
@@ -514,12 +496,12 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, c: np.ndarray,
 
     The camera slot goes straight into the kernel's per-frame key and value
     buffers, so no [frames, 1 + m_spatial, d_attn] memory is built. With
-    `saved`, the reverse pass keeps q, k, v, the camera slot (None when
-    camera_memory is off) and each query row's log-sum-exp ([frames, heads,
-    mq]); no probability tensor is stored.
+    `saved`, the reverse pass keeps q, k, v, the camera slot (with no rows
+    when camera_memory is off) and each query row's log-sum-exp ([frames,
+    heads, mq]); no probability tensor is stored.
     """
-    slot = c if config.toggles.camera_memory else None
-    if k.shape[1] == 0 and slot is None:
+    slot = c if config.toggles.camera_memory else c[:, :0]
+    if k.shape[1] + slot.shape[1] == 0:
         raise DimensionError(
             "attention memory is empty: no spatial tokens and camera memory disabled"
         )
@@ -527,7 +509,7 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, c: np.ndarray,
     if saved is not None:
         lse = np.empty((q.shape[0], config.n_heads, q.shape[1]))
         saved.update(q=q, k=k, v=v, c=slot, lse=lse)
-    return _attention_raw(q, k, v, config.n_heads, lse, slot=slot)
+    return _attention_raw(q, k, v, slot, config.n_heads, lse)
 
 
 def gate_and_fuse(attended: np.ndarray, c: np.ndarray, visual: np.ndarray,
@@ -639,13 +621,11 @@ def fuse_backward(inputs: FusionInputs, weights: FusionWeights, config: FusionCo
     g_fhat, grads["p_o.weight"], grads["p_o.bias"] = affine_vjp(s["fhat"], w.p_o, g_p)
 
     # the attention residuals are not read again: popped, they are freed on return
-    g_q, g_kmem, g_vmem = _attention_vjp_raw(s.pop("q"), s.pop("k"), s.pop("v"), s.pop("fhat"),
-                                             s.pop("lse"), config.n_heads, g_fhat, slot=s.pop("c"))
-    if t.camera_memory:
-        g_c += g_kmem[:, :1, :] + g_vmem[:, :1, :]
-        g_k, g_v = g_kmem[:, 1:, :], g_vmem[:, 1:, :]
-    else:
-        g_k, g_v = g_kmem, g_vmem
+    lead = s["c"].shape[1]  # the camera slot's rows: 1, or 0 without camera_memory
+    g_q, g_kmem, g_vmem = _attention_vjp_raw(s.pop("q"), s.pop("k"), s.pop("v"), s.pop("c"),
+                                             s.pop("fhat"), s.pop("lse"), config.n_heads, g_fhat)
+    g_c[:, :lead] += g_kmem[:, :lead] + g_vmem[:, :lead]
+    g_k, g_v = g_kmem[:, lead:], g_vmem[:, lead:]
 
     g_xs = np.zeros_like(xs)
     g_xc = np.zeros_like(xc)

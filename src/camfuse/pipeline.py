@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import FusionConfig, FusionInputs
+from .fusion import FusionConfig, FusionInputs, stream_shapes
 from .tensor import TokenTensor
 
 __all__ = [
@@ -115,7 +115,7 @@ def preprocess_geometry(src_h: int, src_w: int) -> tuple[ResizePlacement, Padded
 
 def synth_tokens(config: FusionConfig, seed: int,
                  distribution: str = "gaussian") -> FusionInputs:
-    """Seeded synthetic token streams shaped per the config.
+    """Seeded synthetic token streams, shaped by `stream_shapes(config)`.
 
     `distribution` is "gaussian" (standard normal entries) or "unit_sphere"
     (each token row normalized to unit length). The register stream (four
@@ -125,17 +125,10 @@ def synth_tokens(config: FusionConfig, seed: int,
     if distribution not in ("gaussian", "unit_sphere"):
         raise ValueError(f"unknown distribution {distribution!r}")
     rng = np.random.default_rng(seed)
-
-    def draw(tokens, width):
-        data = rng.standard_normal((config.n_frames, tokens, width))
+    streams = {}
+    for name, shape in stream_shapes(config).items():
+        data = rng.standard_normal(shape)
         if distribution == "unit_sphere":
-            norms = np.linalg.norm(data, axis=-1, keepdims=True)
-            data = data / norms
-        return TokenTensor(data)
-
-    return FusionInputs(
-        visual=draw(config.m_visual, config.d_visual),
-        spatial=draw(config.m_spatial, config.d_spatial),
-        camera=draw(1, config.d_spatial),
-        register=draw(4, config.d_spatial),
-    )
+            data = data / np.linalg.norm(data, axis=-1, keepdims=True)
+        streams[name] = TokenTensor(data)
+    return FusionInputs(**streams)

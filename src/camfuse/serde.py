@@ -27,7 +27,7 @@ import stat
 import uuid
 from collections import OrderedDict
 from contextlib import suppress
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .fusion import (
     iter_params,
     layer_norm_epsilons,
     param_shapes,
+    stream_shapes,
     weights_from_arrays,
 )
 from .tensor import TokenTensor
@@ -291,26 +292,26 @@ def load_weights(path, expected: FusionConfig) -> FusionWeights:
 # token streams
 # ---------------------------------------------------------------------------
 
-_STREAM_NAMES = ("visual", "spatial", "camera", "register")
+_REQUIRED_STREAMS = tuple(f.name for f in fields(FusionInputs) if f.default is MISSING)
 
 
 def save_token_streams(inputs: FusionInputs, path, meta=None) -> None:
-    tensors = OrderedDict()
-    for name in _STREAM_NAMES:
-        stream = getattr(inputs, name)
-        if stream is not None:
-            tensors[name] = stream.data
+    tensors = OrderedDict((name, stream.data) for name, stream in vars(inputs).items()
+                          if stream is not None)
     payload = {"kind": "token-streams"}
     payload.update(meta or {})
     save_container(path, tensors, payload)
 
 
-def load_token_streams(path) -> tuple[FusionInputs, dict]:
+def load_token_streams(path, config: FusionConfig) -> tuple[FusionInputs, dict]:
+    """Load a token-stream file; a missing, unknown, non-finite or misshapen
+    stream (against `stream_shapes(config)`) raises ContainerError naming it."""
     tensors, meta = load_container(path)
-    missing = [n for n in ("visual", "spatial", "camera") if n not in tensors]
+    shapes = stream_shapes(config)
+    missing = [n for n in _REQUIRED_STREAMS if n not in tensors]
     if missing:
         raise ContainerError(f"{path}: missing stream(s) {missing}")
-    unknown = [n for n in tensors if n not in _STREAM_NAMES]
+    unknown = [n for n in tensors if n not in shapes]
     if unknown:
         raise ContainerError(f"{path}: unknown stream(s) {unknown}")
     streams = {}
@@ -319,6 +320,9 @@ def load_token_streams(path) -> tuple[FusionInputs, dict]:
             streams[name] = TokenTensor(array)
         except ValueError as exc:  # wrong rank or non-finite entries
             raise ContainerError(f"{path}: stream {name!r}: {exc}") from None
+        if streams[name].shape != shapes[name]:
+            raise ContainerError(f"{path}: stream {name!r} has shape {streams[name].shape}, "
+                                 f"config expects {shapes[name]}")
     return FusionInputs(**streams), meta
 
 

@@ -65,18 +65,6 @@ class TokenTensor:
         object.__setattr__(self, "data", arr)
 
     @property
-    def frames(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def tokens(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
-
-    @property
     def shape(self) -> tuple[int, int, int]:
         return self.data.shape
 

@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from camfuse import cli
 from camfuse.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INVALID,
@@ -143,6 +144,19 @@ class TestFuse:
         assert code == EXIT_INVALID
         assert "visual" in capsys.readouterr().err
 
+    def test_misshapen_stream_is_invalid_exit(self, tmp_path, config_path, capsys):
+        bad = tmp_path / "bad.cft"
+        main(["gen", "--config", config_path, "--out", str(bad)])
+        tensors, meta = load_container(bad)
+        tensors["camera"] = np.concatenate([tensors["camera"]] * 2, axis=1)  # two tokens
+        save_container(bad, tensors, meta)
+        out = tmp_path / "o.cft"
+        code = main(["fuse", "--config", config_path, "--in", str(bad), "--out", str(out)])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert str(bad) in err and "stream 'camera'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("document", [DEEP_JSON, b'{"n_frames": ' + LONG_INT_JSON + b"}"],
                              ids=["deep", "long-int"])
     def test_undecodable_config_is_invalid_exit(self, tmp_path, capsys, document):
@@ -195,7 +209,11 @@ class TestGradcheck:
         err = capsys.readouterr().err
         assert "--tolerance" in err and value in err
 
-    def test_oversize_config_refused(self, tmp_path, capsys):
+    def test_oversize_config_refused(self, tmp_path, capsys, monkeypatch):
+        def build_inputs(*args):
+            pytest.fail("gradcheck built its inputs before applying the entry budget")
+
+        monkeypatch.setattr(cli, "synth_tokens", build_inputs)
         big = tmp_path / "big.json"
         save_config(DEMO_CONFIG, 0, big)
         assert main(["gradcheck", "--config", str(big)]) == EXIT_INVALID

@@ -89,24 +89,31 @@ class TestConfig:
 
 
 class TestInputs:
+    """`fuse` and `fuse_backward` check every stream present against `stream_shapes`."""
+
+    @staticmethod
+    def check_refused(inputs, stream):
+        weights = init_weights(TINY, 0)
+        with pytest.raises(DimensionError, match=f"{stream} stream has shape"):
+            fuse(inputs, weights, TINY)
+        with pytest.raises(DimensionError, match=f"{stream} stream has shape"):
+            fuse_backward(inputs, weights, TINY, zero_tokens(2, 3, 6))
+
     def test_frame_disagreement(self):
-        with pytest.raises(DimensionError, match="frame counts"):
-            FusionInputs(visual=zero_tokens(2, 3, 6),
-                         spatial=zero_tokens(3, 4, 5),
-                         camera=zero_tokens(2, 1, 5))
+        self.check_refused(FusionInputs(visual=zero_tokens(2, 3, 6),
+                                        spatial=zero_tokens(3, 4, 5),
+                                        camera=zero_tokens(2, 1, 5)), "spatial")
 
     def test_camera_must_be_single_token(self):
-        with pytest.raises(DimensionError, match="1 token"):
-            FusionInputs(visual=zero_tokens(2, 3, 6),
-                         spatial=zero_tokens(2, 4, 5),
-                         camera=zero_tokens(2, 2, 5))
+        self.check_refused(FusionInputs(visual=zero_tokens(2, 3, 6),
+                                        spatial=zero_tokens(2, 4, 5),
+                                        camera=zero_tokens(2, 2, 5)), "camera")
 
     def test_register_shape(self):
-        with pytest.raises(DimensionError, match="register"):
-            FusionInputs(visual=zero_tokens(2, 3, 6),
-                         spatial=zero_tokens(2, 4, 5),
-                         camera=zero_tokens(2, 1, 5),
-                         register=zero_tokens(2, 3, 5))
+        self.check_refused(FusionInputs(visual=zero_tokens(2, 3, 6),
+                                        spatial=zero_tokens(2, 4, 5),
+                                        camera=zero_tokens(2, 1, 5),
+                                        register=zero_tokens(2, 3, 5)), "register")
 
 
 class TestInitWeights:
@@ -296,14 +303,15 @@ class TestTiledAttention:
 
     @staticmethod
     def check_against_whole_frame(q, k, v, n_heads, seed=0, slot=None):
+        if slot is None:
+            slot = np.empty((q.shape[0], 0, q.shape[2]))
         lse = np.empty((q.shape[0], n_heads, q.shape[1]))
-        out = _attention_raw(q, k, v, n_heads, lse, slot=slot)
-        kmem, vmem = (k, v) if slot is None else (np.concatenate([slot, k], axis=1),
-                                                  np.concatenate([slot, v], axis=1))
+        out = _attention_raw(q, k, v, slot, n_heads, lse)
+        kmem, vmem = np.concatenate([slot, k], axis=1), np.concatenate([slot, v], axis=1)
         expected, probs = whole_frame_attention(q, kmem, vmem, n_heads)
         assert relative_error(out, expected) <= 1e-12
         g_out = np.random.default_rng(seed).standard_normal(out.shape)
-        grads = _attention_vjp_raw(q, k, v, out, lse, n_heads, g_out, slot=slot)
+        grads = _attention_vjp_raw(q, k, v, slot, out, lse, n_heads, g_out)
         expected_grads = whole_frame_attention_vjp(q, kmem, vmem, probs, n_heads, g_out)
         # over a one-slot memory the q and k cotangents vanish in exact
         # arithmetic; a zero reference is judged against the largest of all three

@@ -277,13 +277,14 @@ class TestContainerFormat:
 
     def test_load_holds_one_copy_of_the_payload(self, tmp_path):
         path = tmp_path / "stream.cft"
-        inputs = synth_tokens(FusionConfig(n_frames=4, m_visual=256, m_spatial=64, d_visual=64,
-                                           d_spatial=64, d_attn=64, n_heads=8), 0)
+        config = FusionConfig(n_frames=4, m_visual=256, m_spatial=64, d_visual=64,
+                              d_spatial=64, d_attn=64, n_heads=8)
+        inputs = synth_tokens(config, 0)
         save_token_streams(inputs, path)
         size = os.path.getsize(path)
         tracemalloc.start()
         try:
-            loaded, _ = load_token_streams(path)
+            loaded, _ = load_token_streams(path, config)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -383,7 +384,7 @@ class TestTokenStreams:
         path = tmp_path / "stream.cft"
         inputs = synth_tokens(CONFIG, 42)
         save_token_streams(inputs, path, meta={"seed": 42})
-        loaded, meta = load_token_streams(path)
+        loaded, meta = load_token_streams(path, CONFIG)
         for name in ("visual", "spatial", "camera", "register"):
             assert getattr(loaded, name).data.tobytes() == \
                 getattr(inputs, name).data.tobytes()
@@ -396,7 +397,7 @@ class TestTokenStreams:
         narrow = {n: getattr(inputs, n).data.astype(np.float32)
                   for n in ("visual", "spatial", "camera")}
         save_container(path, narrow, {})
-        loaded, _ = load_token_streams(path)
+        loaded, _ = load_token_streams(path, CONFIG)
         for name, arr in narrow.items():
             got = getattr(loaded, name).data
             assert got.dtype == np.float64
@@ -417,7 +418,19 @@ class TestTokenStreams:
             tensors[name][-1, -1, -1] = float(fault)
         save_container(path, tensors, {})
         with pytest.raises(ContainerError, match=message) as err:
-            load_token_streams(path)
+            load_token_streams(path, CONFIG)
+        assert str(path) in str(err.value)
+        assert f"stream '{name}'" in str(err.value)
+
+    @pytest.mark.parametrize("name", ["visual", "spatial", "camera", "register"])
+    def test_misshapen_stream_names_file_and_stream(self, tmp_path, name):
+        path = tmp_path / "stream.cft"
+        inputs = synth_tokens(CONFIG, 4)
+        tensors = {n: getattr(inputs, n).data for n in ("visual", "spatial", "camera", "register")}
+        tensors[name] = np.concatenate([tensors[name], tensors[name][:, :1]], axis=1)
+        save_container(path, tensors, {})
+        with pytest.raises(ContainerError, match="config expects") as err:
+            load_token_streams(path, CONFIG)
         assert str(path) in str(err.value)
         assert f"stream '{name}'" in str(err.value)
 
@@ -426,7 +439,7 @@ class TestTokenStreams:
         inputs = synth_tokens(CONFIG, 0)
         save_container(path, {"visual": inputs.visual.data}, {})
         with pytest.raises(ContainerError, match="spatial"):
-            load_token_streams(path)
+            load_token_streams(path, CONFIG)
 
 
 class TestConfigFiles:
