@@ -22,6 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from .fusion import (
+    REQUIRED_STREAMS,
     VARIANTS,
     ConfigError,
     FusionConfig,
@@ -89,8 +90,8 @@ def _add_toggle_flags(parser) -> None:
 
 def _cmd_gen(args) -> int:
     config, seed = _config_and_seed(args)
-    inputs = synth_tokens(config, seed, args.distribution)
-    save_token_streams(inputs, args.out, meta={"seed": seed, "distribution": args.distribution})
+    inputs = synth_tokens(config, seed)
+    save_token_streams(inputs, args.out, meta={"seed": seed})
     print(f"wrote {args.out}: visual {inputs.visual.shape}, spatial {inputs.spatial.shape}, "
           f"camera {inputs.camera.shape}, register {inputs.register.shape}")
     return EXIT_OK
@@ -135,8 +136,8 @@ def _cmd_gradcheck(args) -> int:
         raise ValueError(f"--tolerance must be a finite number >= 0, got {tolerance}")
 
     if not args.directional:
-        checked = [shape for name, shape in stream_shapes(config).items() if name != "register"]
-        entries = param_count(config) + sum(map(math.prod, checked))
+        shapes = stream_shapes(config)
+        entries = param_count(config) + sum(math.prod(shapes[n]) for n in REQUIRED_STREAMS)
         if entries > GRADCHECK_ENTRY_BUDGET:
             print(f"error: config has {entries} checkable entries, over the "
                   f"{GRADCHECK_ENTRY_BUDGET} finite-difference budget; "
@@ -218,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write a seeded synthetic token-stream file")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--distribution", choices=("gaussian", "unit_sphere"), default="gaussian")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
 

@@ -43,7 +43,7 @@ nothing.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -69,9 +69,8 @@ __all__ = [
     "FusionConfig",
     "FusionWeights",
     "FusionInputs",
-    "LAYER_NORM_GROUPS",
+    "REQUIRED_STREAMS",
     "init_weights",
-    "layer_norm_epsilons",
     "param_shapes",
     "stream_shapes",
     "param_count",
@@ -182,6 +181,10 @@ class FusionInputs:
     register: TokenTensor | None = None
 
 
+# the streams every FusionInputs carries: its fields without a default
+REQUIRED_STREAMS = tuple(f.name for f in fields(FusionInputs) if f.default is MISSING)
+
+
 # ---------------------------------------------------------------------------
 # parameter table
 # ---------------------------------------------------------------------------
@@ -209,8 +212,6 @@ _PARAM_GROUPS = (
     ("p_g1", _LINEAR, lambda c: (c.d_attn, c.d_visual)),
     ("p_g2", _LINEAR, lambda c: (c.d_attn, c.d_visual)),
 )
-
-LAYER_NORM_GROUPS = tuple(name for name, kind, _ in _PARAM_GROUPS if kind == _LAYER_NORM)
 
 
 def _group(weights: FusionWeights, name: str):
@@ -254,24 +255,15 @@ def iter_params(weights: FusionWeights):
             yield f"{name}.{suffix}", getattr(node, suffix)
 
 
-def layer_norm_epsilons(weights: FusionWeights) -> dict[str, float]:
-    """Group name -> epsilon of every layer norm, in canonical order."""
-    return {name: _group(weights, name).epsilon for name in LAYER_NORM_GROUPS}
-
-
-def weights_from_arrays(arrays, epsilons=None) -> FusionWeights:
+def weights_from_arrays(arrays) -> FusionWeights:
     """Assemble FusionWeights from a name -> array mapping (see iter_params)."""
-    eps = dict(epsilons or {})
-    fields: dict[str, object] = {}
+    groups: dict[str, object] = {}
     for name, kind, _ in _PARAM_GROUPS:
-        if kind == _LINEAR:
-            node = LinearMap(arrays[f"{name}.weight"], arrays[f"{name}.bias"])
-        else:
-            node = LayerNormParams(arrays[f"{name}.gain"], arrays[f"{name}.shift"],
-                                   eps.get(name, 1e-6))
+        node = (LinearMap if kind == _LINEAR else LayerNormParams)(
+            *(arrays[f"{name}.{suffix}"] for suffix in kind))
         field, _, index = name.partition(".")
-        fields[field] = fields.get(field, ()) + (node,) if index else node
-    return FusionWeights(**fields)
+        groups[field] = groups.get(field, ()) + (node,) if index else node
+    return FusionWeights(**groups)
 
 
 def init_weights(config: FusionConfig, seed: int) -> FusionWeights:
@@ -575,7 +567,11 @@ def fuse(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
     When a `timings` dict is passed, per-stage wall times (seconds) are
     recorded into it.
     """
-    return TokenTensor(_forward(inputs, weights, config, timings))
+    out = _forward(inputs, weights, config, timings)
+    try:
+        return TokenTensor(out)
+    except ValueError as exc:
+        raise ValueError(f"fused output: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -665,4 +661,4 @@ def fuse_backward(inputs: FusionInputs, weights: FusionWeights, config: FusionCo
         spatial=TokenTensor(g_xs),
         camera=TokenTensor(g_xc),
     )
-    return input_grads, weights_from_arrays(grads, layer_norm_epsilons(w))
+    return input_grads, weights_from_arrays(grads)

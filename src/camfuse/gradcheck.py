@@ -19,21 +19,19 @@ from dataclasses import replace
 import numpy as np
 
 from .fusion import (
+    REQUIRED_STREAMS,
     FusionConfig,
     FusionInputs,
     FusionWeights,
     fuse,
     fuse_backward,
     iter_params,
-    layer_norm_epsilons,
     weights_from_arrays,
 )
 from .tensor import TokenTensor
 
 __all__ = ["finite_difference_grad", "max_relative_error", "check_fuse_gradients",
            "check_directional"]
-
-_STREAMS = ("visual", "spatial", "camera")
 
 STEP = 1e-5              # central-difference step of the entrywise check
 DIRECTIONAL_STEP = 1e-6  # step along the unnormalised N(0, 1) direction
@@ -58,6 +56,13 @@ def finite_difference_grad(loss, array: np.ndarray) -> np.ndarray:
         flat[i] = orig
         gflat[i] = (fp - fm) / (2.0 * STEP)
     return grad
+
+
+def _named(inputs: FusionInputs, weights: FusionWeights) -> dict[str, np.ndarray]:
+    """Name -> array: "input.<stream>" per required stream, then each parameter."""
+    named = {f"input.{name}": getattr(inputs, name).data for name in REQUIRED_STREAMS}
+    named.update(iter_params(weights))
+    return named
 
 
 def max_relative_error(analytic, numeric) -> float:
@@ -86,19 +91,10 @@ def check_fuse_gradients(inputs: FusionInputs, weights: FusionWeights, config: F
     def loss():
         return float(np.sum(cot.data * fuse(inputs, weights, config).data))
 
-    groups: list[tuple[str, np.ndarray, np.ndarray]] = [
-        (f"input.{name}", getattr(inputs, name).data, getattr(input_grads, name).data)
-        for name in _STREAMS
-    ]
-    analytic_by_name = dict(iter_params(weight_grads))
-    for name, array in iter_params(weights):
-        groups.append((name, array, analytic_by_name[name]))
-
-    results: dict[str, float] = {}
-    for name, array, analytic in groups:
-        numeric = finite_difference_grad(loss, array)
-        results[name] = max_relative_error(analytic + corruption, numeric)
-    return results
+    analytic = _named(input_grads, weight_grads)
+    return {name: max_relative_error(analytic[name] + corruption,
+                                     finite_difference_grad(loss, array))
+            for name, array in _named(inputs, weights).items()}
 
 
 def check_directional(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
@@ -118,18 +114,16 @@ def check_directional(inputs: FusionInputs, weights: FusionWeights, config: Fusi
     cot = TokenTensor(rng.standard_normal(inputs.visual.shape))
     input_grads, weight_grads = fuse_backward(inputs, weights, config, cot)
 
-    point = {f"input.{name}": getattr(inputs, name).data for name in _STREAMS}
-    point.update(iter_params(weights))
-    grads = {f"input.{name}": getattr(input_grads, name).data for name in _STREAMS}
-    grads.update(iter_params(weight_grads))
+    point = _named(inputs, weights)
+    grads = _named(input_grads, weight_grads)
     direction = {name: rng.standard_normal(array.shape) for name, array in point.items()}
 
     def loss(sign: float) -> float:
         moved = {name: array + sign * DIRECTIONAL_STEP * direction[name]
                  for name, array in point.items()}
         moved_inputs = replace(inputs, **{name: TokenTensor(moved[f"input.{name}"])
-                                          for name in _STREAMS})
-        moved_weights = weights_from_arrays(moved, layer_norm_epsilons(weights))
+                                          for name in REQUIRED_STREAMS})
+        moved_weights = weights_from_arrays(moved)
         return float(np.sum(cot.data * fuse(moved_inputs, moved_weights, config).data))
 
     numeric = (loss(1.0) - loss(-1.0)) / (2.0 * DIRECTIONAL_STEP)

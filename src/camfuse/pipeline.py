@@ -113,22 +113,13 @@ def preprocess_geometry(src_h: int, src_w: int) -> tuple[ResizePlacement, Padded
     return visual, spatial
 
 
-def synth_tokens(config: FusionConfig, seed: int,
-                 distribution: str = "gaussian") -> FusionInputs:
-    """Seeded synthetic token streams, shaped by `stream_shapes(config)`.
+def synth_tokens(config: FusionConfig, seed: int) -> FusionInputs:
+    """Seeded synthetic token streams of standard normal entries, shaped by
+    `stream_shapes(config)`.
 
-    `distribution` is "gaussian" (standard normal entries) or "unit_sphere"
-    (each token row normalized to unit length). The register stream (four
-    auxiliary tokens per frame) is always generated so the discard path in
-    fusion is exercised.
+    The register stream (four auxiliary tokens per frame) is always generated
+    so the discard path in fusion is exercised.
     """
-    if distribution not in ("gaussian", "unit_sphere"):
-        raise ValueError(f"unknown distribution {distribution!r}")
     rng = np.random.default_rng(seed)
-    streams = {}
-    for name, shape in stream_shapes(config).items():
-        data = rng.standard_normal(shape)
-        if distribution == "unit_sphere":
-            data = data / np.linalg.norm(data, axis=-1, keepdims=True)
-        streams[name] = TokenTensor(data)
-    return FusionInputs(**streams)
+    return FusionInputs(**{name: TokenTensor(rng.standard_normal(shape))
+                           for name, shape in stream_shapes(config).items()})

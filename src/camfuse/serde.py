@@ -27,7 +27,7 @@ import stat
 import uuid
 from collections import OrderedDict
 from contextlib import suppress
-from dataclasses import MISSING, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -37,14 +37,13 @@ from .fusion import (
     FusionInputs,
     FusionToggles,
     FusionWeights,
-    LAYER_NORM_GROUPS,
+    REQUIRED_STREAMS,
     iter_params,
-    layer_norm_epsilons,
     param_shapes,
     stream_shapes,
     weights_from_arrays,
 )
-from .tensor import TokenTensor
+from .tensor import LN_EPSILON, TokenTensor
 
 __all__ = [
     "ContainerError",
@@ -240,34 +239,17 @@ def load_container(path):
 
 def save_weights(weights: FusionWeights, path) -> None:
     """Persist a canonical weight set (one tensor per parameter array)."""
-    tensors = OrderedDict(iter_params(weights))
-    meta = {"kind": "fusion-weights", "epsilons": layer_norm_epsilons(weights)}
-    save_container(path, tensors, meta)
-
-
-def _check_epsilons(path, epsilons) -> dict:
-    """meta.epsilons: layer-norm group -> finite number > 0 (a bool is not one)."""
-    if not isinstance(epsilons, dict):
-        raise ContainerError(f"{path}: meta key 'epsilons' must be a JSON object")
-    for name, value in epsilons.items():
-        try:
-            valid = (name in LAYER_NORM_GROUPS and not isinstance(value, bool)
-                     and isinstance(value, (int, float)) and math.isfinite(value) and value > 0)
-        except OverflowError:  # an integer beyond the float range
-            valid = False
-        if not valid:
-            raise ContainerError(f"{path}: meta key 'epsilons.{name}' must be a finite number "
-                                 f"> 0 for one of {list(LAYER_NORM_GROUPS)}, got {value!r}")
-    return epsilons
+    save_container(path, OrderedDict(iter_params(weights)), {"kind": "fusion-weights"})
 
 
 def load_weights(path, expected: FusionConfig) -> FusionWeights:
     """Load weights and validate every tensor's name, shape and values.
 
     Unknown, missing, misshapen and non-finite tensors are rejected. float32
-    payloads are widened exactly to float64 by the parameter types. An
-    optional meta "epsilons" object maps layer-norm groups to their epsilon;
-    a group it leaves out gets the default.
+    payloads are widened exactly to float64 by the parameter types. Every
+    layer norm uses `LN_EPSILON`; an older file's meta "epsilons" object must
+    map layer-norm names to floats equal to it, so a file that set another
+    epsilon is refused, not run with this one.
     """
     tensors, meta = load_container(path)
     shapes = param_shapes(expected)
@@ -285,15 +267,19 @@ def load_weights(path, expected: FusionConfig) -> FusionWeights:
             )
         if not np.isfinite(arr).all():
             raise ContainerError(f"{path}: tensor {name!r} contains non-finite entries")
-    return weights_from_arrays(tensors, epsilons=_check_epsilons(path, meta.get("epsilons", {})))
+    epsilons = meta.get("epsilons", {})
+    if not isinstance(epsilons, dict):
+        raise ContainerError(f"{path}: meta key 'epsilons' must be a JSON object")
+    for name, value in epsilons.items():
+        if not (f"{name}.gain" in shapes and type(value) is float and value == LN_EPSILON):
+            raise ContainerError(f"{path}: meta key 'epsilons.{name}' must name a layer norm "
+                                 f"and be {LN_EPSILON!r}, the one epsilon, got {value!r}")
+    return weights_from_arrays(tensors)
 
 
 # ---------------------------------------------------------------------------
 # token streams
 # ---------------------------------------------------------------------------
-
-_REQUIRED_STREAMS = tuple(f.name for f in fields(FusionInputs) if f.default is MISSING)
-
 
 def save_token_streams(inputs: FusionInputs, path, meta=None) -> None:
     tensors = OrderedDict((name, stream.data) for name, stream in vars(inputs).items()
@@ -308,7 +294,7 @@ def load_token_streams(path, config: FusionConfig) -> tuple[FusionInputs, dict]:
     stream (against `stream_shapes(config)`) raises ContainerError naming it."""
     tensors, meta = load_container(path)
     shapes = stream_shapes(config)
-    missing = [n for n in _REQUIRED_STREAMS if n not in tensors]
+    missing = [n for n in REQUIRED_STREAMS if n not in tensors]
     if missing:
         raise ContainerError(f"{path}: missing stream(s) {missing}")
     unknown = [n for n in tensors if n not in shapes]

@@ -10,7 +10,8 @@ the shift and row sum come out of the QK^T and PV products, not out of
 `softmax_rows`, which no package code calls.
 
 float64 is the only working precision, so finite-difference gradient checks
-are meaningful. `TokenTensor`, `LinearMap` and `LayerNormParams` widen what
+are meaningful. Every layer norm adds the one constant `LN_EPSILON` to its
+row variance. `TokenTensor`, `LinearMap` and `LayerNormParams` widen what
 they are given to contiguous float64 at construction (float32 exactly, without
 a copy when the input already is contiguous float64); the kernels assume it.
 """
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "LN_EPSILON",
     "DimensionError",
     "TokenTensor",
     "LinearMap",
@@ -35,6 +37,9 @@ __all__ = [
     "layer_norm_vjp",
     "swish_vjp",
 ]
+
+
+LN_EPSILON = 1e-6  # added to every layer norm's row variance
 
 
 class DimensionError(ValueError):
@@ -92,19 +97,17 @@ class LinearMap:
 
 @dataclass(frozen=True)
 class LayerNormParams:
-    """Per-row normalization over the width axis, followed by gain/shift."""
+    """Per-row normalization over the width axis (variance plus `LN_EPSILON`),
+    followed by gain/shift."""
 
     gain: np.ndarray
     shift: np.ndarray
-    epsilon: float = 1e-6
 
     def __post_init__(self):
         g = _as_float_array(self.gain, "layer-norm gain", ndim=1)
         s = _as_float_array(self.shift, "layer-norm shift", ndim=1)
         if g.shape != s.shape:
             raise DimensionError(f"gain shape {g.shape} != shift shape {s.shape}")
-        if not self.epsilon > 0:
-            raise ValueError(f"layer-norm epsilon must be positive, got {self.epsilon}")
         object.__setattr__(self, "gain", g)
         object.__setattr__(self, "shift", s)
 
@@ -122,7 +125,7 @@ def layer_norm(x: np.ndarray, p: LayerNormParams) -> np.ndarray:
     """Normalize each row to zero mean / unit variance, then gain and shift."""
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)  # biased, standard LN convention
-    xhat = (x - mu) / np.sqrt(var + p.epsilon)
+    xhat = (x - mu) / np.sqrt(var + LN_EPSILON)
     return p.gain * xhat + p.shift
 
 
@@ -176,7 +179,7 @@ def layer_norm_vjp(x: np.ndarray, p: LayerNormParams, gy: np.ndarray):
     """Returns (grad_x, grad_gain, grad_shift)."""
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + p.epsilon)
+    inv = 1.0 / np.sqrt(var + LN_EPSILON)
     xhat = (x - mu) * inv
     batch_axes = tuple(range(x.ndim - 1))
     ggain = (gy * xhat).sum(axis=batch_axes)

@@ -20,5 +20,6 @@ def zero_tokens(frames: int, tokens: int, width: int) -> TokenTensor:
     return TokenTensor(np.zeros((frames, tokens, width)))
 
 
-def identity_layer_norm(width: int, epsilon: float = 1e-6) -> LayerNormParams:
-    return LayerNormParams(np.ones(width), np.zeros(width), epsilon)
+def identity_layer_norm(width: int) -> LayerNormParams:
+    """Gain one, shift zero: the layer norm alone, at `LN_EPSILON`."""
+    return LayerNormParams(np.ones(width), np.zeros(width))

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from camfuse.tensor import LN_EPSILON
+
 
 def ref_affine(x, weight, bias):
     """Triple-loop x @ weight + bias over the last axis of a 2-D or 3-D array."""
@@ -30,7 +32,7 @@ def ref_affine(x, weight, bias):
     return out
 
 
-def ref_layer_norm(x, gain, shift, eps):
+def ref_layer_norm(x, gain, shift):
     x = np.asarray(x)
     lead = x.shape[:-1]
     width = x.shape[-1]
@@ -39,7 +41,7 @@ def ref_layer_norm(x, gain, shift, eps):
         row = [float(v) for v in x[idx]]
         mu = sum(row) / width
         var = sum((v - mu) ** 2 for v in row) / width
-        denom = math.sqrt(var + eps)
+        denom = math.sqrt(var + LN_EPSILON)
         for i in range(width):
             out[idx][i] = float(gain[i]) * (row[i] - mu) / denom + float(shift[i])
     return out
@@ -167,9 +169,8 @@ def ref_fuse(inputs, weights, config):
     da = config.d_attn
 
     w = weights
-    q = ref_affine(ref_layer_norm(xv, w.ln_v.gain, w.ln_v.shift, w.ln_v.epsilon),
-                   w.p_q.weight, w.p_q.bias)
-    lns = ref_layer_norm(xs, w.ln_s.gain, w.ln_s.shift, w.ln_s.epsilon)
+    q = ref_affine(ref_layer_norm(xv, w.ln_v.gain, w.ln_v.shift), w.p_q.weight, w.p_q.bias)
+    lns = ref_layer_norm(xs, w.ln_s.gain, w.ln_s.shift)
     k = ref_affine(lns, w.p_k.weight, w.p_k.bias)
     v = ref_affine(lns, w.p_v.weight, w.p_v.bias)
     c = ref_affine(xc, w.p_c.weight, w.p_c.bias)
@@ -212,8 +213,7 @@ def ref_fuse(inputs, weights, config):
         kmem, vmem = k, v
 
     fhat = ref_attention(q, kmem, vmem, config.n_heads)
-    proj = ref_layer_norm(ref_affine(fhat, w.p_o.weight, w.p_o.bias),
-                          w.ln_o.gain, w.ln_o.shift, w.ln_o.epsilon)
+    proj = ref_layer_norm(ref_affine(fhat, w.p_o.weight, w.p_o.bias), w.ln_o.gain, w.ln_o.shift)
     mapped = ref_affine(proj, w.p_l.weight, w.p_l.bias)
 
     out = np.zeros((n, mv, dv))

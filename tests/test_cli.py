@@ -106,7 +106,9 @@ class TestFuse:
         code = main(["fuse", "--config", config_path, "--in", str(stream),
                      "--weights", str(weights_path), "--out", str(tmp_path / "o.cft")])
         assert code == EXIT_INVALID
-        assert "epsilons.ln_v" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(weights_path) in err
+        assert "epsilons.ln_v" in err
 
     def test_source_flags_are_exclusive(self, config_path, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -132,6 +134,20 @@ class TestFuse:
         assert code == EXIT_INVALID
         err = capsys.readouterr().err
         assert str(weights_path) in err and "tw_mlp.1.weight" in err
+        assert not out.exists()
+
+    def test_overflowing_output_names_the_fused_output(self, tmp_path, config_path, capsys):
+        stream = tmp_path / "stream.cft"
+        main(["gen", "--config", config_path, "--out", str(stream)])
+        tensors, meta = load_container(stream)
+        tensors["camera"][0, 0, 0] = 1e160  # finite, but the gate overflows
+        save_container(stream, tensors, meta)
+        out = tmp_path / "o.cft"
+        with np.errstate(all="ignore"):
+            code = main(["fuse", "--config", config_path, "--in", str(stream),
+                         "--out", str(out)])
+        assert code == EXIT_INVALID
+        assert "fused output" in capsys.readouterr().err
         assert not out.exists()
 
     def test_shape_mismatch_is_invalid_exit(self, tmp_path, config_path, capsys):

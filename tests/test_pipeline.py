@@ -117,13 +117,3 @@ class TestSynthTokens:
         assert x.spatial.shape == (3, 5, 7)
         assert x.camera.shape == (3, 1, 7)
         assert x.register.shape == (3, 4, 7)
-
-    def test_unit_sphere_rows(self):
-        x = synth_tokens(CONFIG, 7, distribution="unit_sphere")
-        for stream in (x.visual, x.spatial, x.camera, x.register):
-            norms = np.linalg.norm(stream.data, axis=-1)
-            npt.assert_allclose(norms, np.ones_like(norms), atol=1e-9)
-
-    def test_unknown_distribution(self):
-        with pytest.raises(ValueError):
-            synth_tokens(CONFIG, 0, distribution="cauchy")

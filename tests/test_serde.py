@@ -57,7 +57,6 @@ class TestWeightsRoundTrip:
         loaded = load_weights(path, CONFIG)
         for (name, orig), (_, back) in zip(iter_params(weights), iter_params(loaded)):
             assert orig.tobytes() == back.tobytes(), name
-        assert loaded.ln_v.epsilon == weights.ln_v.epsilon
 
     def test_tensor_names_are_the_canonical_schema(self, tmp_path):
         path = tmp_path / "weights.cft"
@@ -123,6 +122,8 @@ class TestWeightsRoundTrip:
             assert arr.dtype == np.float64
             npt.assert_array_equal(arr, arrays[name].astype(np.float64), err_msg=name)
 
+    # every layer norm runs at LN_EPSILON, so a file that names any other
+    # epsilon (or names it for something that is not a layer norm) is refused
     @pytest.mark.parametrize("epsilons,key", [
         ({"ln_v": "x"}, "epsilons.ln_v"),
         ([1, 2], "epsilons"),
@@ -135,6 +136,8 @@ class TestWeightsRoundTrip:
         ({"ln_o": 10 ** 400}, "epsilons.ln_o"),
         ({"ln_o": {"value": 1e-6}}, "epsilons.ln_o"),
         ({"p_q": 1e-6}, "epsilons.p_q"),
+        ({"ln_s": 1e-3}, "epsilons.ln_s"),
+        ({"ln_o": 2}, "epsilons.ln_o"),
     ])
     def test_malformed_epsilons_rejected(self, tmp_path, epsilons, key):
         path = tmp_path / "weights.cft"
@@ -145,17 +148,20 @@ class TestWeightsRoundTrip:
         assert str(path) in str(err.value)
         assert f"'{key}'" in str(err.value)
 
-    def test_partial_epsilons_default_the_rest(self, tmp_path):
+    def test_file_with_the_one_epsilon_loads_bit_identically(self, tmp_path):
+        # the meta that weight files carried when each layer norm had its own epsilon
         path = tmp_path / "weights.cft"
-        save_container(path, dict(iter_params(init_weights(CONFIG, 8))),
-                       {"epsilons": {"ln_s": 1e-3, "ln_o": 2}})
+        weights = init_weights(CONFIG, 8)
+        save_container(path, dict(iter_params(weights)),
+                       {"kind": "fusion-weights",
+                        "epsilons": {"ln_v": 1e-06, "ln_s": 1e-06, "ln_o": 1e-06}})
         loaded = load_weights(path, CONFIG)
-        assert (loaded.ln_v.epsilon, loaded.ln_s.epsilon, loaded.ln_o.epsilon) == (1e-6, 1e-3, 2)
+        for (name, orig), (_, back) in zip(iter_params(weights), iter_params(loaded)):
+            assert orig.tobytes() == back.tobytes(), name
 
     def test_loaded_weights_resave_byte_for_byte(self, tmp_path):
         first, second = tmp_path / "a.cft", tmp_path / "b.cft"
         weights = init_weights(CONFIG, 9)
-        weights = replace(weights, ln_s=replace(weights.ln_s, epsilon=1e-5))
         save_weights(weights, first)
         save_weights(load_weights(first, CONFIG), second)
         assert first.read_bytes() == second.read_bytes()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from camfuse.tensor import (
+    LN_EPSILON,
     DimensionError,
     LayerNormParams,
     LinearMap,
@@ -106,9 +107,9 @@ class TestLayerNorm:
         npt.assert_array_equal(layer_norm(x, p), np.zeros((2, 3, 4)))
 
     def test_already_normalized_row(self):
-        p = identity_layer_norm(2, epsilon=1e-15)
         x = np.array([[[1.0, -1.0]]])
-        npt.assert_allclose(layer_norm(x, p), x, atol=1e-9)
+        npt.assert_allclose(layer_norm(x, identity_layer_norm(2)), x / math.sqrt(1 + LN_EPSILON),
+                            rtol=1e-15, atol=0)
 
     def test_random_row_statistics(self):
         rng = np.random.default_rng(3)
