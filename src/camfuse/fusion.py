@@ -17,8 +17,14 @@ parameter and input stream; `camfuse.gradcheck` holds the independent
 finite-difference harness that validates them.
 
 Attention walks each frame's queries in row tiles sized so that one tile's
-[heads, rows, memory] score block stays about 2 MiB, and memory is bounded by
-one tile in both passes. Per frame the keys and values (with the camera slot
+[heads, rows, memory] score block stays about 2 MiB. Frames run on a thread
+pool, one thread per usable core, each with its own tile-sized workspace, so
+memory is bounded by one tile per worker in both passes. Each frame writes
+only its own output slices and its arithmetic does not depend on the thread
+that runs it, so results are the same bit for bit at every worker count.
+When a frame fits in one tile the frames run in order on the calling thread.
+No function that bench/spans.py traces runs on a worker thread: its span
+stack is global. Per frame the keys and values (with the camera slot
 written in as slot 0) are laid out once as augmented buffers with a row of
 ones, so a tile makes three passes over its score block: the QK^T GEMM, an
 in-place `exp` and the PV GEMM. The softmax shift rides in the first GEMM:
@@ -42,7 +48,10 @@ nothing.
 
 from __future__ import annotations
 
+import contextvars
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -362,16 +371,47 @@ def _merge_heads(xh: np.ndarray) -> np.ndarray:
     return xh.transpose(1, 0, 2).reshape(xh.shape[1], -1)
 
 
-def _memory_t(x: np.ndarray, slot: np.ndarray, n_heads: int) -> np.ndarray:
-    """One frame's memory [mk, d_attn] as [h, head_dim + 1, slots], with a last
-    row of ones; the rows of `slot` ([0 or 1, d_attn]) lead the memory."""
+def _memory_t(x: np.ndarray, slot: np.ndarray, n_heads: int, mt: np.ndarray) -> None:
+    """Write one frame's memory [mk, d_attn] into `mt` as [h, head_dim + 1,
+    slots], with a last row of ones; the rows of `slot` ([0 or 1, d_attn])
+    lead the memory."""
     lead = slot.shape[0]
     dh = x.shape[1] // n_heads
-    mt = np.empty((n_heads, dh + 1, lead + x.shape[0]))
     mt[:, :dh, :lead] = _heads(slot, n_heads).transpose(0, 2, 1)
     mt[:, :dh, lead:] = _heads(x, n_heads).transpose(0, 2, 1)
     mt[:, dh] = 1.0
-    return mt
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on; where affinity is unknown, every core."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _over_frames(n: int, mq: int, rows: int, frame, shapes) -> None:
+    """Call ``frame(i, *buffers)`` for every frame i, on one thread per usable core.
+
+    Worker w takes frames w, w + W, ... and owns one float64 buffer per entry
+    of `shapes`. The calling thread allocates them all before dispatch, since
+    a worker thread's frees stay in its own malloc arena. W is capped at the
+    frame count, and is 1 when a frame fits in one tile; then the frames run
+    here, in order, with no pool. Each worker runs in a copy of the caller's
+    context, so the caller's `np.errstate` holds there too.
+    """
+    count = 1 if mq <= rows else min(_usable_cores(), n)
+    workspaces = [[np.empty(shape) for shape in shapes] for _ in range(count)]
+
+    def stride(w):
+        for i in range(w, n, count):
+            frame(i, *workspaces[w])
+
+    if count == 1:
+        stride(0)
+        return
+    contexts = [contextvars.copy_context() for _ in range(count)]
+    with ThreadPoolExecutor(count) as pool:
+        list(pool.map(lambda w: contexts[w].run(stride, w), range(count)))
 
 
 def _exact_shift_rows(qa, kt, vt, o, shift, bad):
@@ -405,33 +445,45 @@ def _attention_raw(q: np.ndarray, k: np.ndarray, v: np.ndarray, slot: np.ndarray
     pass gives the exact softmax. When given, `lse` ([n, h, mq]) receives
     each row's log-sum-exp of the scaled scores, from which the backward pass
     recomputes the probabilities.
+
+    Frames run on worker threads (`_over_frames`), each writing only its own
+    slices of the output and `lse`. No traced function may be called from
+    a frame: bench/spans.py keeps one global span stack. The result is the
+    same, bit for bit, at every worker count.
     """
     n, mq, da = q.shape
     dh = da // n_heads
+    mk = k.shape[1] + slot.shape[1]
     scale = 1.0 / np.sqrt(dh)
+    rows = _tile_rows(n_heads, mk)
     out = np.empty_like(q)
-    qa = np.empty((n_heads, mq, dh + 1))
-    qh = qa[..., :dh]
-    for i in range(n):
-        kt = _memory_t(k[i], slot[i], n_heads)
-        vt = _memory_t(v[i], slot[i], n_heads)
-        np.multiply(_heads(q[i], n_heads), scale, out=qh)
+
+    def frame(i, kt, vt, qa, e):
+        _memory_t(k[i], slot[i], n_heads, kt)
+        _memory_t(v[i], slot[i], n_heads, vt)
         k_norm = np.sqrt(np.einsum("hdk,hdk->hk", kt[:, :dh], kt[:, :dh]).max(axis=1))
-        shift = np.sqrt(np.einsum("hqd,hqd->hq", qh, qh)) * k_norm[:, None]
-        np.negative(shift, out=qa[..., dh])
-        rows = _tile_rows(n_heads, kt.shape[2])
         for lo in range(0, mq, rows):
             hi = min(lo + rows, mq)
-            e = qa[:, lo:hi] @ kt
-            np.exp(e, out=e)
-            o = e @ vt.transpose(0, 2, 1)  # [h, rows, dh + 1]; the last column is z
+            qt, et = qa[:, :hi - lo], e[:, :hi - lo]
+            qh = qt[..., :dh]
+            np.multiply(_heads(q[i, lo:hi], n_heads), scale, out=qh)
+            shift = np.sqrt(np.einsum("hqd,hqd->hq", qh, qh)) * k_norm[:, None]
+            # assigned, not np.negative(..., out=): numpy 2.4 misreads a size-1 row axis
+            qt[..., dh] = -shift
+            np.matmul(qt, kt, out=et)
+            np.exp(et, out=et)
+            o = et @ vt.transpose(0, 2, 1)  # [h, rows, dh + 1]; the last column is z
             z = o[..., dh]
             bad = ~((z >= _Z_MIN) & (z < np.inf))
             if bad.any():
-                _exact_shift_rows(qa[:, lo:hi], kt, vt, o, shift[:, lo:hi], bad)
+                _exact_shift_rows(qt, kt, vt, o, shift, bad)
             out[i, lo:hi] = _merge_heads(o[..., :dh] / o[..., dh:])
             if lse is not None:
-                lse[i, :, lo:hi] = shift[:, lo:hi] + np.log(z)
+                lse[i, :, lo:hi] = shift + np.log(z)
+
+    memory, tile = (n_heads, dh + 1, mk), min(rows, mq)
+    _over_frames(n, mq, rows, frame,
+                 [memory, memory, (n_heads, tile, dh + 1), (n_heads, tile, mk)])
     return out
 
 
@@ -444,40 +496,44 @@ def _attention_vjp_raw(q, k, v, slot, out, lse, n_heads, g_out):
     K^T and V^T. Per query tile the scaled queries carry a last entry -lse,
     so one GEMM and an in-place `exp` recompute the probabilities p; with
     D = rowsum(g_out * out) the cotangent rows carry -D, so one more GEMM
-    gives g_out v^T - D, and the score cotangent is p times that.
+    gives g_out v^T - D, and the score cotangent is p times that. Each tile
+    adds its share of gk and gv in place, into per-head views of the frame's
+    zeroed rows. Frames run on worker threads, as in the forward.
     """
     n, mq, da = q.shape
     dh = da // n_heads
     scale = 1.0 / np.sqrt(dh)
     mk = k.shape[1] + slot.shape[1]
+    rows = _tile_rows(n_heads, mk)
     gq = np.empty_like(q)
-    gk = np.empty((n, mk, da))
-    gv = np.empty((n, mk, da))
-    qa = np.empty((n_heads, mq, dh + 1))
-    ga = np.empty((n_heads, mq, dh + 1))
-    qh, goh = qa[..., :dh], ga[..., :dh]
-    for i in range(n):
-        kt = _memory_t(k[i], slot[i], n_heads)
-        vt = _memory_t(v[i], slot[i], n_heads)
+    gk = np.zeros((n, mk, da))
+    gv = np.zeros((n, mk, da))
+
+    def frame(i, kt, vt, qa, ga, p, g_s):
+        _memory_t(k[i], slot[i], n_heads, kt)
+        _memory_t(v[i], slot[i], n_heads, vt)
         kh = kt[:, :dh].transpose(0, 2, 1)
-        np.multiply(_heads(q[i], n_heads), scale, out=qh)
-        np.negative(lse[i], out=qa[..., dh])
-        goh[...] = _heads(g_out[i], n_heads)
-        ga[..., dh] = -(goh * _heads(out[i], n_heads)).sum(axis=-1)
-        g_kh = np.zeros((n_heads, mk, dh))
-        g_vh = np.zeros((n_heads, mk, dh))
-        rows = _tile_rows(n_heads, mk)
+        gk_h, gv_h = _heads(gk[i], n_heads), _heads(gv[i], n_heads)
         for lo in range(0, mq, rows):
             hi = min(lo + rows, mq)
-            p = qa[:, lo:hi] @ kt
-            np.exp(p, out=p)
-            g_vh += p.transpose(0, 2, 1) @ goh[:, lo:hi]
-            g_s = ga[:, lo:hi] @ vt
-            g_s *= p
-            gq[i, lo:hi] = _merge_heads(g_s @ kh) * scale
-            g_kh += g_s.transpose(0, 2, 1) @ qh[:, lo:hi]
-        gk[i] = _merge_heads(g_kh)
-        gv[i] = _merge_heads(g_vh)
+            qt, gt, pt, st = (buffer[:, :hi - lo] for buffer in (qa, ga, p, g_s))
+            qh, goh = qt[..., :dh], gt[..., :dh]
+            np.multiply(_heads(q[i, lo:hi], n_heads), scale, out=qh)
+            qt[..., dh] = -lse[i, :, lo:hi]
+            goh[...] = _heads(g_out[i, lo:hi], n_heads)
+            gt[..., dh] = -(goh * _heads(out[i, lo:hi], n_heads)).sum(axis=-1)
+            np.matmul(qt, kt, out=pt)
+            np.exp(pt, out=pt)
+            gv_h += pt.transpose(0, 2, 1) @ goh
+            np.matmul(gt, vt, out=st)
+            st *= pt
+            gq[i, lo:hi] = _merge_heads(st @ kh) * scale
+            gk_h += st.transpose(0, 2, 1) @ qh
+
+    memory, tile = (n_heads, dh + 1, mk), min(rows, mq)
+    _over_frames(n, mq, rows, frame, [memory, memory, (n_heads, tile, dh + 1),
+                                      (n_heads, tile, dh + 1), (n_heads, tile, mk),
+                                      (n_heads, tile, mk)])
     return gq, gk, gv
 
 

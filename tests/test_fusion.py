@@ -1,5 +1,7 @@
 import itertools
+import os
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +20,7 @@ from camfuse.fusion import (
     FusionConfig,
     FusionInputs,
     FusionToggles,
+    REQUIRED_STREAMS,
     attend,
     fuse,
     fuse_backward,
@@ -331,6 +334,17 @@ class TestTiledAttention:
         q, k, v = (rng.standard_normal((n, m, da)) for m in (mq, mk, mk))
         self.check_against_whole_frame(q, k, v, heads)
 
+    def test_one_row_tiles_over_one_slot_write_each_heads_shift(self, monkeypatch):
+        # a Hypothesis counterexample: with one-row tiles the per-tile -shift
+        # and -lse columns have a size-1 row axis, which np.negative(..., out=)
+        # reads at the wrong stride in numpy 2.4.6
+        n, mq, mk, heads, dh = 1, 8, 1, 2, 1
+        monkeypatch.setattr(fusion, "_TILE_BYTES", 8 * heads * mk)
+        assert _tile_rows(heads, mk) == 1
+        rng = np.random.default_rng(36)
+        q, k, v = (rng.standard_normal((n, m, heads * dh)) for m in (mq, mk, mk))
+        self.check_against_whole_frame(q, k, v, heads)
+
     @pytest.mark.parametrize("config", [
         *(replace(TINY, toggles=FusionToggles(*bits))
           for bits in itertools.product([False, True], repeat=4)),
@@ -409,7 +423,9 @@ class TestTiledAttention:
         probs_entries = config.n_frames * config.n_heads * config.m_visual * (config.m_spatial + 1)
         assert max(array.size for array in saved.values()) < probs_entries
 
-    def test_backward_peak_allocation_is_bounded_by_a_tile(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_backward_peak_allocation_is_bounded_by_a_tile(self, workers, monkeypatch):
+        monkeypatch.setattr(fusion, "_usable_cores", lambda: workers)
         # the whole-frame kernel's probability cache here: 4*8*512*800 f64 = 105 MB
         config = FusionConfig(n_frames=4, m_visual=512, m_spatial=799,
                               d_visual=16, d_spatial=16, d_attn=16, n_heads=8)
@@ -426,6 +442,72 @@ class TestTiledAttention:
         finally:
             tracemalloc.stop()
         assert peak < cache_bytes / 4
+
+
+class TestFramePool:
+    """Frames spread over worker threads change no bit of any result."""
+
+    @staticmethod
+    def count_pools(monkeypatch, workers) -> list:
+        """Fix the usable cores at `workers`; returns the list of pool sizes started."""
+        monkeypatch.setattr(fusion, "_usable_cores", lambda: workers)
+        pools: list = []
+
+        class Counted(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(fusion, "ThreadPoolExecutor", Counted)
+        return pools
+
+    @pytest.mark.parametrize("config", [
+        *(replace(TINY, toggles=FusionToggles(*bits))
+          for bits in itertools.product([False, True], repeat=4)),
+        replace(TINY, n_frames=5),  # two workers take three frames and two
+        MULTI_TILE,
+    ])
+    def test_every_array_is_byte_identical_at_every_worker_count(self, config, monkeypatch):
+        if config is not MULTI_TILE:  # TINY frames in tiles of 2 and 1 rows, or the pool idles
+            monkeypatch.setattr(fusion, "_TILE_BYTES", 8 * config.n_heads * 5 * 2)
+        inputs = synth_tokens(config, 37)
+        weights = init_weights(config, 38)
+        cot = TokenTensor(np.random.default_rng(39).standard_normal(inputs.visual.shape))
+        results = {}
+        for workers in (1, 2, 3):
+            pools = self.count_pools(monkeypatch, workers)
+            input_grads, weight_grads = fuse_backward(inputs, weights, config, cot)
+            results[workers] = [fuse(inputs, weights, config).data.tobytes(),
+                                *(getattr(input_grads, name).data.tobytes()
+                                  for name in REQUIRED_STREAMS),
+                                *(array.tobytes() for _, array in iter_params(weight_grads))]
+            # two forwards and one backward, each on min(workers, frames) threads
+            assert pools == ([] if workers == 1 else [min(workers, config.n_frames)] * 3)
+        assert results[2] == results[1]
+        assert results[3] == results[1]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_callers_error_state_holds_on_worker_threads(self, workers, monkeypatch):
+        pools = self.count_pools(monkeypatch, workers)
+        monkeypatch.setattr(fusion, "_TILE_BYTES", 8 * 2 * 4 * 2)  # tiles of 2 rows
+        q, k = np.ones((2, 5, 4)), np.ones((2, 4, 4))
+        v = np.full((2, 4, 4), 1e308)  # the PV GEMM's row sums overflow
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            _attention_raw(q, k, v, np.empty((2, 0, 4)), 2)
+        assert pools == ([] if workers == 1 else [2])
+
+    def test_frames_that_fit_one_tile_run_serially(self, monkeypatch):
+        pools = self.count_pools(monkeypatch, 2)
+        config = replace(TINY, n_frames=4)
+        fuse(synth_tokens(config, 40), init_weights(config, 41), config)
+        assert pools == []
+
+    def test_usable_cores_without_affinity_counts_every_core(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert fusion._usable_cores() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert fusion._usable_cores() == 1
 
 
 class TestGateAndFuse:
@@ -637,8 +719,11 @@ class TestFuseBackward:
         corrupted = check_directional(inputs, weights, config, seed=3, corruption=1e-2)
         assert corrupted["error"] > 1e-6
 
-    def test_backward_peak_allocation_is_under_twice_its_residuals(self):
-        # each residual is freed at its last read, not when fuse_backward returns
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_backward_peak_allocation_is_under_twice_its_residuals(self, workers, monkeypatch):
+        # each residual is freed at its last read, not when fuse_backward returns;
+        # each worker adds one tile's buffers
+        monkeypatch.setattr(fusion, "_usable_cores", lambda: workers)
         config = replace(DEMO_CONFIG, n_frames=2)
         inputs = synth_tokens(config, 28)
         weights = init_weights(config, 29)
