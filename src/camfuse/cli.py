@@ -112,7 +112,9 @@ def _cmd_fuse(args) -> int:
 
     timings: dict[str, float] = {}
     start = time.perf_counter()
-    fused = fuse(inputs, weights, config, timings=timings)
+    # a non-finite result is refused by the output's own check, as one error line
+    with np.errstate(all="ignore"):
+        fused = fuse(inputs, weights, config, timings=timings)
     elapsed = time.perf_counter() - start
 
     save_container(args.out, {"fused": fused.data}, meta={"kind": "fused-tokens"})

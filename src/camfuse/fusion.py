@@ -16,17 +16,30 @@ identical inputs. `fuse_backward` returns analytic gradients for every
 parameter and input stream; `camfuse.gradcheck` holds the independent
 finite-difference harness that validates them.
 
+Every forward stage is called on the calling thread and sends its per-frame
+body through one frame pool (`_over_frames`): one thread per usable core,
+the calling thread among them, each frame writing only its own slices of
+outputs and residuals that the calling thread allocated before dispatch. A
+frame's arithmetic does not depend on the thread that runs it, so results
+are the same bit for bit at every worker count. The camera-row GEMMs (`p_c`,
+`p_g1`, `p_g2`) stay batched on the calling thread: a one-row GEMM returns
+different bytes. While a pool runs, OpenBLAS is held to one thread for the
+whole process, so that workers do not start BLAS threads of their own on
+cores that are already busy. One rule, a function of the config, decides for
+the whole pass: when a frame fits in one attention tile, every stage runs
+serially on the calling thread, the token-wise ones in blocks of frames of
+about the tile budget. No function that bench/spans.py traces runs on a pool
+thread, since its span stack is global: the bodies call only `affine`,
+`layer_norm`, `tensor._sigmoid` and `tensor._swish`. The reverse pass pools
+only its attention VJP: summing weight gradients frame by frame would change
+their summation order, and so their bytes.
+
 Attention walks each frame's queries in row tiles sized so that one tile's
-[heads, rows, memory] score block stays about 2 MiB. Frames run on a thread
-pool, one thread per usable core, each with its own tile-sized workspace, so
-memory is bounded by one tile per worker in both passes. Each frame writes
-only its own output slices and its arithmetic does not depend on the thread
-that runs it, so results are the same bit for bit at every worker count.
-When a frame fits in one tile the frames run in order on the calling thread.
-No function that bench/spans.py traces runs on a worker thread: its span
-stack is global. Per frame the keys and values (with the camera slot
-written in as slot 0) are laid out once as augmented buffers with a row of
-ones, so a tile makes three passes over its score block: the QK^T GEMM, an
+[heads, rows, memory] score block stays about 2 MiB. Each worker has its own
+tile-sized workspace, so memory is bounded by one tile per worker in both
+passes. Per frame the keys and values (with the camera slot written in as
+slot 0) are laid out once as augmented buffers with a row of ones, so a
+tile makes three passes over its score block: the QK^T GEMM, an
 in-place `exp` and the PV GEMM. The softmax shift rides in the first GEMM:
 each query row carries -c, where c = |q| max|k| bounds the row's scores by
 Cauchy-Schwarz. The row sum rides in the second, as its last column. Rows
@@ -42,16 +55,21 @@ Streams enter as `TokenTensor`s (finite, rank 3, float64) inside a
 `FusionInputs`, shaped as `stream_shapes(config)` states, and `fuse` /
 `fuse_backward` check them and return `TokenTensor`s. Between those
 boundaries the five stages (`project_qkvc`, `geo_bias`, `token_weights`,
-`attend`, `gate_and_fuse`) take and return plain float64 arrays and validate
-nothing.
+`attend`, `gate_and_fuse`) take plain float64 arrays, return them or (keys
+and values, for the geo bias and token weights) update them in place, and
+validate nothing.
 """
 
 from __future__ import annotations
 
 import contextvars
+import ctypes
+import functools
+import itertools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -61,11 +79,12 @@ from .tensor import (
     LayerNormParams,
     LinearMap,
     TokenTensor,
+    _sigmoid,
+    _swish,
     affine,
     affine_vjp,
     layer_norm,
     layer_norm_vjp,
-    sigmoid,
     softmax_rows,  # noqa: F401 -- unused here; bench/test_bench.py patches it as a fusion attribute
     swish,
     swish_vjp,
@@ -311,40 +330,88 @@ def _keep(saved: dict | None, name: str, value: np.ndarray) -> np.ndarray:
     return value
 
 
-def project_qkvc(inputs: FusionInputs, weights: FusionWeights, *, saved: dict | None = None):
+def _kept(saved: dict | None, **shapes) -> dict:
+    """Allocate the full-size residuals whose frames a stage fills, and record
+    them in `saved`; none without `saved`.
+
+    They are allocated here, on the calling thread, before any frame runs.
+    """
+    if saved is None:
+        return {}
+    arrays = {name: np.empty(shape) for name, shape in shapes.items()}
+    saved.update(arrays)
+    return arrays
+
+
+def _keep_frames(kept: dict, name: str, f: slice, value: np.ndarray) -> np.ndarray:
+    """Write `value` as frames `f` of residual `name` when residuals are kept;
+    returns `value`, so that it can be used inside expressions."""
+    if kept:
+        kept[name][f] = value
+    return value
+
+
+def project_qkvc(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig, *,
+                 saved: dict | None = None):
     """Project the three streams into the shared attention space; returns
     the arrays (q, k, v, c).
 
     Visual and spatial tokens are layer-normalized first; the camera token is
-    projected raw.
+    projected raw, in one GEMM over every frame's camera row.
     """
-    q = affine(_keep(saved, "lnv", layer_norm(inputs.visual.data, weights.ln_v)), weights.p_q)
-    lns = _keep(saved, "lns", layer_norm(inputs.spatial.data, weights.ln_s))
-    k = affine(lns, weights.p_k)
-    v = affine(lns, weights.p_v)
-    c = affine(inputs.camera.data, weights.p_c)
-    return q, k, v, c
+    xv, xs = inputs.visual.data, inputs.spatial.data
+    q = np.empty(xv.shape[:2] + (config.d_attn,))
+    k = np.empty(xs.shape[:2] + (config.d_attn,))
+    v = np.empty_like(k)
+    kept = _kept(saved, lnv=xv.shape, lns=xs.shape)
+
+    def body(f):
+        q[f] = affine(_keep_frames(kept, "lnv", f, layer_norm(xv[f], weights.ln_v)), weights.p_q)
+        lns = _keep_frames(kept, "lns", f, layer_norm(xs[f], weights.ln_s))
+        k[f] = affine(lns, weights.p_k)
+        v[f] = affine(lns, weights.p_v)
+
+    _stage_frames(config, body)
+    return q, k, v, affine(inputs.camera.data, weights.p_c)
 
 
-def _geo_input(xs: np.ndarray, xc: np.ndarray) -> np.ndarray:
-    """Concatenate each spatial token with its frame's camera row along width."""
-    cam = np.broadcast_to(xc, (xs.shape[0], xs.shape[1], xc.shape[2]))
-    return np.concatenate([xs, cam], axis=-1)
+def geo_bias(k: np.ndarray, v: np.ndarray, spatial: np.ndarray, camera: np.ndarray,
+             weights: FusionWeights, config: FusionConfig, *, saved: dict | None = None) -> None:
+    """Add the camera-conditioned bias over spatial tokens to the keys `k`
+    and values `v`, in place.
+
+    The bias is an MLP over each spatial token concatenated, along width,
+    with its frame's camera row.
+    """
+    n, ms, ds = spatial.shape
+    kept = _kept(saved, gin=(n, ms, 2 * ds), gh=k.shape, ga=k.shape)
+
+    def body(f):
+        gin = np.concatenate([spatial[f], np.broadcast_to(camera[f], spatial[f].shape)], axis=-1)
+        gh = _keep_frames(kept, "gh", f, affine(_keep_frames(kept, "gin", f, gin),
+                                                weights.geo_mlp[0]))
+        bias = affine(_keep_frames(kept, "ga", f, _swish(gh)), weights.geo_mlp[1])
+        k[f] += bias
+        v[f] += bias
+
+    _stage_frames(config, body)
 
 
-def geo_bias(spatial: np.ndarray, camera: np.ndarray, weights: FusionWeights, *,
-             saved: dict | None = None) -> np.ndarray:
-    """Camera-conditioned bias over spatial tokens, added to keys and values."""
-    gin = _keep(saved, "gin", _geo_input(spatial, camera))
-    hidden = _keep(saved, "ga", swish(_keep(saved, "gh", affine(gin, weights.geo_mlp[0]))))
-    return affine(hidden, weights.geo_mlp[1])
+def token_weights(v: np.ndarray, spatial: np.ndarray, weights: FusionWeights,
+                  config: FusionConfig, *, saved: dict | None = None) -> np.ndarray:
+    """Query-independent importance in (0,1) for each spatial token; scales
+    the values `v` by it in place and returns it ([frames, tokens, 1])."""
+    tw = _keep(saved, "tw", np.empty(spatial.shape[:2] + (1,)))
+    kept = _kept(saved, th=v.shape, ta=v.shape, v_unweighted=v.shape)
 
+    def body(f):
+        th = _keep_frames(kept, "th", f, affine(spatial[f], weights.tw_mlp[0]))
+        tw[f] = _sigmoid(affine(_keep_frames(kept, "ta", f, _swish(th)), weights.tw_mlp[1]))
+        _keep_frames(kept, "v_unweighted", f, v[f])
+        v[f] *= tw[f]
 
-def token_weights(spatial: np.ndarray, weights: FusionWeights, *,
-                  saved: dict | None = None) -> np.ndarray:
-    """Query-independent importance in (0,1) for each spatial token."""
-    hidden = _keep(saved, "ta", swish(_keep(saved, "th", affine(spatial, weights.tw_mlp[0]))))
-    return _keep(saved, "tw", sigmoid(affine(hidden, weights.tw_mlp[1])))
+    _stage_frames(config, body)
+    return tw
 
 
 # byte budget of one tile's [h, rows, mk] float64 score block, about an L2 cache
@@ -389,17 +456,74 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _over_frames(n: int, mq: int, rows: int, frame, shapes) -> None:
-    """Call ``frame(i, *buffers)`` for every frame i, on one thread per usable core.
+@functools.cache
+def _openblas_threads():
+    """OpenBLAS's (get, set) thread-count functions, looked up once among the
+    libraries this process has loaded; None where there is none (another
+    BLAS, or no /proc/self/maps to list the libraries)."""
+    try:
+        with open("/proc/self/maps") as handle:
+            paths = sorted({line.split()[-1] for line in handle
+                            if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in itertools.product(("scipy_openblas_", "openblas_"), ("64_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, set_.argtypes, set_.restype = ctypes.c_int, [ctypes.c_int], None
+                return get, set_
+    return None
 
-    Worker w takes frames w, w + W, ... and owns one float64 buffer per entry
-    of `shapes`. The calling thread allocates them all before dispatch, since
-    a worker thread's frees stay in its own malloc arena. W is capped at the
-    frame count, and is 1 when a frame fits in one tile; then the frames run
-    here, in order, with no pool. Each worker runs in a copy of the caller's
-    context, so the caller's `np.errstate` holds there too.
+
+@contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS to one thread inside the block; restore the count it had
+    on exit, also when the block raises.
+
+    Each pool worker already has a core: a GEMM that started BLAS threads of
+    its own would oversubscribe them. The setting is process-global, so for
+    the length of the block every BLAS call, from any thread, runs on one
+    thread. Does nothing where `_openblas_threads` finds no OpenBLAS.
     """
-    count = 1 if mq <= rows else min(_usable_cores(), n)
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def _pool_size(n: int, mq: int, rows: int) -> int:
+    """Worker threads for a pass over n frames of mq queries, in attention
+    tiles of `rows` query rows: one per usable core, capped at the frame
+    count, and 1 when a frame fits in one tile."""
+    return 1 if mq <= rows else min(_usable_cores(), n)
+
+
+def _over_frames(count: int, n: int, frame, shapes) -> None:
+    """Call ``frame(i, *buffers)`` for every i < n, on `count` threads: this
+    one and a pool of count - 1 workers.
+
+    Worker w takes w, w + count, ... and owns one float64 buffer per entry
+    of `shapes`; the calling thread is worker 0. It allocates every buffer
+    before dispatch, and takes a share of the frames itself, since a pool
+    thread's frees stay in its own malloc arena and count towards peak RSS.
+    With a count of 1 everything runs here, in order, with no pool. Each pool
+    worker runs in a copy of the caller's context, so the caller's
+    `np.errstate` holds there too, and OpenBLAS is held to one thread while
+    the pool runs. An error from any worker propagates once all have ended.
+    """
     workspaces = [[np.empty(shape) for shape in shapes] for _ in range(count)]
 
     def stride(w):
@@ -409,9 +533,31 @@ def _over_frames(n: int, mq: int, rows: int, frame, shapes) -> None:
     if count == 1:
         stride(0)
         return
-    contexts = [contextvars.copy_context() for _ in range(count)]
-    with ThreadPoolExecutor(count) as pool:
-        list(pool.map(lambda w: contexts[w].run(stride, w), range(count)))
+    with _one_blas_thread(), ThreadPoolExecutor(count - 1) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, stride, w)
+                   for w in range(1, count)]
+        stride(0)
+        for future in futures:
+            future.result()
+
+
+def _stage_frames(config: FusionConfig, body) -> None:
+    """Call a token-wise stage's ``body(f)`` over slices `f` of frames that
+    together cover every frame.
+
+    `_pool_size` decides from the config alone, so every stage of a pass
+    makes attention's choice. Pooled, each call takes one frame. Serially the
+    frames go in blocks of about `_TILE_BYTES`, counted as tokens times the
+    widest width any stage reaches: tiny frames then cost one call for all,
+    and large ones keep their temporaries in cache.
+    """
+    n = config.n_frames
+    memory = config.m_spatial + config.toggles.camera_memory
+    count = _pool_size(n, config.m_visual, _tile_rows(config.n_heads, memory))
+    frame_bytes = 8 * (config.m_visual + config.m_spatial) * max(
+        config.d_visual, 2 * config.d_spatial, config.d_attn)
+    block = 1 if count > 1 else max(1, _TILE_BYTES // frame_bytes)
+    _over_frames(count, -(-n // block), lambda b: body(slice(b * block, (b + 1) * block)), [])
 
 
 def _exact_shift_rows(qa, kt, vt, o, shift, bad):
@@ -482,7 +628,7 @@ def _attention_raw(q: np.ndarray, k: np.ndarray, v: np.ndarray, slot: np.ndarray
                 lse[i, :, lo:hi] = shift + np.log(z)
 
     memory, tile = (n_heads, dh + 1, mk), min(rows, mq)
-    _over_frames(n, mq, rows, frame,
+    _over_frames(_pool_size(n, mq, rows), n, frame,
                  [memory, memory, (n_heads, tile, dh + 1), (n_heads, tile, mk)])
     return out
 
@@ -531,9 +677,9 @@ def _attention_vjp_raw(q, k, v, slot, out, lse, n_heads, g_out):
             gk_h += st.transpose(0, 2, 1) @ qh
 
     memory, tile = (n_heads, dh + 1, mk), min(rows, mq)
-    _over_frames(n, mq, rows, frame, [memory, memory, (n_heads, tile, dh + 1),
-                                      (n_heads, tile, dh + 1), (n_heads, tile, mk),
-                                      (n_heads, tile, mk)])
+    _over_frames(_pool_size(n, mq, rows), n, frame,
+                 [memory, memory, (n_heads, tile, dh + 1), (n_heads, tile, dh + 1),
+                  (n_heads, tile, mk), (n_heads, tile, mk)])
     return gq, gk, gv
 
 
@@ -564,17 +710,29 @@ def gate_and_fuse(attended: np.ndarray, c: np.ndarray, visual: np.ndarray,
                   weights: FusionWeights, config: FusionConfig, *,
                   saved: dict | None = None) -> np.ndarray:
     """Project the attention output back to visual width, gate it with the
-    camera embedding, and add the visual residual."""
-    proj = _keep(saved, "fproj", layer_norm(
-        _keep(saved, "p", affine(_keep(saved, "fhat", attended), weights.p_o)), weights.ln_o))
-    mapped = _keep(saved, "mapped", affine(proj, weights.p_l))
-    if not config.toggles.gate:
-        return mapped + visual
-    cbar = _keep(saved, "cbar", c[:, 0, :])
-    u = _keep(saved, "u", affine(cbar, weights.p_g1))
-    v = _keep(saved, "vg", affine(cbar, weights.p_g2))
-    gate = _keep(saved, "gate", _keep(saved, "su", swish(u)) * v)
-    return mapped * gate[:, None, :] + visual
+    camera embedding, and add the visual residual.
+
+    The gate comes from one GEMM per gate weight over every frame's camera
+    row, on the calling thread.
+    """
+    gate = None
+    if config.toggles.gate:
+        cbar = _keep(saved, "cbar", c[:, 0, :])
+        u = _keep(saved, "u", affine(cbar, weights.p_g1))
+        vg = _keep(saved, "vg", affine(cbar, weights.p_g2))
+        gate = _keep(saved, "gate", _keep(saved, "su", swish(u)) * vg)
+    _keep(saved, "fhat", attended)
+    out = np.empty_like(visual)
+    kept = _kept(saved, p=attended.shape, fproj=attended.shape, mapped=visual.shape)
+
+    def body(f):
+        p = _keep_frames(kept, "p", f, affine(attended[f], weights.p_o))
+        proj = _keep_frames(kept, "fproj", f, layer_norm(p, weights.ln_o))
+        mapped = _keep_frames(kept, "mapped", f, affine(proj, weights.p_l))
+        out[f] = mapped + visual[f] if gate is None else mapped * gate[f, None] + visual[f]
+
+    _stage_frames(config, body)
+    return out
 
 
 def _forward(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
@@ -593,16 +751,13 @@ def _forward(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
         return time.perf_counter() if timings is not None else 0.0
 
     t0 = tick()
-    q, k, v, c = project_qkvc(inputs, weights, saved=saved)
+    q, k, v, c = project_qkvc(inputs, weights, config, saved=saved)
     t1 = tick()
     if t.geo_bias:
-        bias = geo_bias(xs, inputs.camera.data, weights, saved=saved)
-        k = k + bias
-        v = v + bias
+        geo_bias(k, v, xs, inputs.camera.data, weights, config, saved=saved)
     t2 = tick()
     if t.token_weight:
-        _keep(saved, "v_unweighted", v)
-        v = v * token_weights(xs, weights, saved=saved)
+        token_weights(v, xs, weights, config, saved=saved)
     t3 = tick()
     attended = attend(q, k, v, c, config, saved=saved)
     t4 = tick()

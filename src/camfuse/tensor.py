@@ -9,6 +9,13 @@ and its VJP run inside `fusion`'s query-tiled kernel, folded into its GEMMs:
 the shift and row sum come out of the QK^T and PV products, not out of
 `softmax_rows`, which no package code calls.
 
+`_sigmoid` and `_swish` are the private kernels behind the public `sigmoid`
+and `swish`, and give the same bytes. `fusion`'s per-frame bodies run on
+worker threads and call only `affine`, `layer_norm`, `_sigmoid` and
+`_swish`: bench/spans.py wraps the public names, including `sigmoid` and
+`swish`, with spans on one global stack, which a worker thread must never
+touch.
+
 float64 is the only working precision, so finite-difference gradient checks
 are meaningful. Every layer norm adds the one constant `LN_EPSILON` to its
 row variance. `TokenTensor`, `LinearMap` and `LayerNormParams` widen what
@@ -137,7 +144,7 @@ def softmax_rows(x) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def sigmoid(x) -> np.ndarray:
+def _sigmoid(x) -> np.ndarray:
     """Numerically stable logistic function, elementwise.
 
     With e = exp(-|x|) this is 1 / (1 + e) for x >= 0 and e / (1 + e) below
@@ -153,10 +160,20 @@ def sigmoid(x) -> np.ndarray:
     return num
 
 
+def _swish(x) -> np.ndarray:
+    """swish(x) = x * sigmoid(x), elementwise."""
+    x = np.asarray(x)
+    return x * _sigmoid(x)
+
+
+def sigmoid(x) -> np.ndarray:
+    """Numerically stable logistic function, elementwise (see `_sigmoid`)."""
+    return _sigmoid(x)
+
+
 def swish(x) -> np.ndarray:
     """swish(x) = x * sigmoid(x)."""
-    x = np.asarray(x)
-    return x * sigmoid(x)
+    return _swish(x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -148,6 +149,23 @@ class TestFuse:
                          "--out", str(out)])
         assert code == EXIT_INVALID
         assert "fused output" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_output_prints_only_its_error_line(self, tmp_path, config_path, capsys):
+        stream = tmp_path / "stream.cft"
+        main(["gen", "--config", config_path, "--out", str(stream)])
+        tensors, meta = load_container(stream)
+        tensors["camera"][0, 0, 0] = 1e160  # finite, but the gate overflows
+        save_container(stream, tensors, meta)
+        out = tmp_path / "o.cft"
+        with np.errstate(all="warn"), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["fuse", "--config", config_path, "--in", str(stream),
+                         "--out", str(out)])
+        assert code == EXIT_INVALID
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == (
+            "error: fused output: token tensor contains non-finite entries\n")
         assert not out.exists()
 
     def test_shape_mismatch_is_invalid_exit(self, tmp_path, config_path, capsys):

@@ -1,8 +1,11 @@
 import itertools
 import os
+import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -56,9 +59,35 @@ TINY = FusionConfig(n_frames=2, m_visual=3, m_spatial=4,
 MULTI_TILE = FusionConfig(n_frames=2, m_visual=60, m_spatial=4999,
                           d_visual=6, d_spatial=5, d_attn=4, n_heads=2)
 
+# frames of one or two visual tokens over one spatial token or the camera slot
+# alone, under every toggle set that config allows
+ONE_TOKEN = [replace(TINY, n_frames=3, m_visual=mv, m_spatial=ms, toggles=FusionToggles(*bits))
+             for mv in (1, 2) for ms in (1, 0)
+             for bits in itertools.product([False, True], repeat=4)
+             if ms or bits[2]]  # no spatial tokens needs the camera slot
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
 
 def zeroed(lin: LinearMap) -> LinearMap:
     return LinearMap(np.zeros_like(lin.weight), np.zeros_like(lin.bias))
+
+
+def bias_of(spatial, camera, weights, config):
+    """The geo bias alone: what `geo_bias` adds to zero keys and values."""
+    k = np.zeros(spatial.shape[:2] + (config.d_attn,))
+    v = np.zeros_like(k)
+    geo_bias(k, v, spatial, camera, weights, config)
+    assert k.tobytes() == v.tobytes()
+    return k
+
+
+def weights_of(spatial, weights, config):
+    """The token weights, which `token_weights` also multiplies into ones."""
+    v = np.ones(spatial.shape[:2] + (config.d_attn,))
+    tw = token_weights(v, spatial, weights, config)
+    assert v.tobytes() == np.broadcast_to(tw, v.shape).tobytes()
+    return tw
 
 
 class TestConfig:
@@ -168,13 +197,13 @@ class TestProject:
         weights = replace(weights, p_c=LinearMap(weights.p_c.weight, bias))
         inputs = synth_tokens(TINY, 1)
         inputs = replace(inputs, camera=zero_tokens(TINY.n_frames, 1, TINY.d_spatial))
-        _, _, _, c = project_qkvc(inputs, weights)
+        _, _, _, c = project_qkvc(inputs, weights, TINY)
         npt.assert_array_equal(c, np.broadcast_to(bias, c.shape))
 
     def test_output_shapes(self):
         weights = init_weights(TINY, 1)
         inputs = synth_tokens(TINY, 2)
-        q, k, v, c = project_qkvc(inputs, weights)
+        q, k, v, c = project_qkvc(inputs, weights, TINY)
         assert q.shape == (2, 3, 4)
         assert k.shape == v.shape == (2, 4, 4)
         assert c.shape == (2, 1, 4)
@@ -182,7 +211,7 @@ class TestProject:
     def test_composes_kernel_ops_bit_exactly(self):
         weights = init_weights(TINY, 4)
         inputs = synth_tokens(TINY, 5)
-        q, k, v, c = project_qkvc(inputs, weights)
+        q, k, v, c = project_qkvc(inputs, weights, TINY)
         assert q.tobytes() == affine(
             layer_norm(inputs.visual.data, weights.ln_v), weights.p_q).tobytes()
         lns = layer_norm(inputs.spatial.data, weights.ln_s)
@@ -197,7 +226,7 @@ class TestGeoBias:
         weights = replace(weights, geo_mlp=(zeroed(weights.geo_mlp[0]),
                                             zeroed(weights.geo_mlp[1])))
         inputs = synth_tokens(TINY, 1)
-        bias = geo_bias(inputs.spatial.data, inputs.camera.data, weights)
+        bias = bias_of(inputs.spatial.data, inputs.camera.data, weights, TINY)
         npt.assert_array_equal(bias, np.zeros(bias.shape))
         # with a zero bias the geo toggle cannot change the result
         on = fuse(inputs, weights, TINY)
@@ -210,13 +239,13 @@ class TestGeoBias:
         spatial_frame = rng.standard_normal((1, TINY.m_spatial, TINY.d_spatial))
         spatial = np.repeat(spatial_frame, TINY.n_frames, axis=0)
         camera = rng.standard_normal((TINY.n_frames, 1, TINY.d_spatial))
-        bias = geo_bias(spatial, camera, weights)
+        bias = bias_of(spatial, camera, weights, TINY)
         assert (bias[0] != bias[1]).any()
 
     def test_shape(self):
         weights = init_weights(TINY, 4)
         inputs = synth_tokens(TINY, 5)
-        assert geo_bias(inputs.spatial.data, inputs.camera.data, weights).shape == (2, 4, 4)
+        assert bias_of(inputs.spatial.data, inputs.camera.data, weights, TINY).shape == (2, 4, 4)
 
 
 class TestTokenWeights:
@@ -225,7 +254,7 @@ class TestTokenWeights:
         weights = replace(weights, tw_mlp=(zeroed(weights.tw_mlp[0]),
                                            zeroed(weights.tw_mlp[1])))
         inputs = synth_tokens(TINY, 1)
-        tw = token_weights(inputs.spatial.data, weights)
+        tw = weights_of(inputs.spatial.data, weights, TINY)
         npt.assert_array_equal(tw, np.full(tw.shape, 0.5))
 
     def test_ignores_visual_and_camera(self):
@@ -234,13 +263,13 @@ class TestTokenWeights:
         b = replace(a,
                     visual=TokenTensor(a.visual.data + 1.0),
                     camera=TokenTensor(a.camera.data - 2.0))
-        ta = token_weights(a.spatial.data, weights)
-        tb = token_weights(b.spatial.data, weights)
+        ta = weights_of(a.spatial.data, weights, TINY)
+        tb = weights_of(b.spatial.data, weights, TINY)
         assert ta.tobytes() == tb.tobytes()
 
     def test_open_unit_interval(self):
         weights = init_weights(TINY, 4)
-        tw = token_weights(synth_tokens(TINY, 5).spatial.data, weights)
+        tw = weights_of(synth_tokens(TINY, 5).spatial.data, weights, TINY)
         assert (tw > 0).all() and (tw < 1).all()
 
 
@@ -449,13 +478,14 @@ class TestFramePool:
 
     @staticmethod
     def count_pools(monkeypatch, workers) -> list:
-        """Fix the usable cores at `workers`; returns the list of pool sizes started."""
+        """Fix the usable cores at `workers`; returns, for each pool started,
+        the threads its frames run on: the pool's and the calling thread."""
         monkeypatch.setattr(fusion, "_usable_cores", lambda: workers)
         pools: list = []
 
         class Counted(ThreadPoolExecutor):
             def __init__(self, max_workers):
-                pools.append(max_workers)
+                pools.append(max_workers + 1)
                 super().__init__(max_workers)
 
         monkeypatch.setattr(fusion, "ThreadPoolExecutor", Counted)
@@ -481,8 +511,12 @@ class TestFramePool:
                                 *(getattr(input_grads, name).data.tobytes()
                                   for name in REQUIRED_STREAMS),
                                 *(array.tobytes() for _, array in iter_params(weight_grads))]
-            # two forwards and one backward, each on min(workers, frames) threads
-            assert pools == ([] if workers == 1 else [min(workers, config.n_frames)] * 3)
+            # one pool per pooled stage, each on min(workers, frames) threads: a
+            # forward pools project, attend, gate_and_fuse and each enabled MLP
+            # stage; fuse_backward runs one forward and the attention VJP, fuse one forward
+            forward = 3 + config.toggles.geo_bias + config.toggles.token_weight
+            expected = [min(workers, config.n_frames)] * (2 * forward + 1)
+            assert pools == ([] if workers == 1 else expected)
         assert results[2] == results[1]
         assert results[3] == results[1]
 
@@ -508,6 +542,155 @@ class TestFramePool:
         assert fusion._usable_cores() == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
         assert fusion._usable_cores() == 1
+
+    def test_no_traced_name_runs_on_a_worker_thread(self, monkeypatch):
+        # bench/spans.py keeps one global span stack: wrap every name it traces
+        # in fusion or tensor, at every module attribute that holds it, as it does
+        monkeypatch.syspath_prepend(str(BENCH))
+        import spans
+
+        modules = [m for name, m in sorted(sys.modules.items())
+                   if m is not None and (name == "camfuse" or name.startswith("camfuse."))]
+        calls: list = []
+        for name, (module, path, _, _) in spans.TARGETS.items():
+            if module not in ("fusion", "tensor"):
+                continue
+            owner = sys.modules[f"camfuse.{module}"]
+            *holders, attr = path.split(".")
+            for holder in holders:
+                owner = getattr(owner, holder)
+            original = getattr(owner, attr)
+
+            def recording(*args, _name=name, _original=original, **kwargs):
+                calls.append((_name, threading.current_thread()))
+                return _original(*args, **kwargs)
+
+            if holders:  # a method: patched on its class
+                monkeypatch.setattr(owner, attr, recording)
+                continue
+            for mod in modules:
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, recording)
+        pools = self.count_pools(monkeypatch, 2)
+        config = MULTI_TILE
+        inputs = synth_tokens(config, 47)
+        cot = TokenTensor(np.random.default_rng(48).standard_normal(inputs.visual.shape))
+        weights = init_weights(config, 49)
+        fuse(inputs, weights, config)
+        fuse_backward(inputs, weights, config, cot)
+        assert pools == [2] * 11  # five pooled stages per forward, and the attention VJP
+        stages = {f"fusion.{stage}" for stage in
+                  ("project_qkvc", "geo_bias", "token_weights", "attend", "gate_and_fuse")}
+        assert stages | {"tensor.swish", "tensor.sigmoid"} <= {name for name, _ in calls}
+        here = threading.current_thread()
+        assert [name for name, thread in calls if thread is not here] == []
+
+    @pytest.mark.parametrize("stage", ["geo_mlp", "tw_mlp"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_callers_error_state_holds_in_the_mlp_stages(self, stage, workers, monkeypatch):
+        pools = self.count_pools(monkeypatch, workers)
+        monkeypatch.setattr(fusion, "_TILE_BYTES", 8 * TINY.n_heads * 5 * 2)  # tiles of 2 rows
+        weights = init_weights(TINY, 50)
+        first, second = getattr(weights, stage)
+        # a hidden layer of 10s, so the output layer's GEMM sums ~10 * 1e308
+        weights = replace(weights, **{stage: (
+            LinearMap(np.zeros_like(first.weight), np.full_like(first.bias, 10.0)),
+            LinearMap(np.full_like(second.weight, 1e308), second.bias))})
+        inputs = synth_tokens(TINY, 51)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            fuse(inputs, weights, TINY)
+        # the pools started name the stage that raised: project, then geo_bias
+        # (geo_mlp) or geo_bias and token_weights (tw_mlp)
+        started = 2 if stage == "geo_mlp" else 3
+        assert pools == ([] if workers == 1 else [2] * started)
+
+    @pytest.mark.parametrize("config", ONE_TOKEN)
+    def test_one_token_frames_match_the_oracle_at_every_worker_count(self, config, monkeypatch):
+        mk = config.m_spatial + config.toggles.camera_memory
+        monkeypatch.setattr(fusion, "_TILE_BYTES", 8 * config.n_heads * mk)  # one-row tiles
+        inputs = synth_tokens(config, 52)
+        weights = init_weights(config, 53)
+        cot = TokenTensor(np.random.default_rng(54).standard_normal(inputs.visual.shape))
+        results = []
+        for workers in (1, 2):
+            pools = self.count_pools(monkeypatch, workers)
+            out = fuse(inputs, weights, config).data
+            input_grads, weight_grads = fuse_backward(inputs, weights, config, cot)
+            # a one-row frame fits one tile, so only two-row frames start pools
+            assert bool(pools) == (workers == 2 and config.m_visual == 2)
+            npt.assert_allclose(out, ref_fuse(inputs, weights, config), rtol=0, atol=1e-12)
+            results.append([out.tobytes(),
+                            *(getattr(input_grads, name).data.tobytes() for name in REQUIRED_STREAMS),
+                            *(array.tobytes() for _, array in iter_params(weight_grads))])
+        assert results[1] == results[0]
+
+
+class TestBlasScope:
+    """A pool holds OpenBLAS to one thread and puts back the count it found."""
+
+    @pytest.fixture
+    def two_threads(self):
+        """OpenBLAS's thread-count getter, with the count set to 2 for the test,
+        so a count left at 1 cannot pass for a restored one."""
+        calls = fusion._openblas_threads()
+        if calls is None:
+            pytest.skip("numpy's BLAS here is not OpenBLAS")
+        get, set_ = calls
+        found = get()
+        set_(2)
+        yield get
+        set_(found)
+
+    def test_workers_run_blas_on_one_thread_and_the_count_comes_back(self, two_threads,
+                                                                     monkeypatch):
+        get = two_threads
+        seen: list = []
+        unrecorded = fusion.affine
+
+        def recording(x, lin):
+            seen.append((threading.current_thread(), get()))
+            return unrecorded(x, lin)
+
+        monkeypatch.setattr(fusion, "affine", recording)
+        pools = TestFramePool.count_pools(monkeypatch, 2)
+        config = MULTI_TILE
+        fuse(synth_tokens(config, 55), init_weights(config, 56), config)
+        assert pools == [2] * 5
+        assert get() == 2
+        here = threading.current_thread()
+        assert {count for thread, count in seen if thread is not here} == {1}
+        # here: 1 in this thread's share of each pool, 2 for the camera rows between pools
+        assert {count for thread, count in seen if thread is here} == {1, 2}
+
+    def test_the_count_comes_back_when_a_pass_raises(self, two_threads, monkeypatch):
+        get = two_threads
+        TestFramePool.count_pools(monkeypatch, 2)
+        monkeypatch.setattr(fusion, "_TILE_BYTES", 8 * 2 * 4 * 2)  # tiles of 2 rows
+        q, k = np.ones((2, 5, 4)), np.ones((2, 4, 4))
+        v = np.full((2, 4, 4), 1e308)  # the PV GEMM's row sums overflow
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            _attention_raw(q, k, v, np.empty((2, 0, 4)), 2)
+        assert get() == 2
+
+    def test_sets_only_one_and_the_count_it_found(self, monkeypatch):
+        values: list = []
+        monkeypatch.setattr(fusion, "_openblas_threads", lambda: (lambda: 3, values.append))
+        pools = TestFramePool.count_pools(monkeypatch, 2)
+        config = MULTI_TILE
+        cot = TokenTensor(np.random.default_rng(57).standard_normal(
+            (config.n_frames, config.m_visual, config.d_visual)))
+        fuse_backward(synth_tokens(config, 58), init_weights(config, 59), config, cot)
+        assert pools == [2] * 6
+        assert values == [1, 3] * 6
+
+    def test_without_openblas_the_pool_runs_and_gives_the_same_bytes(self, monkeypatch):
+        TestFramePool.count_pools(monkeypatch, 2)
+        config = MULTI_TILE
+        inputs, weights = synth_tokens(config, 60), init_weights(config, 61)
+        scoped = fuse(inputs, weights, config).data
+        monkeypatch.setattr(fusion, "_openblas_threads", lambda: None)
+        assert fuse(inputs, weights, config).data.tobytes() == scoped.tobytes()
 
 
 class TestGateAndFuse:
@@ -535,10 +718,9 @@ class TestGateAndFuse:
     def test_composes_kernel_ops(self):
         weights = init_weights(TINY, 4)
         inputs = synth_tokens(TINY, 5)
-        q, k, v, c = project_qkvc(inputs, weights)
-        bias = geo_bias(inputs.spatial.data, inputs.camera.data, weights)
-        k = k + bias
-        v = (v + bias) * token_weights(inputs.spatial.data, weights)
+        q, k, v, c = project_qkvc(inputs, weights, TINY)
+        geo_bias(k, v, inputs.spatial.data, inputs.camera.data, weights, TINY)
+        token_weights(v, inputs.spatial.data, weights, TINY)
         attended = attend(q, k, v, c, TINY)
         staged = gate_and_fuse(attended, c, inputs.visual.data, weights, TINY)
         assert staged.tobytes() == fuse(inputs, weights, TINY).data.tobytes()
@@ -667,9 +849,9 @@ class TestFuseInvariants:
         config = replace(TINY, toggles=replace(TINY.toggles, geo_bias=False))
         weights = init_weights(config, 9)
         inputs = synth_tokens(config, 10)
-        q1, k1, _, _ = project_qkvc(inputs, weights)
+        q1, k1, _, _ = project_qkvc(inputs, weights, config)
         other = replace(inputs, camera=TokenTensor(inputs.camera.data * 3.0))
-        q2, k2, _, _ = project_qkvc(other, weights)
+        q2, k2, _, _ = project_qkvc(other, weights, config)
         assert k1.tobytes() == k2.tobytes()
         assert q1.tobytes() == q2.tobytes()
 
