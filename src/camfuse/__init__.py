@@ -3,8 +3,8 @@
 A framework-free implementation of a per-frame cross-attention fusion
 module in which the camera embedding actively steers how geometry-aware
 spatial tokens are injected into visual tokens, plus the surrounding
-tooling: analytic gradients checked against finite differences, frame
-sampling and preprocessing geometry, benchmark scoring math, deterministic
+tooling: analytic gradients checked against finite differences, seeded
+synthetic token streams, benchmark scoring math, deterministic
 serialization, and a CLI.
 """
 

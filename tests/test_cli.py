@@ -14,11 +14,11 @@ from camfuse.cli import (
     main,
 )
 from camfuse.fusion import FusionConfig, FusionToggles, init_weights, iter_params
-from camfuse.metrics import AnswerType, EvalRecord, write_records
+from camfuse.metrics import AnswerType, EvalRecord
 from camfuse.serde import load_container, save_config, save_container, save_weights
 from camfuse.tensor import LinearMap
 
-from helpers import DEEP_JSON, DEMO_CONFIG, LONG_INT_JSON
+from helpers import DEEP_JSON, DEMO_CONFIG, LONG_INT_JSON, write_records
 
 TINY = FusionConfig(n_frames=2, m_visual=3, m_spatial=4,
                     d_visual=6, d_spatial=5, d_attn=4, n_heads=2)
@@ -396,6 +396,21 @@ class TestScore:
         payload = json.loads((tmp_path / "r.jsonl.report.json").read_text(encoding="utf-8"))
         assert payload["em_at_1"] == 0.0
         assert payload["em_at_r1"] == 1.0
+
+
+class TestNonRegularInputs:
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--config", os.devnull, "--out", "OUT"],
+        ["fuse", "--config", "CONFIG", "--in", os.devnull, "--out", "OUT"],
+        ["gradcheck", "--config", os.devnull],
+        ["score", "--records", os.devnull, "--protocol", "vsi", "--out", "OUT"],
+    ], ids=["gen-config", "fuse-in", "gradcheck-config", "score-records"])
+    def test_device_input_is_invalid_exit(self, argv, config_path, tmp_path, capsys):
+        argv = [{"CONFIG": config_path, "OUT": str(tmp_path / "out.cft")}.get(a, a)
+                for a in argv]
+        assert main(argv) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {os.devnull}: not a regular file\n"
+        assert not (tmp_path / "out.cft").exists()
 
 
 class TestToggleFlags:

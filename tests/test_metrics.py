@@ -20,10 +20,9 @@ from camfuse.metrics import (
     report,
     score_protocol,
     spbench_aggregate,
-    write_records,
 )
 
-from helpers import DEEP_JSON, LONG_INT_JSON
+from helpers import DEEP_JSON, LONG_INT_JSON, write_records
 
 
 def rec(id, subtask, kind, pred, truth):

@@ -18,6 +18,7 @@ from camfuse.fusion import (
     init_weights,
     iter_params,
 )
+from camfuse.metrics import AnswerType, EvalRecord, RecordError, read_records
 from camfuse.pipeline import synth_tokens
 from camfuse.serde import (
     ContainerError,
@@ -32,7 +33,7 @@ from camfuse.serde import (
     write_atomic,
 )
 
-from helpers import DEEP_JSON, LONG_INT_JSON
+from helpers import DEEP_JSON, LONG_INT_JSON, write_records
 
 CONFIG = FusionConfig(n_frames=2, m_visual=3, m_spatial=4,
                       d_visual=6, d_spatial=5, d_attn=4, n_heads=2)
@@ -322,8 +323,46 @@ class TestContainerFormat:
         assert loaded["x"].shape == array.shape
         assert loaded["x"].tobytes() == array.tobytes()
 
-    def test_fifo_is_refused_as_not_a_regular_file(self, tmp_path):
-        fifo = tmp_path / "pipe.cft"
+
+# every reader of an input file, with the error type it raises
+READERS = [
+    pytest.param(load_container, ContainerError, id="load_container"),
+    pytest.param(load_config, ConfigError, id="load_config"),
+    pytest.param(read_records, RecordError, id="read_records"),
+]
+
+
+# a writer of a small valid file for each reader
+VALID_WRITERS = {
+    load_container: lambda path: save_container(path, {"x": np.arange(3.0)}, {"k": 1}),
+    load_config: lambda path: save_config(CONFIG, 5, path),
+    read_records: lambda path: write_records(path, [
+        EvalRecord("a", "count", AnswerType.NUMERICAL, 3.0, 4.0)]),
+}
+
+
+@pytest.mark.parametrize("reader, error", READERS)
+class TestReaderOpens:
+    def test_symlink_to_a_regular_file_is_read(self, tmp_path, reader, error):
+        target = tmp_path / "target"
+        VALID_WRITERS[reader](target)
+        link = tmp_path / "link"
+        link.symlink_to(target)
+        assert repr(reader(link)) == repr(reader(target))
+
+    def test_directory_is_refused_naming_it(self, tmp_path, reader, error):
+        with pytest.raises(error) as err:
+            reader(tmp_path)
+        assert str(tmp_path) in str(err.value)
+
+    def test_missing_file_raises_the_readers_error(self, tmp_path, reader, error):
+        path = tmp_path / "absent"
+        with pytest.raises(error, match="cannot read") as err:
+            reader(path)
+        assert str(path) in str(err.value)
+
+    def test_fifo_is_refused_as_not_a_regular_file(self, tmp_path, reader, error):
+        fifo = tmp_path / "pipe"
         os.mkfifo(fifo)
         waited = []
 
@@ -334,12 +373,17 @@ class TestContainerFormat:
         timer = threading.Timer(10.0, unblock)
         timer.start()
         try:
-            with pytest.raises(ContainerError, match="not a regular file") as err:
-                load_container(fifo)
+            with pytest.raises(error, match="not a regular file") as err:
+                reader(fifo)
         finally:
             timer.cancel()
         assert str(fifo) in str(err.value)
         assert not waited
+
+    def test_device_is_refused_as_not_a_regular_file(self, reader, error):
+        with pytest.raises(error, match="not a regular file") as err:
+            reader(os.devnull)
+        assert os.devnull in str(err.value)
 
 
 class TestAtomicWrites:
