@@ -46,7 +46,11 @@ Cauchy-Schwarz. The row sum rides in the second, as its last column. Rows
 whose shifted sum falls below e^-600 are redone with their exact row max.
 The reverse pass keeps no probability tensor: the forward saves each query
 row's log-sum-exp ([frames, heads, queries]), which the backward folds into
-its QK^T GEMM the same way to recompute the probabilities tile by tile.
+its QK^T GEMM the same way to recompute the probabilities tile by tile. The
+backward sums the key and value cotangents head-major, as [frames, heads,
+memory, head_dim]: each tile writes its share into a per-worker product
+buffer and adds that to the frame's contiguous rows, and the heads are
+merged into [frames, memory, d_attn] once, after the pool has returned.
 
 The output always has the visual stream's shape, so the module can sit in
 front of a downstream consumer without changing its interface.
@@ -434,8 +438,8 @@ def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
 
 
 def _merge_heads(xh: np.ndarray) -> np.ndarray:
-    """[h, tokens, head_dim] -> [tokens, d_attn]."""
-    return xh.transpose(1, 0, 2).reshape(xh.shape[1], -1)
+    """[..., h, tokens, head_dim] -> [..., tokens, d_attn]; leading axes are kept."""
+    return xh.swapaxes(-3, -2).reshape(xh.shape[:-3] + (xh.shape[-2], -1))
 
 
 def _memory_t(x: np.ndarray, slot: np.ndarray, n_heads: int, mt: np.ndarray) -> None:
@@ -642,9 +646,12 @@ def _attention_vjp_raw(q, k, v, slot, out, lse, n_heads, g_out):
     K^T and V^T. Per query tile the scaled queries carry a last entry -lse,
     so one GEMM and an in-place `exp` recompute the probabilities p; with
     D = rowsum(g_out * out) the cotangent rows carry -D, so one more GEMM
-    gives g_out v^T - D, and the score cotangent is p times that. Each tile
-    adds its share of gk and gv in place, into per-head views of the frame's
-    zeroed rows. Frames run on worker threads, as in the forward.
+    gives g_out v^T - D, and the score cotangent is p times that. gk and gv
+    are summed head-major, in [n, h, mk, dh] zeros: each tile's GEMM writes
+    into the worker's `prod` buffer, which is added to the frame's
+    contiguous [h, mk, dh] block, so tiles still add in order onto zeros.
+    The heads are merged once, after the pool has returned. Frames run on
+    worker threads, as in the forward.
     """
     n, mq, da = q.shape
     dh = da // n_heads
@@ -652,14 +659,13 @@ def _attention_vjp_raw(q, k, v, slot, out, lse, n_heads, g_out):
     mk = k.shape[1] + slot.shape[1]
     rows = _tile_rows(n_heads, mk)
     gq = np.empty_like(q)
-    gk = np.zeros((n, mk, da))
-    gv = np.zeros((n, mk, da))
+    gk = np.zeros((n, n_heads, mk, dh))
+    gv = np.zeros((n, n_heads, mk, dh))
 
-    def frame(i, kt, vt, qa, ga, p, g_s):
+    def frame(i, kt, vt, qa, ga, p, g_s, prod):
         _memory_t(k[i], slot[i], n_heads, kt)
         _memory_t(v[i], slot[i], n_heads, vt)
         kh = kt[:, :dh].transpose(0, 2, 1)
-        gk_h, gv_h = _heads(gk[i], n_heads), _heads(gv[i], n_heads)
         for lo in range(0, mq, rows):
             hi = min(lo + rows, mq)
             qt, gt, pt, st = (buffer[:, :hi - lo] for buffer in (qa, ga, p, g_s))
@@ -670,17 +676,17 @@ def _attention_vjp_raw(q, k, v, slot, out, lse, n_heads, g_out):
             gt[..., dh] = -(goh * _heads(out[i, lo:hi], n_heads)).sum(axis=-1)
             np.matmul(qt, kt, out=pt)
             np.exp(pt, out=pt)
-            gv_h += pt.transpose(0, 2, 1) @ goh
+            gv[i] += np.matmul(pt.transpose(0, 2, 1), goh, out=prod)
             np.matmul(gt, vt, out=st)
             st *= pt
             gq[i, lo:hi] = _merge_heads(st @ kh) * scale
-            gk_h += st.transpose(0, 2, 1) @ qh
+            gk[i] += np.matmul(st.transpose(0, 2, 1), qh, out=prod)
 
     memory, tile = (n_heads, dh + 1, mk), min(rows, mq)
     _over_frames(_pool_size(n, mq, rows), n, frame,
                  [memory, memory, (n_heads, tile, dh + 1), (n_heads, tile, dh + 1),
-                  (n_heads, tile, mk), (n_heads, tile, mk)])
-    return gq, gk, gv
+                  (n_heads, tile, mk), (n_heads, tile, mk), (n_heads, mk, dh)])
+    return gq, _merge_heads(gk), _merge_heads(gv)
 
 
 def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, c: np.ndarray,
@@ -735,6 +741,23 @@ def gate_and_fuse(attended: np.ndarray, c: np.ndarray, visual: np.ndarray,
     return out
 
 
+def _laps(timings: dict | None):
+    """A function ``lap(name)`` that records under `name` in `timings` the
+    wall time (seconds) since the previous lap, or since this call; it does
+    nothing when `timings` is None."""
+    if timings is None:
+        return lambda name: None
+    last = time.perf_counter()
+
+    def lap(name):
+        nonlocal last
+        now = time.perf_counter()
+        timings[name] = now - last
+        last = now
+
+    return lap
+
+
 def _forward(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
              timings: dict | None = None, saved: dict | None = None) -> np.ndarray:
     """The fusion pipeline behind both `fuse` and `fuse_backward`; returns
@@ -746,28 +769,19 @@ def _forward(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
     _check_inputs(inputs, config)
     t = config.toggles
     xs = inputs.spatial.data
-
-    def tick():
-        return time.perf_counter() if timings is not None else 0.0
-
-    t0 = tick()
+    lap = _laps(timings)
     q, k, v, c = project_qkvc(inputs, weights, config, saved=saved)
-    t1 = tick()
+    lap("project")
     if t.geo_bias:
         geo_bias(k, v, xs, inputs.camera.data, weights, config, saved=saved)
-    t2 = tick()
+    lap("geo_bias")
     if t.token_weight:
         token_weights(v, xs, weights, config, saved=saved)
-    t3 = tick()
+    lap("token_weight")
     attended = attend(q, k, v, c, config, saved=saved)
-    t4 = tick()
+    lap("attend")
     out = gate_and_fuse(attended, c, inputs.visual.data, weights, config, saved=saved)
-    if timings is not None:
-        timings["project"] = t1 - t0
-        timings["geo_bias"] = t2 - t1
-        timings["token_weight"] = t3 - t2
-        timings["attend"] = t4 - t3
-        timings["gate_fuse"] = tick() - t4
+    lap("gate_fuse")
     return out
 
 
@@ -790,20 +804,27 @@ def fuse(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
 # ---------------------------------------------------------------------------
 
 def fuse_backward(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
-                  cotangent: TokenTensor):
+                  cotangent: TokenTensor, timings: dict | None = None):
     """Analytic gradients of ``<cotangent, fuse(inputs)>``.
 
     Returns (input_grads, weight_grads): a FusionInputs holding gradients for
     the visual/spatial/camera streams and a FusionWeights holding a gradient
     array per parameter. Disabled branches contribute zero gradients of the
     right shape.
+
+    When a `timings` dict is passed, the wall times (seconds) of the forward
+    pass and of each stage's VJP, in the order they run, are recorded into
+    it: forward, gate_fuse_vjp, attend_vjp, token_weight_vjp, geo_bias_vjp
+    and project_vjp.
     """
     if cotangent.shape != inputs.visual.shape:
         raise DimensionError(
             f"cotangent shape {cotangent.shape} != visual shape {inputs.visual.shape}"
         )
+    lap = _laps(timings)
     s: dict = {}
     _forward(inputs, weights, config, saved=s)
+    lap("forward")
     t = config.toggles
     w = weights
     xv, xs, xc = inputs.visual.data, inputs.spatial.data, inputs.camera.data
@@ -826,6 +847,7 @@ def fuse_backward(inputs: FusionInputs, weights: FusionWeights, config: FusionCo
     g_fproj, grads["p_l.weight"], grads["p_l.bias"] = affine_vjp(s.pop("fproj"), w.p_l, g_mapped)
     g_p, grads["ln_o.gain"], grads["ln_o.shift"] = layer_norm_vjp(s.pop("p"), w.ln_o, g_fproj)
     g_fhat, grads["p_o.weight"], grads["p_o.bias"] = affine_vjp(s["fhat"], w.p_o, g_p)
+    lap("gate_fuse_vjp")
 
     # the attention residuals are not read again: popped, they are freed on return
     lead = s["c"].shape[1]  # the camera slot's rows: 1, or 0 without camera_memory
@@ -833,6 +855,7 @@ def fuse_backward(inputs: FusionInputs, weights: FusionWeights, config: FusionCo
                                              s.pop("fhat"), s.pop("lse"), config.n_heads, g_fhat)
     g_c[:, :lead] += g_kmem[:, :lead] + g_vmem[:, :lead]
     g_k, g_v = g_kmem[:, lead:], g_vmem[:, lead:]
+    lap("attend_vjp")
 
     g_xs = np.zeros_like(xs)
     g_xc = np.zeros_like(xc)
@@ -845,6 +868,7 @@ def fuse_backward(inputs: FusionInputs, weights: FusionWeights, config: FusionCo
         g_xs_tw, grads["tw_mlp.0.weight"], grads["tw_mlp.0.bias"] = affine_vjp(
             xs, w.tw_mlp[0], swish_vjp(s.pop("th"), g_ta))
         g_xs += g_xs_tw
+    lap("token_weight_vjp")
 
     if t.geo_bias:  # the bias enters both keys and values
         g_ga, grads["geo_mlp.1.weight"], grads["geo_mlp.1.bias"] = affine_vjp(
@@ -854,6 +878,7 @@ def fuse_backward(inputs: FusionInputs, weights: FusionWeights, config: FusionCo
         ds = xs.shape[2]
         g_xs += g_gin[..., :ds]
         g_xc += g_gin[..., ds:].sum(axis=1, keepdims=True)
+    lap("geo_bias_vjp")
 
     g_lns_k, grads["p_k.weight"], grads["p_k.bias"] = affine_vjp(s["lns"], w.p_k, g_k)
     g_lns_v, grads["p_v.weight"], grads["p_v.bias"] = affine_vjp(s.pop("lns"), w.p_v, g_v)
@@ -866,6 +891,7 @@ def fuse_backward(inputs: FusionInputs, weights: FusionWeights, config: FusionCo
     g_lnv, grads["p_q.weight"], grads["p_q.bias"] = affine_vjp(s.pop("lnv"), w.p_q, g_q)
     g_xv_ln, grads["ln_v.gain"], grads["ln_v.shift"] = layer_norm_vjp(xv, w.ln_v, g_lnv)
     g_xv += g_xv_ln
+    lap("project_vjp")
 
     input_grads = FusionInputs(
         visual=TokenTensor(g_xv),

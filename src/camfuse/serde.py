@@ -89,7 +89,13 @@ def write_atomic(path, chunks) -> None:
     os.replace). On any error the temporary file is removed, the exception
     propagates and a previous file at `path` is left untouched. There is no
     fsync: this guards against failed or interrupted writes, not power loss.
+    An existing target that is not a regular file (a symlink, pipe, device
+    or directory) raises OSError naming `path` before anything is written,
+    since the rename would replace the node itself.
     """
+    with suppress(FileNotFoundError):
+        if not stat.S_ISREG(os.lstat(path).st_mode):
+            raise OSError(f"{path}: not a regular file")
     directory, name = os.path.split(os.fspath(path))
     temp = os.path.join(directory, f".{name}.{uuid.uuid4().hex}.tmp")
     fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the umask applies

@@ -412,6 +412,15 @@ class TestNonRegularInputs:
         assert capsys.readouterr().err == f"error: {os.devnull}: not a regular file\n"
         assert not (tmp_path / "out.cft").exists()
 
+    def test_fifo_output_is_invalid_exit(self, config_path, tmp_path, capsys):
+        out = tmp_path / "out.cft"
+        os.mkfifo(out)
+        assert main(["fuse", "--config", config_path, "--seed", "1",
+                     "--out", str(out)]) == EXIT_INVALID
+        assert f"{out}: not a regular file" in capsys.readouterr().err
+        assert os.path.exists(out) and not os.path.isfile(out)
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "out.cft"]
+
 
 class TestToggleFlags:
     @pytest.mark.parametrize("name", [f.name for f in fields(FusionToggles)])

@@ -2,6 +2,7 @@ import itertools
 import os
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -18,6 +19,8 @@ from camfuse.fusion import (
     _attention_raw,
     _attention_vjp_raw,
     _forward,
+    _heads,
+    _merge_heads,
     _tile_rows,
     ConfigError,
     FusionConfig,
@@ -387,6 +390,33 @@ class TestTiledAttention:
                                                   config.n_heads, slot=saved["c"])
         assert out.tobytes() == saved["fhat"].tobytes()
         assert lse.tobytes() == saved["lse"].tobytes()
+
+    def test_merge_heads_inverts_heads(self):
+        x = np.random.default_rng(42).standard_normal((5, 6))
+        merged = _merge_heads(_heads(x, 3))
+        assert merged.flags.c_contiguous
+        assert merged.tobytes() == x.tobytes()
+
+    def test_merge_heads_keeps_leading_axes(self):
+        xh = np.random.default_rng(43).standard_normal((2, 4, 3, 5, 2))  # [.., h, tokens, dh]
+        merged = _merge_heads(xh)
+        assert merged.shape == (2, 4, 5, 6) and merged.flags.c_contiguous
+        for i, j in itertools.product(range(2), range(4)):
+            assert merged[i, j].tobytes() == _merge_heads(xh[i, j]).tobytes()
+            assert _heads(merged[i, j], 3).tobytes() == xh[i, j].tobytes()
+
+    @pytest.mark.parametrize("camera_memory", [True, False])
+    def test_vjp_returns_contiguous_token_major_cotangents(self, camera_memory):
+        config = replace(MULTI_TILE, toggles=FusionToggles(camera_memory=camera_memory))
+        saved: dict = {}
+        _forward(synth_tokens(config, 44), init_weights(config, 45), config, saved=saved)
+        g_out = np.random.default_rng(46).standard_normal(saved["fhat"].shape)
+        gq, gk, gv = _attention_vjp_raw(saved["q"], saved["k"], saved["v"], saved["c"],
+                                        saved["fhat"], saved["lse"], config.n_heads, g_out)
+        n, mk, da = config.n_frames, config.m_spatial + camera_memory, config.d_attn
+        assert gq.shape == (n, config.m_visual, da)
+        assert gk.shape == gv.shape == (n, mk, da)
+        assert all(g.flags.c_contiguous for g in (gq, gk, gv))
 
     @given(st.data())
     def test_kernel_matches_whole_frame_at_random_shapes(self, data):
@@ -922,6 +952,26 @@ class TestFuseBackward:
         finally:
             tracemalloc.stop()
         assert peak <= 2.0 * residual_bytes
+
+    def test_timings_cover_every_stage_and_change_no_bit(self):
+        config = MULTI_TILE
+        inputs = synth_tokens(config, 47)
+        weights = init_weights(config, 48)
+        cot = TokenTensor(np.random.default_rng(49).standard_normal(inputs.visual.shape))
+        timings: dict = {}
+        start = time.perf_counter()
+        timed = fuse_backward(inputs, weights, config, cot, timings=timings)
+        wall = time.perf_counter() - start
+        assert list(timings) == ["forward", "gate_fuse_vjp", "attend_vjp", "token_weight_vjp",
+                                 "geo_bias_vjp", "project_vjp"]
+        assert all(value >= 0 for value in timings.values())
+        assert sum(timings.values()) <= wall
+        plain = fuse_backward(inputs, weights, config, cot)
+        for name in REQUIRED_STREAMS:
+            assert (getattr(timed[0], name).data.tobytes()
+                    == getattr(plain[0], name).data.tobytes()), name
+        for (name, got), (_, want) in zip(iter_params(timed[1]), iter_params(plain[1])):
+            assert got.tobytes() == want.tobytes(), name
 
     def test_cotangent_shape_checked(self):
         weights = init_weights(TINY, 0)

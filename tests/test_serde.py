@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import stat
 import threading
 import tracemalloc
 from dataclasses import fields, replace
@@ -427,6 +429,39 @@ class TestAtomicWrites:
                 save_config(replace(CONFIG, n_frames=3), 2, path)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["target"]
+
+    def test_fifo_target_is_refused(self, tmp_path):
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        with pytest.raises(OSError, match=re.escape(f"{path}: not a regular file")):
+            write_atomic(path, [b"x"])
+        assert stat.S_ISFIFO(os.lstat(path).st_mode)
+        assert os.listdir(tmp_path) == ["pipe"]
+
+    def test_symlink_target_is_refused_and_neither_end_changes(self, tmp_path):
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_bytes(b"target")
+        link.symlink_to(target)
+        with pytest.raises(OSError, match=re.escape(f"{link}: not a regular file")):
+            write_atomic(link, [b"new"])
+        assert os.readlink(link) == str(target)
+        assert target.read_bytes() == b"target"
+        assert sorted(os.listdir(tmp_path)) == ["link", "target"]
+
+    def test_directory_target_is_refused(self, tmp_path):
+        path = tmp_path / "dir"
+        path.mkdir()
+        with pytest.raises(OSError, match=re.escape(f"{path}: not a regular file")):
+            write_atomic(path, [b"x"])
+        assert path.is_dir() and os.listdir(path) == []
+        assert os.listdir(tmp_path) == ["dir"]
+
+    def test_container_onto_a_fifo_is_a_container_error(self, tmp_path):
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        with pytest.raises(ContainerError, match="not a regular file"):
+            save_container(path, {"x": np.zeros(2)}, {})
+        assert stat.S_ISFIFO(os.lstat(path).st_mode)
 
 
 class TestTokenStreams:
