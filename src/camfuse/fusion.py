@@ -26,13 +26,14 @@ are the same bit for bit at every worker count. The camera-row GEMMs (`p_c`,
 different bytes. While a pool runs, OpenBLAS is held to one thread for the
 whole process, so that workers do not start BLAS threads of their own on
 cores that are already busy. One rule, a function of the config, decides for
-the whole pass: when a frame fits in one attention tile, every stage runs
-serially on the calling thread, the token-wise ones in blocks of frames of
-about the tile budget. No function that bench/spans.py traces runs on a pool
-thread, since its span stack is global: the bodies call only `affine`,
-`layer_norm`, `tensor._sigmoid` and `tensor._swish`. The reverse pass pools
-only its attention VJP: summing weight gradients frame by frame would change
-their summation order, and so their bytes.
+every stage of a pass: only when the whole pass, every frame's queries
+together, fits in one attention tile do the stages run serially on the
+calling thread, the token-wise ones in blocks of frames of about the tile
+budget. No function that bench/spans.py traces runs on a pool thread, since
+its span stack is global: the bodies call only `affine`, `layer_norm`,
+`tensor._sigmoid` and `tensor._swish`. The reverse pass pools only its
+attention VJP: summing weight gradients frame by frame would change their
+summation order, and so their bytes.
 
 Attention walks each frame's queries in row tiles sized so that one tile's
 [heads, rows, memory] score block stays about 2 MiB. Each worker has its own
@@ -511,8 +512,8 @@ def _one_blas_thread():
 def _pool_size(n: int, mq: int, rows: int) -> int:
     """Worker threads for a pass over n frames of mq queries, in attention
     tiles of `rows` query rows: one per usable core, capped at the frame
-    count, and 1 when a frame fits in one tile."""
-    return 1 if mq <= rows else min(_usable_cores(), n)
+    count, and 1 when the whole pass (n * mq queries) fits in one tile."""
+    return 1 if n * mq <= rows else min(_usable_cores(), n)
 
 
 def _over_frames(count: int, n: int, frame, shapes) -> None:
@@ -608,7 +609,7 @@ def _attention_raw(q: np.ndarray, k: np.ndarray, v: np.ndarray, slot: np.ndarray
     rows = _tile_rows(n_heads, mk)
     out = np.empty_like(q)
 
-    def frame(i, kt, vt, qa, e):
+    def frame(i, kt, vt, qa, e, ow):
         _memory_t(k[i], slot[i], n_heads, kt)
         _memory_t(v[i], slot[i], n_heads, vt)
         k_norm = np.sqrt(np.einsum("hdk,hdk->hk", kt[:, :dh], kt[:, :dh]).max(axis=1))
@@ -622,7 +623,8 @@ def _attention_raw(q: np.ndarray, k: np.ndarray, v: np.ndarray, slot: np.ndarray
             qt[..., dh] = -shift
             np.matmul(qt, kt, out=et)
             np.exp(et, out=et)
-            o = et @ vt.transpose(0, 2, 1)  # [h, rows, dh + 1]; the last column is z
+            # [h, rows, dh + 1]; the last column is z
+            o = np.matmul(et, vt.transpose(0, 2, 1), out=ow[:, :hi - lo])
             z = o[..., dh]
             bad = ~((z >= _Z_MIN) & (z < np.inf))
             if bad.any():
@@ -633,7 +635,8 @@ def _attention_raw(q: np.ndarray, k: np.ndarray, v: np.ndarray, slot: np.ndarray
 
     memory, tile = (n_heads, dh + 1, mk), min(rows, mq)
     _over_frames(_pool_size(n, mq, rows), n, frame,
-                 [memory, memory, (n_heads, tile, dh + 1), (n_heads, tile, mk)])
+                 [memory, memory, (n_heads, tile, dh + 1), (n_heads, tile, mk),
+                  (n_heads, tile, dh + 1)])
     return out
 
 
@@ -735,7 +738,11 @@ def gate_and_fuse(attended: np.ndarray, c: np.ndarray, visual: np.ndarray,
         p = _keep_frames(kept, "p", f, affine(attended[f], weights.p_o))
         proj = _keep_frames(kept, "fproj", f, layer_norm(p, weights.ln_o))
         mapped = _keep_frames(kept, "mapped", f, affine(proj, weights.p_l))
-        out[f] = mapped + visual[f] if gate is None else mapped * gate[f, None] + visual[f]
+        if gate is None:
+            np.add(mapped, visual[f], out=out[f])
+        else:
+            np.multiply(mapped, gate[f, None], out=out[f])
+            out[f] += visual[f]
 
     _stage_frames(config, body)
     return out
@@ -779,6 +786,7 @@ def _forward(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
         token_weights(v, xs, weights, config, saved=saved)
     lap("token_weight")
     attended = attend(q, k, v, c, config, saved=saved)
+    del q, k, v  # unless `saved` holds them, freed before gate_and_fuse allocates the output
     lap("attend")
     out = gate_and_fuse(attended, c, inputs.visual.data, weights, config, saved=saved)
     lap("gate_fuse")

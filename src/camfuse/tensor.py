@@ -124,16 +124,34 @@ class LayerNormParams:
 # ---------------------------------------------------------------------------
 
 def affine(x: np.ndarray, lin: LinearMap) -> np.ndarray:
-    """Apply an affine map to every row: out[..., :] = x[..., :] @ W + b."""
-    return x @ lin.weight + lin.bias
+    """Apply an affine map to every row: out[..., :] = x[..., :] @ W + b.
+
+    The bias is added in place into the GEMM's result.
+    """
+    out = x @ lin.weight
+    out += lin.bias
+    return out
 
 
 def layer_norm(x: np.ndarray, p: LayerNormParams) -> np.ndarray:
-    """Normalize each row to zero mean / unit variance, then gain and shift."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)  # biased, standard LN convention
-    xhat = (x - mu) / np.sqrt(var + LN_EPSILON)
-    return p.gain * xhat + p.shift
+    """Normalize each row to zero mean / unit variance, then gain and shift.
+
+    The variance is the biased one (the standard layer-norm convention),
+    formed as `np.var` forms it: the mean of the squared deviations from the
+    row mean. One full-size temporary, the centred rows, is made and then
+    updated in place, so the result has the bytes of
+    ``gain * ((x - mean) / sqrt(var + LN_EPSILON)) + shift``; `x` is never
+    written.
+    """
+    d = x - x.mean(axis=-1, keepdims=True)
+    s = np.multiply(d, d).sum(axis=-1, keepdims=True)
+    s /= x.shape[-1]
+    s += LN_EPSILON
+    np.sqrt(s, out=s)
+    d /= s
+    d *= p.gain
+    d += p.shift
+    return d
 
 
 def softmax_rows(x) -> np.ndarray:

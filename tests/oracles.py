@@ -47,6 +47,21 @@ def ref_layer_norm(x, gain, shift):
     return out
 
 
+def former_affine(x, weight, bias):
+    """x @ weight + bias as one expression: the affine kernel before it added
+    the bias in place, kept as the reference it must match bit for bit."""
+    return x @ weight + bias
+
+
+def former_layer_norm(x, gain, shift):
+    """Layer norm through `x.mean` and `x.var`, with a temporary per step:
+    the kernel before it updated one centred array in place, kept as the
+    reference it must match bit for bit."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    return gain * ((x - mu) / np.sqrt(var + LN_EPSILON)) + shift
+
+
 def ref_sigmoid(v):
     return 1.0 / (1.0 + math.exp(-v))
 

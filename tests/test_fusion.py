@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -525,10 +526,11 @@ class TestFramePool:
         *(replace(TINY, toggles=FusionToggles(*bits))
           for bits in itertools.product([False, True], repeat=4)),
         replace(TINY, n_frames=5),  # two workers take three frames and two
+        replace(TINY, n_frames=5, m_visual=2),  # each frame fits one tile, the pass does not
         MULTI_TILE,
     ])
     def test_every_array_is_byte_identical_at_every_worker_count(self, config, monkeypatch):
-        if config is not MULTI_TILE:  # TINY frames in tiles of 2 and 1 rows, or the pool idles
+        if config is not MULTI_TILE:  # tiles of 2 rows, or the whole pass fits one tile
             monkeypatch.setattr(fusion, "_TILE_BYTES", 8 * config.n_heads * 5 * 2)
         inputs = synth_tokens(config, 37)
         weights = init_weights(config, 38)
@@ -560,7 +562,7 @@ class TestFramePool:
             _attention_raw(q, k, v, np.empty((2, 0, 4)), 2)
         assert pools == ([] if workers == 1 else [2])
 
-    def test_frames_that_fit_one_tile_run_serially(self, monkeypatch):
+    def test_passes_that_fit_one_tile_run_serially(self, monkeypatch):
         pools = self.count_pools(monkeypatch, 2)
         config = replace(TINY, n_frames=4)
         fuse(synth_tokens(config, 40), init_weights(config, 41), config)
@@ -639,6 +641,7 @@ class TestFramePool:
     def test_one_token_frames_match_the_oracle_at_every_worker_count(self, config, monkeypatch):
         mk = config.m_spatial + config.toggles.camera_memory
         monkeypatch.setattr(fusion, "_TILE_BYTES", 8 * config.n_heads * mk)  # one-row tiles
+        rows = _tile_rows(config.n_heads, mk)
         inputs = synth_tokens(config, 52)
         weights = init_weights(config, 53)
         cot = TokenTensor(np.random.default_rng(54).standard_normal(inputs.visual.shape))
@@ -647,8 +650,8 @@ class TestFramePool:
             pools = self.count_pools(monkeypatch, workers)
             out = fuse(inputs, weights, config).data
             input_grads, weight_grads = fuse_backward(inputs, weights, config, cot)
-            # a one-row frame fits one tile, so only two-row frames start pools
-            assert bool(pools) == (workers == 2 and config.m_visual == 2)
+            # only a pass whose n * m_visual queries fit one tile runs serially
+            assert bool(pools) == (workers == 2 and config.n_frames * config.m_visual > rows)
             npt.assert_allclose(out, ref_fuse(inputs, weights, config), rtol=0, atol=1e-12)
             results.append([out.tobytes(),
                             *(getattr(input_grads, name).data.tobytes() for name in REQUIRED_STREAMS),
@@ -819,6 +822,26 @@ class TestFuse:
         a = fuse(inputs, weights, TINY)
         b = fuse(inputs, weights, TINY)
         assert a.data.tobytes() == b.data.tobytes()
+
+    def test_attention_inputs_are_freed_before_the_output_is_built(self, monkeypatch):
+        # q, k and v beside the attention output and the fused output set the
+        # forward's peak; without a backward nothing reads them after attend
+        refs: list = []
+        alive: list = []
+        attend, gate_and_fuse = fusion.attend, fusion.gate_and_fuse
+
+        def recording(q, k, v, c, config, **kwargs):
+            refs.extend(weakref.ref(array) for array in (q, k, v))
+            return attend(q, k, v, c, config, **kwargs)
+
+        def checking(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            return gate_and_fuse(*args, **kwargs)
+
+        monkeypatch.setattr(fusion, "attend", recording)
+        monkeypatch.setattr(fusion, "gate_and_fuse", checking)
+        fuse(synth_tokens(TINY, 62), init_weights(TINY, 63), TINY)
+        assert alive == [[False, False, False]]
 
     def test_shape_mismatch_raises(self):
         weights = init_weights(TINY, 0)

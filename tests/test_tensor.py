@@ -25,7 +25,7 @@ from camfuse.tensor import (
 from camfuse.gradcheck import finite_difference_grad, max_relative_error
 
 from helpers import identity_layer_norm
-from oracles import ref_affine, two_branch_sigmoid
+from oracles import former_affine, former_layer_norm, ref_affine, two_branch_sigmoid
 
 # the edges of float64 that a logistic function must get right: signed zeros,
 # subnormals, the exp underflow/overflow thresholds (about ±708 and ±745) and
@@ -126,6 +126,46 @@ class TestLayerNorm:
         a = layer_norm(x, p)
         b = layer_norm(x + 123.456, p)
         npt.assert_allclose(a, b, atol=1e-9)
+
+
+def _kernel_inputs():
+    """Inputs for the byte-identity tests: widths 1, 5 and 64, 2-D and 3-D,
+    constant rows (zero variance), rows offset by 1e8 and a non-contiguous
+    view."""
+    rng = np.random.default_rng(60)
+    for width in (1, 5, 64):
+        constant = rng.standard_normal((3, 4, width))
+        constant[0] = 2.5
+        yield pytest.param(rng.standard_normal((7, width)), id=f"2d-{width}")
+        yield pytest.param(constant, id=f"3d-constant-rows-{width}")
+        yield pytest.param(rng.standard_normal((2, 5, width)) + 1e8, id=f"offset-1e8-{width}")
+        yield pytest.param(rng.standard_normal((6, 9, 2 * width))[::2, 1::2, ::2],
+                           id=f"strided-view-{width}")
+
+
+class TestKernelBytes:
+    """The kernels give the bytes of the expressions they replaced, and write
+    none of their arguments."""
+
+    @pytest.mark.parametrize("x", list(_kernel_inputs()))
+    def test_layer_norm_matches_the_former_expression(self, x):
+        rng = np.random.default_rng(x.size)
+        p = LayerNormParams(rng.standard_normal(x.shape[-1]), rng.standard_normal(x.shape[-1]))
+        before = [a.copy() for a in (x, p.gain, p.shift)]
+        got = layer_norm(x, p)
+        assert got.tobytes() == former_layer_norm(x, p.gain, p.shift).tobytes()
+        for arg, copy in zip((x, p.gain, p.shift), before):
+            assert arg.tobytes() == copy.tobytes()
+
+    @pytest.mark.parametrize("x", list(_kernel_inputs()))
+    def test_affine_matches_the_former_expression(self, x):
+        rng = np.random.default_rng(x.size)
+        lin = LinearMap(rng.standard_normal((x.shape[-1], 3)), rng.standard_normal(3))
+        before = [a.copy() for a in (x, lin.weight, lin.bias)]
+        got = affine(x, lin)
+        assert got.tobytes() == former_affine(x, lin.weight, lin.bias).tobytes()
+        for arg, copy in zip((x, lin.weight, lin.bias), before):
+            assert arg.tobytes() == copy.tobytes()
 
 
 class TestSoftmax:
