@@ -118,6 +118,7 @@ def _cmd_fuse(args) -> int:
     elapsed = time.perf_counter() - start
 
     save_container(args.out, {"fused": fused.data}, meta={"kind": "fused-tokens"})
+    print("busy time per stage, summed over worker threads:")
     for stage, seconds in timings.items():
         print(f"{stage:>14s}  {seconds * 1e3:9.2f} ms")
     visual_tokens = config.n_frames * config.m_visual

@@ -16,42 +16,47 @@ identical inputs. `fuse_backward` returns analytic gradients for every
 parameter and input stream; `camfuse.gradcheck` holds the independent
 finite-difference harness that validates them.
 
-Every forward stage is called on the calling thread and sends its per-frame
-body through one frame pool (`_over_frames`): one thread per usable core,
-the calling thread among them, each frame writing only its own slices of
-outputs and residuals that the calling thread allocated before dispatch. A
-frame's arithmetic does not depend on the thread that runs it, so results
-are the same bit for bit at every worker count. The camera-row GEMMs (`p_c`,
-`p_g1`, `p_g2`) stay batched on the calling thread: a one-row GEMM returns
-different bytes. While a pool runs, OpenBLAS is held to one thread for the
-whole process, so that workers do not start BLAS threads of their own on
-cores that are already busy. One rule, a function of the config, decides for
-every stage of a pass: only when the whole pass, every frame's queries
-together, fits in one attention tile do the stages run serially on the
-calling thread, the token-wise ones in blocks of frames of about the tile
-budget. No function that bench/spans.py traces runs on a pool thread, since
-its span stack is global: the bodies call only `affine`, `layer_norm`,
-`tensor._sigmoid` and `tensor._swish`. The reverse pass pools only its
-attention VJP: summing weight gradients frame by frame would change their
-summation order, and so their bytes.
+`fuse` and `fuse_backward` run one pass (`_pass`) with one frame body. Only
+the camera rows' GEMMs (`p_c`, and the gate's `p_g1` and `p_g2`) run
+batched on the calling thread, before the frames: a one-row GEMM returns
+different bytes. Then one frame pool (`_over_frames`) runs each frame's
+body: project, geo bias, token weights, that frame's attention tiles and
+gate-and-fuse, into the frame's output rows. Given a cotangent, the body
+goes straight on to the frame's VJPs (gate-and-fuse, attention, token
+weights, geo bias, project), so no residual outlives its frame. It writes
+its input-gradient rows, its camera-row cotangents and its partial of every
+weight gradient into rows the calling thread allocated; after the pool the
+partials are summed over frames in frame order and the camera rows' VJPs
+run batched. A frame's arithmetic does not depend on the thread that runs
+it, so every result is the same bit for bit at every worker count. The pool
+has one thread per usable core, the calling thread among them; only when
+the whole pass, every frame's queries together, fits in one attention tile
+does it run serially on the calling thread. OpenBLAS is held to one thread
+for the whole dispatch, pooled or serial, so that workers do not start BLAS
+threads of their own on cores that are already busy, and so that a GEMM's
+bytes do not depend on the worker count. No function that bench/spans.py
+traces runs in a frame body, since its span stack is global: the body calls
+the five public stages (`project_qkvc`, `geo_bias`, `token_weights`,
+`attend`, `gate_and_fuse`) through private aliases the tracer does not
+wrap, and otherwise only `affine`, `layer_norm`, the VJPs `affine_vjp` and
+`layer_norm_vjp`, and the private `tensor._sigmoid`, `_swish` and
+`_swish_vjp`.
 
 Attention walks each frame's queries in row tiles sized so that one tile's
-[heads, rows, memory] score block stays about 2 MiB. Each worker has its own
-tile-sized workspace, so memory is bounded by one tile per worker in both
-passes. Per frame the keys and values (with the camera slot written in as
-slot 0) are laid out once as augmented buffers with a row of ones, so a
-tile makes three passes over its score block: the QK^T GEMM, an
-in-place `exp` and the PV GEMM. The softmax shift rides in the first GEMM:
-each query row carries -c, where c = |q| max|k| bounds the row's scores by
-Cauchy-Schwarz. The row sum rides in the second, as its last column. Rows
-whose shifted sum falls below e^-600 are redone with their exact row max.
-The reverse pass keeps no probability tensor: the forward saves each query
-row's log-sum-exp ([frames, heads, queries]), which the backward folds into
-its QK^T GEMM the same way to recompute the probabilities tile by tile. The
-backward sums the key and value cotangents head-major, as [frames, heads,
-memory, head_dim]: each tile writes its share into a per-worker product
-buffer and adds that to the frame's contiguous rows, and the heads are
-merged into [frames, memory, d_attn] once, after the pool has returned.
+[heads, rows, memory] score block stays about 2 MiB, in a tile-sized
+workspace per worker, so memory is bounded by the outputs plus one frame's
+working set per worker in both passes. Per frame the keys and values (with
+the camera slot written in as slot 0) are laid out once as augmented
+buffers with a row of ones, so a tile makes three passes over its score
+block: the QK^T GEMM, an in-place `exp` and the PV GEMM. The softmax shift
+rides in the first GEMM: each query row carries -c, where c = |q| max|k|
+bounds the row's scores by Cauchy-Schwarz. The row sum rides in the second,
+as its last column. Rows whose shifted sum falls below e^-600 are redone
+with their exact row max. The reverse pass keeps no probability tensor: the
+forward leaves each query row's log-sum-exp in the worker's workspace, and
+the frame's attention VJP folds it into its QK^T GEMM the same way to
+recompute the probabilities tile by tile, summing the key and value
+cotangents head-major into contiguous [heads, memory, head_dim] rows.
 
 The output always has the visual stream's shape, so the module can sit in
 front of a downstream consumer without changing its interface.
@@ -59,10 +64,9 @@ front of a downstream consumer without changing its interface.
 Streams enter as `TokenTensor`s (finite, rank 3, float64) inside a
 `FusionInputs`, shaped as `stream_shapes(config)` states, and `fuse` /
 `fuse_backward` check them and return `TokenTensor`s. Between those
-boundaries the five stages (`project_qkvc`, `geo_bias`, `token_weights`,
-`attend`, `gate_and_fuse`) take plain float64 arrays, return them or (keys
-and values, for the geo bias and token weights) update them in place, and
-validate nothing.
+boundaries the five stages take one frame's plain float64 arrays, return
+their result followed by the intermediates the reverse pass reads (`attend`
+leaves them in the worker's workspace), and validate nothing.
 """
 
 from __future__ import annotations
@@ -86,6 +90,7 @@ from .tensor import (
     TokenTensor,
     _sigmoid,
     _swish,
+    _swish_vjp,
     affine,
     affine_vjp,
     layer_norm,
@@ -314,7 +319,7 @@ def init_weights(config: FusionConfig, seed: int) -> FusionWeights:
 
 
 # ---------------------------------------------------------------------------
-# forward stages
+# per-frame stages
 # ---------------------------------------------------------------------------
 
 def _check_inputs(inputs: FusionInputs, config: FusionConfig) -> None:
@@ -324,99 +329,40 @@ def _check_inputs(inputs: FusionInputs, config: FusionConfig) -> None:
             raise DimensionError(f"{name} stream has shape {stream.shape}, config expects {shape}")
 
 
-def _keep(saved: dict | None, name: str, value: np.ndarray) -> np.ndarray:
-    """Record `value` for the reverse pass when a `saved` dict is given.
+def project_qkvc(visual: np.ndarray, spatial: np.ndarray, weights: FusionWeights):
+    """Project one frame's visual [mq, d_visual] and spatial [ms, d_spatial]
+    tokens into the shared attention space, each stream layer-normalized
+    first; returns (q, k, v, lnv, lns), the last two being the normalized
+    tokens that the reverse pass reads.
 
-    Used inside expressions, so that without `saved` every intermediate is
-    freed as early as if it had not been recorded.
+    The camera rows are projected apart, in one GEMM over every frame.
     """
-    if saved is not None:
-        saved[name] = value
-    return value
+    lnv = layer_norm(visual, weights.ln_v)
+    lns = layer_norm(spatial, weights.ln_s)
+    return affine(lnv, weights.p_q), affine(lns, weights.p_k), affine(lns, weights.p_v), lnv, lns
 
 
-def _kept(saved: dict | None, **shapes) -> dict:
-    """Allocate the full-size residuals whose frames a stage fills, and record
-    them in `saved`; none without `saved`.
-
-    They are allocated here, on the calling thread, before any frame runs.
-    """
-    if saved is None:
-        return {}
-    arrays = {name: np.empty(shape) for name, shape in shapes.items()}
-    saved.update(arrays)
-    return arrays
-
-
-def _keep_frames(kept: dict, name: str, f: slice, value: np.ndarray) -> np.ndarray:
-    """Write `value` as frames `f` of residual `name` when residuals are kept;
-    returns `value`, so that it can be used inside expressions."""
-    if kept:
-        kept[name][f] = value
-    return value
-
-
-def project_qkvc(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig, *,
-                 saved: dict | None = None):
-    """Project the three streams into the shared attention space; returns
-    the arrays (q, k, v, c).
-
-    Visual and spatial tokens are layer-normalized first; the camera token is
-    projected raw, in one GEMM over every frame's camera row.
-    """
-    xv, xs = inputs.visual.data, inputs.spatial.data
-    q = np.empty(xv.shape[:2] + (config.d_attn,))
-    k = np.empty(xs.shape[:2] + (config.d_attn,))
-    v = np.empty_like(k)
-    kept = _kept(saved, lnv=xv.shape, lns=xs.shape)
-
-    def body(f):
-        q[f] = affine(_keep_frames(kept, "lnv", f, layer_norm(xv[f], weights.ln_v)), weights.p_q)
-        lns = _keep_frames(kept, "lns", f, layer_norm(xs[f], weights.ln_s))
-        k[f] = affine(lns, weights.p_k)
-        v[f] = affine(lns, weights.p_v)
-
-    _stage_frames(config, body)
-    return q, k, v, affine(inputs.camera.data, weights.p_c)
-
-
-def geo_bias(k: np.ndarray, v: np.ndarray, spatial: np.ndarray, camera: np.ndarray,
-             weights: FusionWeights, config: FusionConfig, *, saved: dict | None = None) -> None:
-    """Add the camera-conditioned bias over spatial tokens to the keys `k`
-    and values `v`, in place.
+def geo_bias(spatial: np.ndarray, camera: np.ndarray, weights: FusionWeights):
+    """The camera-conditioned bias [ms, d_attn] that one frame adds to its
+    keys and values; returns (bias, gin, gh, ga), the last three being the
+    MLP's input, hidden pre-activation and activation.
 
     The bias is an MLP over each spatial token concatenated, along width,
-    with its frame's camera row.
+    with the frame's camera row `camera` ([1, d_spatial]).
     """
-    n, ms, ds = spatial.shape
-    kept = _kept(saved, gin=(n, ms, 2 * ds), gh=k.shape, ga=k.shape)
-
-    def body(f):
-        gin = np.concatenate([spatial[f], np.broadcast_to(camera[f], spatial[f].shape)], axis=-1)
-        gh = _keep_frames(kept, "gh", f, affine(_keep_frames(kept, "gin", f, gin),
-                                                weights.geo_mlp[0]))
-        bias = affine(_keep_frames(kept, "ga", f, _swish(gh)), weights.geo_mlp[1])
-        k[f] += bias
-        v[f] += bias
-
-    _stage_frames(config, body)
+    gin = np.concatenate([spatial, np.broadcast_to(camera, spatial.shape)], axis=-1)
+    gh = affine(gin, weights.geo_mlp[0])
+    ga = _swish(gh)
+    return affine(ga, weights.geo_mlp[1]), gin, gh, ga
 
 
-def token_weights(v: np.ndarray, spatial: np.ndarray, weights: FusionWeights,
-                  config: FusionConfig, *, saved: dict | None = None) -> np.ndarray:
-    """Query-independent importance in (0,1) for each spatial token; scales
-    the values `v` by it in place and returns it ([frames, tokens, 1])."""
-    tw = _keep(saved, "tw", np.empty(spatial.shape[:2] + (1,)))
-    kept = _kept(saved, th=v.shape, ta=v.shape, v_unweighted=v.shape)
-
-    def body(f):
-        th = _keep_frames(kept, "th", f, affine(spatial[f], weights.tw_mlp[0]))
-        tw[f] = _sigmoid(affine(_keep_frames(kept, "ta", f, _swish(th)), weights.tw_mlp[1]))
-        _keep_frames(kept, "v_unweighted", f, v[f])
-        v[f] *= tw[f]
-
-    _stage_frames(config, body)
-    return tw
+def token_weights(spatial: np.ndarray, weights: FusionWeights):
+    """Query-independent importance in (0, 1) of each of one frame's spatial
+    tokens, which scales its value row; returns (tw [ms, 1], th, ta), the
+    last two being the MLP's hidden pre-activation and activation."""
+    th = affine(spatial, weights.tw_mlp[0])
+    ta = _swish(th)
+    return _sigmoid(affine(ta, weights.tw_mlp[1])), th, ta
 
 
 # byte budget of one tile's [h, rows, mk] float64 score block, about an L2 cache
@@ -439,8 +385,8 @@ def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
 
 
 def _merge_heads(xh: np.ndarray) -> np.ndarray:
-    """[..., h, tokens, head_dim] -> [..., tokens, d_attn]; leading axes are kept."""
-    return xh.swapaxes(-3, -2).reshape(xh.shape[:-3] + (xh.shape[-2], -1))
+    """[h, tokens, head_dim] -> a new [tokens, d_attn] array."""
+    return xh.swapaxes(0, 1).reshape(xh.shape[1], -1)
 
 
 def _memory_t(x: np.ndarray, slot: np.ndarray, n_heads: int, mt: np.ndarray) -> None:
@@ -453,6 +399,173 @@ def _memory_t(x: np.ndarray, slot: np.ndarray, n_heads: int, mt: np.ndarray) -> 
     mt[:, :dh, lead:] = _heads(x, n_heads).transpose(0, 2, 1)
     mt[:, dh] = 1.0
 
+
+def _workspace(n_heads: int, mq: int, mk: int, d_attn: int, backward: bool = False) -> dict:
+    """One worker's buffers for frames of mq queries over mk memory slots.
+
+    kt and vt hold the frame's memory as `_memory_t` lays it out, att and
+    lse the attention output and each query row's log-sum-exp; qa, e and ow
+    are one query tile's augmented queries, score block and PV product.
+    For the reverse pass, g_s is a tile's score cotangent, gk and gv sum the
+    key and value cotangents head-major, prod takes each tile's share of
+    them and gq is the query cotangent.
+    """
+    h, dh = n_heads, d_attn // n_heads
+    tile = min(_tile_rows(n_heads, mk), mq)
+    shapes = {"kt": (h, dh + 1, mk), "vt": (h, dh + 1, mk), "att": (mq, d_attn),
+              "lse": (h, mq), "qa": (h, tile, dh + 1), "e": (h, tile, mk), "ow": (h, tile, dh + 1)}
+    if backward:
+        shapes.update(g_s=(h, tile, mk), gk=(h, mk, dh), gv=(h, mk, dh), prod=(h, mk, dh),
+                      gq=(mq, d_attn))
+    return {name: np.empty(shape) for name, shape in shapes.items()}
+
+
+def _exact_shift_rows(qa, kt, vt, o, shift, bad):
+    """Recompute a tile's flagged (head, row) pairs shifted by their exact row max.
+
+    `qa` holds the tile's augmented queries, `o` their [h, rows, dh + 1]
+    product with the augmented V (row sums last) and `shift` the per-row
+    shifts; `o` and `shift` are overwritten for every pair flagged in `bad`.
+    """
+    dh = kt.shape[1] - 1
+    for h, r in zip(*np.nonzero(bad)):
+        s = qa[h, r, :dh] @ kt[h, :dh]
+        shift[h, r] = s.max()
+        o[h, r] = np.exp(s - shift[h, r]) @ vt[h].T
+
+
+def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, c: np.ndarray,
+           config: FusionConfig, ws: dict | None = None) -> np.ndarray:
+    """One frame's visual queries q [mq, d_attn] attend over its spatial keys
+    and values [ms, d_attn], led by the camera slot c ([1, d_attn]) as both
+    key and value when camera_memory is on; returns the output [mq, d_attn].
+
+    Multi-head scaled dot-product attention (scale 1/sqrt(head_dim)) in
+    query tiles. The keys and values, camera slot included, are laid out
+    once as [h, dh + 1, mk] with a last row of ones, and each scaled query
+    row gets a last entry -c, where c = |q_i| max_j |k_j| bounds every score
+    of the row (Cauchy-Schwarz). A tile is then three passes over its
+    [h, rows, mk] block: the QK^T GEMM returns scores already shifted by c,
+    `exp` runs in place, and the PV GEMM returns the row sums z as its last
+    column, so the log-sum-exp is c + log z. Rows with z < e^-600 or a
+    non-finite z are recomputed with their exact row max. Every tile sees
+    the frame's whole memory, so one pass gives the exact softmax.
+
+    `ws` is a worker's `_workspace`, sized for this frame; without one, the
+    call allocates its own. The output is its `att` buffer, and its `kt`,
+    `vt` and `lse` are left holding the memory layout and each row's
+    log-sum-exp of the scaled scores, from which `_attend_vjp` recomputes
+    the probabilities. No probability tensor is stored.
+    """
+    slot = c if config.toggles.camera_memory else c[:0]
+    mq, da = q.shape
+    mk = k.shape[0] + slot.shape[0]
+    if mk == 0:
+        raise DimensionError(
+            "attention memory is empty: no spatial tokens and camera memory disabled"
+        )
+    n_heads = config.n_heads
+    if ws is None:
+        ws = _workspace(n_heads, mq, mk, da)
+    dh = da // n_heads
+    scale = 1.0 / np.sqrt(dh)
+    rows = _tile_rows(n_heads, mk)
+    kt, vt, att, lse = ws["kt"], ws["vt"], ws["att"], ws["lse"]
+    _memory_t(k, slot, n_heads, kt)
+    _memory_t(v, slot, n_heads, vt)
+    k_norm = np.sqrt(np.einsum("hdk,hdk->hk", kt[:, :dh], kt[:, :dh]).max(axis=1))
+    for lo in range(0, mq, rows):
+        hi = min(lo + rows, mq)
+        qt, et = ws["qa"][:, :hi - lo], ws["e"][:, :hi - lo]
+        qh = qt[..., :dh]
+        np.multiply(_heads(q[lo:hi], n_heads), scale, out=qh)
+        shift = np.sqrt(np.einsum("hqd,hqd->hq", qh, qh)) * k_norm[:, None]
+        # assigned, not np.negative(..., out=): numpy 2.4 misreads a size-1 row axis
+        qt[..., dh] = -shift
+        np.matmul(qt, kt, out=et)
+        np.exp(et, out=et)
+        # [h, rows, dh + 1]; the last column is z
+        o = np.matmul(et, vt.transpose(0, 2, 1), out=ws["ow"][:, :hi - lo])
+        z = o[..., dh]
+        bad = ~((z >= _Z_MIN) & (z < np.inf))
+        if bad.any():
+            _exact_shift_rows(qt, kt, vt, o, shift, bad)
+        np.divide(o[..., :dh], o[..., dh:], out=_heads(att[lo:hi], n_heads))
+        lse[:, lo:hi] = shift + np.log(z)
+    return att
+
+
+def _attend_vjp(q: np.ndarray, g_att: np.ndarray, n_heads: int, ws: dict):
+    """Cotangents (gq, gk, gv) of ``<g_att, attend(q, ...)>`` for the frame
+    whose `attend` last ran in the backward workspace `ws`.
+
+    gk and gv ([mk, d_attn]) cover the whole memory, the camera slot's row
+    first when there is one. Per query tile the scaled queries carry a last
+    entry -lse, so one GEMM against the memory layout and an in-place `exp`
+    recompute the probabilities p; with D = rowsum(g_att * att) the
+    cotangent rows carry -D, so one more GEMM gives g_att v^T - D, and the
+    score cotangent is p times that. gk and gv are summed head-major, in
+    [h, mk, dh] zeros: each tile's GEMM writes into `prod`, which is added
+    to them, so tiles add in order onto zeros. The heads are merged once, at
+    the end; gq is written token-major in place.
+    """
+    mq, da = q.shape
+    dh = da // n_heads
+    scale = 1.0 / np.sqrt(dh)
+    kt, vt, att, lse = ws["kt"], ws["vt"], ws["att"], ws["lse"]
+    gq, gk, gv, prod = ws["gq"], ws["gk"], ws["gv"], ws["prod"]
+    rows = _tile_rows(n_heads, kt.shape[2])
+    gk.fill(0.0)
+    gv.fill(0.0)
+    kh = kt[:, :dh].transpose(0, 2, 1)
+    for lo in range(0, mq, rows):
+        hi = min(lo + rows, mq)
+        qt, gt, pt, st = (ws[name][:, :hi - lo] for name in ("qa", "ow", "e", "g_s"))
+        qh, goh = qt[..., :dh], gt[..., :dh]
+        np.multiply(_heads(q[lo:hi], n_heads), scale, out=qh)
+        qt[..., dh] = -lse[:, lo:hi]
+        goh[...] = _heads(g_att[lo:hi], n_heads)
+        gt[..., dh] = -(goh * _heads(att[lo:hi], n_heads)).sum(axis=-1)
+        np.matmul(qt, kt, out=pt)
+        np.exp(pt, out=pt)
+        gv += np.matmul(pt.transpose(0, 2, 1), goh, out=prod)
+        np.matmul(gt, vt, out=st)
+        st *= pt
+        np.multiply(st @ kh, scale, out=_heads(gq[lo:hi], n_heads))
+        gk += np.matmul(st.transpose(0, 2, 1), qh, out=prod)
+    return gq, _merge_heads(gk), _merge_heads(gv)
+
+
+def gate_and_fuse(attended: np.ndarray, gate: np.ndarray | None, visual: np.ndarray,
+                  weights: FusionWeights, out: np.ndarray):
+    """Project one frame's attention output [mq, d_attn] back to visual
+    width, scale it by the frame's camera gate ([d_visual], or None when the
+    gate is off) and add the visual residual, writing the result into `out`
+    ([mq, d_visual]); returns (out, p, proj, mapped), the last three being
+    the projection, its layer norm and the mapped rows before the gate."""
+    p = affine(attended, weights.p_o)
+    proj = layer_norm(p, weights.ln_o)
+    mapped = affine(proj, weights.p_l)
+    if gate is None:
+        np.add(mapped, visual, out=out)
+    else:
+        np.multiply(mapped, gate, out=out)
+        out += visual
+    return out, p, proj, mapped
+
+
+# Distinct objects that call the public stages: bench/spans.py wraps every
+# module attribute that *is* a traced function, and a frame body, which may
+# run on a worker thread, must never enter a wrapper (its span stack is
+# global). Calls from the calling thread may use the public names.
+_project_qkvc, _geo_bias, _token_weights, _attend, _gate_and_fuse = (
+    functools.partial(stage) for stage in
+    (project_qkvc, geo_bias, token_weights, attend, gate_and_fuse))
+
+
+# ---------------------------------------------------------------------------
+# the frame pool
+# ---------------------------------------------------------------------------
 
 def _usable_cores() -> int:
     """Cores this process may run on; where affinity is unknown, every core."""
@@ -492,9 +605,11 @@ def _one_blas_thread():
     on exit, also when the block raises.
 
     Each pool worker already has a core: a GEMM that started BLAS threads of
-    its own would oversubscribe them. The setting is process-global, so for
-    the length of the block every BLAS call, from any thread, runs on one
-    thread. Does nothing where `_openblas_threads` finds no OpenBLAS.
+    its own would oversubscribe them. One thread also fixes how a GEMM splits
+    its sums, so a frame's bytes do not depend on whether it ran pooled or
+    serially. The setting is process-global, so for the length of the block
+    every BLAS call, from any thread, runs on one thread. Does nothing where
+    `_openblas_threads` finds no OpenBLAS.
     """
     calls = _openblas_threads()
     if calls is None:
@@ -516,291 +631,221 @@ def _pool_size(n: int, mq: int, rows: int) -> int:
     return 1 if n * mq <= rows else min(_usable_cores(), n)
 
 
-def _over_frames(count: int, n: int, frame, shapes) -> None:
-    """Call ``frame(i, *buffers)`` for every i < n, on `count` threads: this
-    one and a pool of count - 1 workers.
+def _over_frames(count: int, n: int, frame, workspace) -> None:
+    """Call ``frame(i, ws)`` for every i < n, on `count` threads: this one
+    and a pool of count - 1 workers.
 
-    Worker w takes w, w + count, ... and owns one float64 buffer per entry
-    of `shapes`; the calling thread is worker 0. It allocates every buffer
-    before dispatch, and takes a share of the frames itself, since a pool
-    thread's frees stay in its own malloc arena and count towards peak RSS.
-    With a count of 1 everything runs here, in order, with no pool. Each pool
-    worker runs in a copy of the caller's context, so the caller's
-    `np.errstate` holds there too, and OpenBLAS is held to one thread while
-    the pool runs. An error from any worker propagates once all have ended.
+    Worker w takes w, w + count, ... and owns the workspace ``workspace()``
+    returned for it; the calling thread is worker 0. It builds every
+    workspace before dispatch, and takes a share of the frames itself, since
+    a pool thread's frees stay in its own malloc arena and count towards
+    peak RSS. With a count of 1 everything runs here, in order, with no
+    pool. Each pool worker runs in a copy of the caller's context, so the
+    caller's `np.errstate` holds there too. OpenBLAS is held to one thread
+    for the whole call, pooled or not. An error from any worker propagates
+    once all have ended.
     """
-    workspaces = [[np.empty(shape) for shape in shapes] for _ in range(count)]
+    workspaces = [workspace() for _ in range(count)]
 
     def stride(w):
         for i in range(w, n, count):
-            frame(i, *workspaces[w])
+            frame(i, workspaces[w])
 
-    if count == 1:
-        stride(0)
-        return
-    with _one_blas_thread(), ThreadPoolExecutor(count - 1) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, stride, w)
-                   for w in range(1, count)]
-        stride(0)
-        for future in futures:
-            future.result()
-
-
-def _stage_frames(config: FusionConfig, body) -> None:
-    """Call a token-wise stage's ``body(f)`` over slices `f` of frames that
-    together cover every frame.
-
-    `_pool_size` decides from the config alone, so every stage of a pass
-    makes attention's choice. Pooled, each call takes one frame. Serially the
-    frames go in blocks of about `_TILE_BYTES`, counted as tokens times the
-    widest width any stage reaches: tiny frames then cost one call for all,
-    and large ones keep their temporaries in cache.
-    """
-    n = config.n_frames
-    memory = config.m_spatial + config.toggles.camera_memory
-    count = _pool_size(n, config.m_visual, _tile_rows(config.n_heads, memory))
-    frame_bytes = 8 * (config.m_visual + config.m_spatial) * max(
-        config.d_visual, 2 * config.d_spatial, config.d_attn)
-    block = 1 if count > 1 else max(1, _TILE_BYTES // frame_bytes)
-    _over_frames(count, -(-n // block), lambda b: body(slice(b * block, (b + 1) * block)), [])
+    with _one_blas_thread():
+        if count == 1:
+            stride(0)
+            return
+        with ThreadPoolExecutor(count - 1) as pool:
+            futures = [pool.submit(contextvars.copy_context().run, stride, w)
+                       for w in range(1, count)]
+            stride(0)
+            for future in futures:
+                future.result()
 
 
-def _exact_shift_rows(qa, kt, vt, o, shift, bad):
-    """Recompute a tile's flagged (head, row) pairs shifted by their exact row max.
+# ---------------------------------------------------------------------------
+# the pass
+# ---------------------------------------------------------------------------
 
-    `qa` holds the tile's augmented queries, `o` their [h, rows, dh + 1]
-    product with the augmented V (row sums last) and `shift` the per-row
-    shifts; `o` and `shift` are overwritten for every pair flagged in `bad`.
-    """
-    dh = kt.shape[1] - 1
-    for h, r in zip(*np.nonzero(bad)):
-        s = qa[h, r, :dh] @ kt[h, :dh]
-        shift[h, r] = s.max()
-        o[h, r] = np.exp(s - shift[h, r]) @ vt[h].T
+# `timings` keys: the forward's stages, then the reverse pass's VJPs in the order they run
+_STAGES = ("project", "geo_bias", "token_weight", "attend", "gate_fuse")
+_VJPS = ("gate_fuse_vjp", "attend_vjp", "token_weight_vjp", "geo_bias_vjp", "project_vjp")
 
 
-def _attention_raw(q: np.ndarray, k: np.ndarray, v: np.ndarray, slot: np.ndarray,
-                   n_heads: int, lse: np.ndarray | None = None) -> np.ndarray:
-    """Frame-local multi-head scaled dot-product attention, in query tiles.
-
-    Scale is 1/sqrt(head_dim). `slot` ([n, 0 or 1, d_attn]) holds the memory
-    slots placed before k and v, each serving as both key and value.
-    Per frame the keys and values are laid out once as [h, dh + 1, mk] with a
-    last row of ones, and each scaled query row gets a last entry -c, where
-    c = |q_i| max_j |k_j| bounds every score of the row (Cauchy-Schwarz). A
-    tile is then three passes over its [h, rows, mk] block: the QK^T GEMM
-    returns scores already shifted by c, `exp` runs in place, and the PV GEMM
-    returns the row sums z as its last column, so the log-sum-exp is
-    c + log z. Rows with z < e^-600 or a non-finite z are recomputed with
-    their exact row max. Every tile sees the frame's whole memory, so one
-    pass gives the exact softmax. When given, `lse` ([n, h, mq]) receives
-    each row's log-sum-exp of the scaled scores, from which the backward pass
-    recomputes the probabilities.
-
-    Frames run on worker threads (`_over_frames`), each writing only its own
-    slices of the output and `lse`. No traced function may be called from
-    a frame: bench/spans.py keeps one global span stack. The result is the
-    same, bit for bit, at every worker count.
-    """
-    n, mq, da = q.shape
-    dh = da // n_heads
-    mk = k.shape[1] + slot.shape[1]
-    scale = 1.0 / np.sqrt(dh)
-    rows = _tile_rows(n_heads, mk)
-    out = np.empty_like(q)
-
-    def frame(i, kt, vt, qa, e, ow):
-        _memory_t(k[i], slot[i], n_heads, kt)
-        _memory_t(v[i], slot[i], n_heads, vt)
-        k_norm = np.sqrt(np.einsum("hdk,hdk->hk", kt[:, :dh], kt[:, :dh]).max(axis=1))
-        for lo in range(0, mq, rows):
-            hi = min(lo + rows, mq)
-            qt, et = qa[:, :hi - lo], e[:, :hi - lo]
-            qh = qt[..., :dh]
-            np.multiply(_heads(q[i, lo:hi], n_heads), scale, out=qh)
-            shift = np.sqrt(np.einsum("hqd,hqd->hq", qh, qh)) * k_norm[:, None]
-            # assigned, not np.negative(..., out=): numpy 2.4 misreads a size-1 row axis
-            qt[..., dh] = -shift
-            np.matmul(qt, kt, out=et)
-            np.exp(et, out=et)
-            # [h, rows, dh + 1]; the last column is z
-            o = np.matmul(et, vt.transpose(0, 2, 1), out=ow[:, :hi - lo])
-            z = o[..., dh]
-            bad = ~((z >= _Z_MIN) & (z < np.inf))
-            if bad.any():
-                _exact_shift_rows(qt, kt, vt, o, shift, bad)
-            out[i, lo:hi] = _merge_heads(o[..., :dh] / o[..., dh:])
-            if lse is not None:
-                lse[i, :, lo:hi] = shift + np.log(z)
-
-    memory, tile = (n_heads, dh + 1, mk), min(rows, mq)
-    _over_frames(_pool_size(n, mq, rows), n, frame,
-                 [memory, memory, (n_heads, tile, dh + 1), (n_heads, tile, mk),
-                  (n_heads, tile, dh + 1)])
-    return out
-
-
-def _attention_vjp_raw(q, k, v, slot, out, lse, n_heads, g_out):
-    """Cotangents (gq, gk, gv) of ``<g_out, attention(q, k, v)>``.
-
-    `out` and `lse` are the forward's output and row log-sum-exps. gk and gv
-    cover the whole memory: `slot`'s rows first, then k's and v's rows. The
-    memory is laid out as in the forward, with a ones row under
-    K^T and V^T. Per query tile the scaled queries carry a last entry -lse,
-    so one GEMM and an in-place `exp` recompute the probabilities p; with
-    D = rowsum(g_out * out) the cotangent rows carry -D, so one more GEMM
-    gives g_out v^T - D, and the score cotangent is p times that. gk and gv
-    are summed head-major, in [n, h, mk, dh] zeros: each tile's GEMM writes
-    into the worker's `prod` buffer, which is added to the frame's
-    contiguous [h, mk, dh] block, so tiles still add in order onto zeros.
-    The heads are merged once, after the pool has returned. Frames run on
-    worker threads, as in the forward.
-    """
-    n, mq, da = q.shape
-    dh = da // n_heads
-    scale = 1.0 / np.sqrt(dh)
-    mk = k.shape[1] + slot.shape[1]
-    rows = _tile_rows(n_heads, mk)
-    gq = np.empty_like(q)
-    gk = np.zeros((n, n_heads, mk, dh))
-    gv = np.zeros((n, n_heads, mk, dh))
-
-    def frame(i, kt, vt, qa, ga, p, g_s, prod):
-        _memory_t(k[i], slot[i], n_heads, kt)
-        _memory_t(v[i], slot[i], n_heads, vt)
-        kh = kt[:, :dh].transpose(0, 2, 1)
-        for lo in range(0, mq, rows):
-            hi = min(lo + rows, mq)
-            qt, gt, pt, st = (buffer[:, :hi - lo] for buffer in (qa, ga, p, g_s))
-            qh, goh = qt[..., :dh], gt[..., :dh]
-            np.multiply(_heads(q[i, lo:hi], n_heads), scale, out=qh)
-            qt[..., dh] = -lse[i, :, lo:hi]
-            goh[...] = _heads(g_out[i, lo:hi], n_heads)
-            gt[..., dh] = -(goh * _heads(out[i, lo:hi], n_heads)).sum(axis=-1)
-            np.matmul(qt, kt, out=pt)
-            np.exp(pt, out=pt)
-            gv[i] += np.matmul(pt.transpose(0, 2, 1), goh, out=prod)
-            np.matmul(gt, vt, out=st)
-            st *= pt
-            gq[i, lo:hi] = _merge_heads(st @ kh) * scale
-            gk[i] += np.matmul(st.transpose(0, 2, 1), qh, out=prod)
-
-    memory, tile = (n_heads, dh + 1, mk), min(rows, mq)
-    _over_frames(_pool_size(n, mq, rows), n, frame,
-                 [memory, memory, (n_heads, tile, dh + 1), (n_heads, tile, dh + 1),
-                  (n_heads, tile, mk), (n_heads, tile, mk), (n_heads, mk, dh)])
-    return gq, _merge_heads(gk), _merge_heads(gv)
-
-
-def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, c: np.ndarray,
-           config: FusionConfig, *, saved: dict | None = None) -> np.ndarray:
-    """Visual queries attend over spatial memory, prepended with the camera
-    slot when camera_memory is enabled.
-
-    The camera slot goes straight into the kernel's per-frame key and value
-    buffers, so no [frames, 1 + m_spatial, d_attn] memory is built. With
-    `saved`, the reverse pass keeps q, k, v, the camera slot (with no rows
-    when camera_memory is off) and each query row's log-sum-exp ([frames,
-    heads, mq]); no probability tensor is stored.
-    """
-    slot = c if config.toggles.camera_memory else c[:, :0]
-    if k.shape[1] + slot.shape[1] == 0:
-        raise DimensionError(
-            "attention memory is empty: no spatial tokens and camera memory disabled"
-        )
-    lse = None
-    if saved is not None:
-        lse = np.empty((q.shape[0], config.n_heads, q.shape[1]))
-        saved.update(q=q, k=k, v=v, c=slot, lse=lse)
-    return _attention_raw(q, k, v, slot, config.n_heads, lse)
-
-
-def gate_and_fuse(attended: np.ndarray, c: np.ndarray, visual: np.ndarray,
-                  weights: FusionWeights, config: FusionConfig, *,
-                  saved: dict | None = None) -> np.ndarray:
-    """Project the attention output back to visual width, gate it with the
-    camera embedding, and add the visual residual.
-
-    The gate comes from one GEMM per gate weight over every frame's camera
-    row, on the calling thread.
-    """
-    gate = None
-    if config.toggles.gate:
-        cbar = _keep(saved, "cbar", c[:, 0, :])
-        u = _keep(saved, "u", affine(cbar, weights.p_g1))
-        vg = _keep(saved, "vg", affine(cbar, weights.p_g2))
-        gate = _keep(saved, "gate", _keep(saved, "su", swish(u)) * vg)
-    _keep(saved, "fhat", attended)
-    out = np.empty_like(visual)
-    kept = _kept(saved, p=attended.shape, fproj=attended.shape, mapped=visual.shape)
-
-    def body(f):
-        p = _keep_frames(kept, "p", f, affine(attended[f], weights.p_o))
-        proj = _keep_frames(kept, "fproj", f, layer_norm(p, weights.ln_o))
-        mapped = _keep_frames(kept, "mapped", f, affine(proj, weights.p_l))
-        if gate is None:
-            np.add(mapped, visual[f], out=out[f])
-        else:
-            np.multiply(mapped, gate[f, None], out=out[f])
-            out[f] += visual[f]
-
-    _stage_frames(config, body)
-    return out
-
-
-def _laps(timings: dict | None):
-    """A function ``lap(name)`` that records under `name` in `timings` the
-    wall time (seconds) since the previous lap, or since this call; it does
-    nothing when `timings` is None."""
-    if timings is None:
+def _laps(busy: dict | None):
+    """A function ``lap(name)`` that adds to `busy[name]` the wall time
+    (seconds) since the previous lap, or since this call; it does nothing
+    when `busy` is None."""
+    if busy is None:
         return lambda name: None
     last = time.perf_counter()
 
     def lap(name):
         nonlocal last
         now = time.perf_counter()
-        timings[name] = now - last
+        busy[name] = busy.get(name, 0.0) + now - last
         last = now
 
     return lap
 
 
-def _forward(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
-             timings: dict | None = None, saved: dict | None = None) -> np.ndarray:
-    """The fusion pipeline behind both `fuse` and `fuse_backward`; returns
-    the fused array.
+def _param_views(flat: np.ndarray, config: FusionConfig) -> dict[str, np.ndarray]:
+    """Name -> view of `flat` ([param_count(config)]) shaped as that parameter,
+    the parameters laid out in canonical order."""
+    views, start = {}, 0
+    for name, shape in _param_layout(config):
+        size = int(np.prod(shape))
+        views[name] = flat[start:start + size].reshape(shape)
+        start += size
+    return views
 
-    `timings` and `saved` are out-parameters that change no result: they
-    receive per-stage wall times (seconds) and the reverse pass's residuals.
+
+def _pass(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
+          g_out: np.ndarray | None = None, timings: dict | None = None):
+    """The fusion pass behind both `fuse` and `fuse_backward`: returns the
+    fused array, and with a cotangent `g_out` the tuple (g_visual, g_spatial,
+    g_camera, weight gradients by name) in its place.
+
+    The camera rows' GEMMs run batched here, before the pool; then one
+    `_over_frames` dispatch runs each frame's body, which, given a
+    cotangent, goes straight on to that frame's VJPs. A frame writes its
+    input-gradient rows, its camera-row cotangents and its partial of every
+    weight gradient into rows allocated here, and the camera rows' VJPs run
+    batched after the pool. `timings` receives busy seconds summed over
+    workers (see `fuse` and `fuse_backward`) and changes no result.
     """
     _check_inputs(inputs, config)
-    t = config.toggles
-    xs = inputs.spatial.data
-    lap = _laps(timings)
-    q, k, v, c = project_qkvc(inputs, weights, config, saved=saved)
+    t, w = config.toggles, weights
+    xv, xs, xc = inputs.visual.data, inputs.spatial.data, inputs.camera.data
+    n, mq, ds = config.n_frames, config.m_visual, config.d_spatial
+    mk = config.m_spatial + t.camera_memory
+    backward = g_out is not None
+    # stage seconds: a dict per frame, then one for this thread's batched camera rows
+    busy = None if timings is None else [{} for _ in range(n + 1)]
+    lap = _laps(None if busy is None else busy[n])
+    c = affine(xc, w.p_c)
+    gate = None
+    if t.gate:
+        cbar = c[:, 0, :]
+        u, vg = affine(cbar, w.p_g1), affine(cbar, w.p_g2)
+        su = swish(u)
+        gate = su * vg
     lap("project")
-    if t.geo_bias:
-        geo_bias(k, v, xs, inputs.camera.data, weights, config, saved=saved)
-    lap("geo_bias")
-    if t.token_weight:
-        token_weights(v, xs, weights, config, saved=saved)
-    lap("token_weight")
-    attended = attend(q, k, v, c, config, saved=saved)
-    del q, k, v  # unless `saved` holds them, freed before gate_and_fuse allocates the output
-    lap("attend")
-    out = gate_and_fuse(attended, c, inputs.visual.data, weights, config, saved=saved)
-    lap("gate_fuse")
-    return out
+    # the fused rows; in the reverse pass each frame's visual-gradient rows overwrite its own
+    out = np.empty_like(xv)
+    if backward:
+        g_xs, g_xc = np.zeros_like(xs), np.zeros_like(xc)
+        g_c = np.zeros_like(c)  # the camera slot's attention cotangent, per frame
+        g_gate = np.empty(gate.shape) if t.gate else None
+        partials = np.zeros((n, param_count(config)))  # per frame, every weight gradient
+
+    def frame(i, ws):
+        lap = _laps(None if busy is None else busy[i])
+        q, k, v, lnv, lns = _project_qkvc(xv[i], xs[i], w)
+        lap("project")
+        if t.geo_bias:
+            bias, gin, gh, ga = _geo_bias(xs[i], xc[i], w)
+            k += bias
+            v += bias
+            del bias
+        lap("geo_bias")
+        weighted = v
+        if t.token_weight:
+            tw, th, ta = _token_weights(xs[i], w)
+            weighted = v * tw
+        lap("token_weight")
+        att = _attend(q, k, weighted, c[i], config, ws)
+        del k, weighted  # now laid out in the workspace; no VJP reads them
+        lap("attend")
+        _, p, proj, mapped = _gate_and_fuse(att, None if gate is None else gate[i], xv[i], w,
+                                            out[i])
+        lap("gate_fuse")
+        if not backward:
+            return
+
+        g = g_out[i]
+        part = _param_views(partials[i], config)
+        g_mapped = g
+        if t.gate:
+            g_mapped = g * gate[i]
+            g_gate[i] = np.einsum("md,md->d", g, mapped)
+        g_proj, part["p_l.weight"][...], part["p_l.bias"][...] = affine_vjp(proj, w.p_l, g_mapped)
+        g_p, part["ln_o.gain"][...], part["ln_o.shift"][...] = layer_norm_vjp(p, w.ln_o, g_proj)
+        g_att, part["p_o.weight"][...], part["p_o.bias"][...] = affine_vjp(att, w.p_o, g_p)
+        lap("gate_fuse_vjp")
+
+        g_q, g_kmem, g_vmem = _attend_vjp(q, g_att, config.n_heads, ws)
+        lead = int(t.camera_memory)  # the camera slot's rows: 1, or 0 without camera_memory
+        g_c[i, :lead] = g_kmem[:lead] + g_vmem[:lead]
+        g_k, g_v = g_kmem[lead:], g_vmem[lead:]
+        lap("attend_vjp")
+
+        if t.token_weight:
+            g_tz = (g_v * v).sum(axis=-1, keepdims=True) * tw * (1.0 - tw)
+            g_v = g_v * tw
+            g_ta, part["tw_mlp.1.weight"][...], part["tw_mlp.1.bias"][...] = affine_vjp(
+                ta, w.tw_mlp[1], g_tz)
+            g_xs_tw, part["tw_mlp.0.weight"][...], part["tw_mlp.0.bias"][...] = affine_vjp(
+                xs[i], w.tw_mlp[0], _swish_vjp(th, g_ta))
+            g_xs[i] += g_xs_tw
+        lap("token_weight_vjp")
+
+        if t.geo_bias:  # the bias enters both keys and values
+            g_ga, part["geo_mlp.1.weight"][...], part["geo_mlp.1.bias"][...] = affine_vjp(
+                ga, w.geo_mlp[1], g_k + g_v)
+            g_gin, part["geo_mlp.0.weight"][...], part["geo_mlp.0.bias"][...] = affine_vjp(
+                gin, w.geo_mlp[0], _swish_vjp(gh, g_ga))
+            g_xs[i] += g_gin[:, :ds]
+            g_xc[i] += g_gin[:, ds:].sum(axis=0)
+        lap("geo_bias_vjp")
+
+        g_lns_k, part["p_k.weight"][...], part["p_k.bias"][...] = affine_vjp(lns, w.p_k, g_k)
+        g_lns_v, part["p_v.weight"][...], part["p_v.bias"][...] = affine_vjp(lns, w.p_v, g_v)
+        g_xs_ln, part["ln_s.gain"][...], part["ln_s.shift"][...] = layer_norm_vjp(
+            xs[i], w.ln_s, g_lns_k + g_lns_v)
+        g_xs[i] += g_xs_ln
+        g_lnv, part["p_q.weight"][...], part["p_q.bias"][...] = affine_vjp(lnv, w.p_q, g_q)
+        g_xv_ln, part["ln_v.gain"][...], part["ln_v.shift"][...] = layer_norm_vjp(
+            xv[i], w.ln_v, g_lnv)
+        np.add(g, g_xv_ln, out=out[i])
+        lap("project_vjp")
+
+    count = _pool_size(n, mq, _tile_rows(config.n_heads, mk))
+    _over_frames(count, n, frame, functools.partial(
+        _workspace, config.n_heads, mq, mk, config.d_attn, backward))
+    lap = _laps(None if busy is None else busy[n])
+    if backward:
+        grads = _param_views(partials.sum(axis=0), config)
+        if t.gate:
+            g_u = swish_vjp(u, g_gate * vg)
+            g_cbar1, grads["p_g1.weight"][...], grads["p_g1.bias"][...] = affine_vjp(
+                cbar, w.p_g1, g_u)
+            g_cbar2, grads["p_g2.weight"][...], grads["p_g2.bias"][...] = affine_vjp(
+                cbar, w.p_g2, g_gate * su)
+            g_c[:, 0, :] += g_cbar1 + g_cbar2
+        lap("gate_fuse_vjp")
+        g_xc_c, grads["p_c.weight"][...], grads["p_c.bias"][...] = affine_vjp(xc, w.p_c, g_c)
+        g_xc += g_xc_c
+        lap("project_vjp")
+    if busy is not None:
+        totals = {name: sum(b.get(name, 0.0) for b in busy) for name in _STAGES + _VJPS}
+        if backward:
+            timings["forward"] = sum(totals[name] for name in _STAGES)
+        timings.update((name, totals[name]) for name in (_VJPS if backward else _STAGES))
+    return (out, g_xs, g_xc, grads) if backward else out
 
 
 def fuse(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
          timings: dict | None = None) -> TokenTensor:
     """Full fusion pipeline; output shape equals the visual stream's shape.
 
-    When a `timings` dict is passed, per-stage wall times (seconds) are
-    recorded into it.
+    When a `timings` dict is passed, each stage's busy time (seconds) is
+    recorded into it under project, geo_bias, token_weight, attend and
+    gate_fuse: the stage's time in every frame body, summed over worker
+    threads (so with several workers the sum exceeds the wall time), plus
+    the camera rows' GEMMs on the calling thread, counted under project.
     """
-    out = _forward(inputs, weights, config, timings)
+    out = _pass(inputs, weights, config, timings=timings)
     try:
         return TokenTensor(out)
     except ValueError as exc:
@@ -820,87 +865,22 @@ def fuse_backward(inputs: FusionInputs, weights: FusionWeights, config: FusionCo
     array per parameter. Disabled branches contribute zero gradients of the
     right shape.
 
-    When a `timings` dict is passed, the wall times (seconds) of the forward
-    pass and of each stage's VJP, in the order they run, are recorded into
-    it: forward, gate_fuse_vjp, attend_vjp, token_weight_vjp, geo_bias_vjp
-    and project_vjp.
+    Each frame runs its forward and at once its VJPs, so no residual
+    outlives its frame: memory is the returned gradients, a per-frame
+    partial of every weight gradient (summed over frames after the pool)
+    and one frame's working set per worker.
+
+    When a `timings` dict is passed, busy times (seconds) are recorded into
+    it under forward, gate_fuse_vjp, attend_vjp, token_weight_vjp,
+    geo_bias_vjp and project_vjp: each part's time in every frame body,
+    summed over worker threads (so with several workers the sum exceeds the
+    wall time), plus the camera rows' work on the calling thread.
     """
     if cotangent.shape != inputs.visual.shape:
         raise DimensionError(
             f"cotangent shape {cotangent.shape} != visual shape {inputs.visual.shape}"
         )
-    lap = _laps(timings)
-    s: dict = {}
-    _forward(inputs, weights, config, saved=s)
-    lap("forward")
-    t = config.toggles
-    w = weights
-    xv, xs, xc = inputs.visual.data, inputs.spatial.data, inputs.camera.data
-    grads = {name: np.zeros_like(array) for name, array in iter_params(w)}
-
-    g_out = cotangent.data
-    g_xv = g_out.copy()  # residual path
-    g_c = np.zeros_like(s["q"][:, :1, :])  # the camera token in attention space
-    if t.gate:
-        g_mapped = g_out * s.pop("gate")[:, None, :]
-        g_gate = np.einsum("nmd,nmd->nd", g_out, s.pop("mapped"))
-        g_u = swish_vjp(s.pop("u"), g_gate * s.pop("vg"))
-        g_cbar1, grads["p_g1.weight"], grads["p_g1.bias"] = affine_vjp(s["cbar"], w.p_g1, g_u)
-        g_cbar2, grads["p_g2.weight"], grads["p_g2.bias"] = affine_vjp(
-            s.pop("cbar"), w.p_g2, g_gate * s.pop("su"))
-        g_c[:, 0, :] += g_cbar1 + g_cbar2
-    else:
-        g_mapped = g_out
-
-    g_fproj, grads["p_l.weight"], grads["p_l.bias"] = affine_vjp(s.pop("fproj"), w.p_l, g_mapped)
-    g_p, grads["ln_o.gain"], grads["ln_o.shift"] = layer_norm_vjp(s.pop("p"), w.ln_o, g_fproj)
-    g_fhat, grads["p_o.weight"], grads["p_o.bias"] = affine_vjp(s["fhat"], w.p_o, g_p)
-    lap("gate_fuse_vjp")
-
-    # the attention residuals are not read again: popped, they are freed on return
-    lead = s["c"].shape[1]  # the camera slot's rows: 1, or 0 without camera_memory
-    g_q, g_kmem, g_vmem = _attention_vjp_raw(s.pop("q"), s.pop("k"), s.pop("v"), s.pop("c"),
-                                             s.pop("fhat"), s.pop("lse"), config.n_heads, g_fhat)
-    g_c[:, :lead] += g_kmem[:, :lead] + g_vmem[:, :lead]
-    g_k, g_v = g_kmem[:, lead:], g_vmem[:, lead:]
-    lap("attend_vjp")
-
-    g_xs = np.zeros_like(xs)
-    g_xc = np.zeros_like(xc)
-    if t.token_weight:
-        tw = s.pop("tw")
-        g_tz = (g_v * s.pop("v_unweighted")).sum(axis=-1, keepdims=True) * tw * (1.0 - tw)
-        g_v = g_v * tw
-        g_ta, grads["tw_mlp.1.weight"], grads["tw_mlp.1.bias"] = affine_vjp(
-            s.pop("ta"), w.tw_mlp[1], g_tz)
-        g_xs_tw, grads["tw_mlp.0.weight"], grads["tw_mlp.0.bias"] = affine_vjp(
-            xs, w.tw_mlp[0], swish_vjp(s.pop("th"), g_ta))
-        g_xs += g_xs_tw
-    lap("token_weight_vjp")
-
-    if t.geo_bias:  # the bias enters both keys and values
-        g_ga, grads["geo_mlp.1.weight"], grads["geo_mlp.1.bias"] = affine_vjp(
-            s.pop("ga"), w.geo_mlp[1], g_k + g_v)
-        g_gin, grads["geo_mlp.0.weight"], grads["geo_mlp.0.bias"] = affine_vjp(
-            s.pop("gin"), w.geo_mlp[0], swish_vjp(s.pop("gh"), g_ga))
-        ds = xs.shape[2]
-        g_xs += g_gin[..., :ds]
-        g_xc += g_gin[..., ds:].sum(axis=1, keepdims=True)
-    lap("geo_bias_vjp")
-
-    g_lns_k, grads["p_k.weight"], grads["p_k.bias"] = affine_vjp(s["lns"], w.p_k, g_k)
-    g_lns_v, grads["p_v.weight"], grads["p_v.bias"] = affine_vjp(s.pop("lns"), w.p_v, g_v)
-    g_xs_ln, grads["ln_s.gain"], grads["ln_s.shift"] = layer_norm_vjp(xs, w.ln_s, g_lns_k + g_lns_v)
-    g_xs += g_xs_ln
-
-    g_xc_c, grads["p_c.weight"], grads["p_c.bias"] = affine_vjp(xc, w.p_c, g_c)
-    g_xc += g_xc_c
-
-    g_lnv, grads["p_q.weight"], grads["p_q.bias"] = affine_vjp(s.pop("lnv"), w.p_q, g_q)
-    g_xv_ln, grads["ln_v.gain"], grads["ln_v.shift"] = layer_norm_vjp(xv, w.ln_v, g_lnv)
-    g_xv += g_xv_ln
-    lap("project_vjp")
-
+    g_xv, g_xs, g_xc, grads = _pass(inputs, weights, config, cotangent.data, timings)
     input_grads = FusionInputs(
         visual=TokenTensor(g_xv),
         spatial=TokenTensor(g_xs),

@@ -9,12 +9,13 @@ and its VJP run inside `fusion`'s query-tiled kernel, folded into its GEMMs:
 the shift and row sum come out of the QK^T and PV products, not out of
 `softmax_rows`, which no package code calls.
 
-`_sigmoid` and `_swish` are the private kernels behind the public `sigmoid`
-and `swish`, and give the same bytes. `fusion`'s per-frame bodies run on
-worker threads and call only `affine`, `layer_norm`, `_sigmoid` and
-`_swish`: bench/spans.py wraps the public names, including `sigmoid` and
-`swish`, with spans on one global stack, which a worker thread must never
-touch.
+`_sigmoid`, `_swish` and `_swish_vjp` are the private kernels behind the
+public `sigmoid`, `swish` and `swish_vjp`, and give the same bytes.
+`fusion`'s per-frame bodies run on worker threads and call, of this
+module, only `affine`, `layer_norm`, `affine_vjp`, `layer_norm_vjp` and the
+three private kernels: bench/spans.py wraps the public names, including
+`sigmoid`, `swish` and `swish_vjp`, with spans on one global stack, which a
+worker thread must never touch.
 
 float64 is the only working precision, so finite-difference gradient checks
 are meaningful. Every layer norm adds the one constant `LN_EPSILON` to its
@@ -228,8 +229,13 @@ def layer_norm_vjp(x: np.ndarray, p: LayerNormParams, gy: np.ndarray):
     return gx, ggain, gshift
 
 
-def swish_vjp(x, cotangent) -> np.ndarray:
+def _swish_vjp(x, cotangent) -> np.ndarray:
     """Cotangent of y = x * sigmoid(x) w.r.t. x."""
     x = np.asarray(x)
-    s = sigmoid(x)
+    s = _sigmoid(x)
     return np.asarray(cotangent) * (s + x * s * (1.0 - s))
+
+
+def swish_vjp(x, cotangent) -> np.ndarray:
+    """Cotangent of y = x * sigmoid(x) w.r.t. x (see `_swish_vjp`)."""
+    return _swish_vjp(x, cotangent)

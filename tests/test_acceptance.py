@@ -179,7 +179,7 @@ def test_c07_attention_oracle():
         k = rng.standard_normal((n, ms, da))
         v = rng.standard_normal((n, ms, da))
         c = rng.standard_normal((n, 1, da))
-        out = attend(q, k, v, c, config)
+        out = np.stack([attend(*frame, config) for frame in zip(q, k, v, c)])
         kmem = np.concatenate([c, k], axis=1)
         vmem = np.concatenate([c, v], axis=1)
         expected = ref_attention(q, kmem, vmem, 1)
