@@ -22,16 +22,19 @@ batched on the calling thread, before the frames: a one-row GEMM returns
 different bytes. Then one frame pool (`_over_frames`) runs each frame's
 body: project, geo bias, token weights, that frame's attention tiles and
 gate-and-fuse, into the frame's output rows. Given a cotangent, the body
-goes straight on to the frame's VJPs (gate-and-fuse, attention, token
-weights, geo bias, project), so no residual outlives its frame. It writes
-its input-gradient rows, its camera-row cotangents and its partial of every
-weight gradient into rows the calling thread allocated; after the pool the
-partials are summed over frames in frame order and the camera rows' VJPs
-run batched. A frame's arithmetic does not depend on the thread that runs
-it, so every result is the same bit for bit at every worker count. The pool
-has one thread per usable core, the calling thread among them; only when
-the whole pass, every frame's queries together, fits in one attention tile
-does it run serially on the calling thread. OpenBLAS is held to one thread
+goes straight on to the frame's VJPs (gate-and-fuse, attention, the
+queries' projection, token weights, geo bias, the keys' and values'
+projection), and drops each residual and each cotangent at its last read,
+so a worker holds its backward workspace and about 8 arrays of one frame's
+tokens at attention width. It writes its input-gradient rows, its
+camera-row cotangents and its partial of every weight gradient into rows
+the calling thread allocated; after the pool the partials are summed over
+frames in frame order and the camera rows' VJPs run batched. A frame's
+arithmetic does not depend on the thread that runs it, so every result is
+the same bit for bit at every worker count. The pool has one thread per
+usable core, the calling thread among them; only when the whole pass,
+every frame's queries together, fits in one attention tile does it run
+serially on the calling thread. OpenBLAS is held to one thread
 for the whole dispatch, pooled or serial, so that workers do not start BLAS
 threads of their own on cores that are already busy, and so that a GEMM's
 bytes do not depend on the worker count. No function that bench/spans.py
@@ -763,51 +766,76 @@ def _pass(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
         if not backward:
             return
 
+        # each residual and each cotangent is dropped at its last read
         g = g_out[i]
         part = _param_views(partials[i], config)
         g_mapped = g
         if t.gate:
             g_mapped = g * gate[i]
             g_gate[i] = np.einsum("md,md->d", g, mapped)
+        del mapped
         g_proj, part["p_l.weight"][...], part["p_l.bias"][...] = affine_vjp(proj, w.p_l, g_mapped)
+        del proj, g_mapped
         g_p, part["ln_o.gain"][...], part["ln_o.shift"][...] = layer_norm_vjp(p, w.ln_o, g_proj)
+        del p, g_proj
         g_att, part["p_o.weight"][...], part["p_o.bias"][...] = affine_vjp(att, w.p_o, g_p)
+        del g_p
         lap("gate_fuse_vjp")
 
         g_q, g_kmem, g_vmem = _attend_vjp(q, g_att, config.n_heads, ws)
+        del q, g_att
         lead = int(t.camera_memory)  # the camera slot's rows: 1, or 0 without camera_memory
         g_c[i, :lead] = g_kmem[:lead] + g_vmem[:lead]
         g_k, g_v = g_kmem[lead:], g_vmem[lead:]
+        del g_kmem, g_vmem  # each lives on only through its view, g_k or g_v
         lap("attend_vjp")
+
+        # the queries' VJPs come next, so lnv dies here: g_q is in the workspace,
+        # and out[i] is read no more, so its rows take the visual gradient now
+        g_lnv, part["p_q.weight"][...], part["p_q.bias"][...] = affine_vjp(lnv, w.p_q, g_q)
+        del lnv
+        g_xv_ln, part["ln_v.gain"][...], part["ln_v.shift"][...] = layer_norm_vjp(
+            xv[i], w.ln_v, g_lnv)
+        del g_lnv
+        np.add(g, g_xv_ln, out=out[i])
+        del g_xv_ln
+        lap("project_vjp")
 
         if t.token_weight:
             g_tz = (g_v * v).sum(axis=-1, keepdims=True) * tw * (1.0 - tw)
+            del v
             g_v = g_v * tw
             g_ta, part["tw_mlp.1.weight"][...], part["tw_mlp.1.bias"][...] = affine_vjp(
                 ta, w.tw_mlp[1], g_tz)
+            del ta, g_tz
             g_xs_tw, part["tw_mlp.0.weight"][...], part["tw_mlp.0.bias"][...] = affine_vjp(
                 xs[i], w.tw_mlp[0], _swish_vjp(th, g_ta))
+            del th, g_ta
             g_xs[i] += g_xs_tw
+            del g_xs_tw
         lap("token_weight_vjp")
 
         if t.geo_bias:  # the bias enters both keys and values
             g_ga, part["geo_mlp.1.weight"][...], part["geo_mlp.1.bias"][...] = affine_vjp(
                 ga, w.geo_mlp[1], g_k + g_v)
+            del ga
             g_gin, part["geo_mlp.0.weight"][...], part["geo_mlp.0.bias"][...] = affine_vjp(
                 gin, w.geo_mlp[0], _swish_vjp(gh, g_ga))
+            del gin, gh, g_ga
             g_xs[i] += g_gin[:, :ds]
             g_xc[i] += g_gin[:, ds:].sum(axis=0)
+            del g_gin
         lap("geo_bias_vjp")
 
         g_lns_k, part["p_k.weight"][...], part["p_k.bias"][...] = affine_vjp(lns, w.p_k, g_k)
+        del g_k
         g_lns_v, part["p_v.weight"][...], part["p_v.bias"][...] = affine_vjp(lns, w.p_v, g_v)
+        del lns, g_v
+        g_lns_k += g_lns_v
+        del g_lns_v
         g_xs_ln, part["ln_s.gain"][...], part["ln_s.shift"][...] = layer_norm_vjp(
-            xs[i], w.ln_s, g_lns_k + g_lns_v)
+            xs[i], w.ln_s, g_lns_k)
         g_xs[i] += g_xs_ln
-        g_lnv, part["p_q.weight"][...], part["p_q.bias"][...] = affine_vjp(lnv, w.p_q, g_q)
-        g_xv_ln, part["ln_v.gain"][...], part["ln_v.shift"][...] = layer_norm_vjp(
-            xv[i], w.ln_v, g_lnv)
-        np.add(g, g_xv_ln, out=out[i])
         lap("project_vjp")
 
     count = _pool_size(n, mq, _tile_rows(config.n_heads, mk))
@@ -865,10 +893,11 @@ def fuse_backward(inputs: FusionInputs, weights: FusionWeights, config: FusionCo
     array per parameter. Disabled branches contribute zero gradients of the
     right shape.
 
-    Each frame runs its forward and at once its VJPs, so no residual
-    outlives its frame: memory is the returned gradients, a per-frame
-    partial of every weight gradient (summed over frames after the pool)
-    and one frame's working set per worker.
+    Each frame runs its forward and at once its VJPs, dropping each residual
+    and each cotangent at its last read: memory is the returned gradients, a
+    per-frame partial of every weight gradient (summed over frames after the
+    pool) and, per worker, the backward workspace plus about 8 arrays of one
+    frame's tokens at attention width.
 
     When a `timings` dict is passed, busy times (seconds) are recorded into
     it under forward, gate_fuse_vjp, attend_vjp, token_weight_vjp,

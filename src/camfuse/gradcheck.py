@@ -127,8 +127,12 @@ def check_directional(inputs: FusionInputs, weights: FusionWeights, config: Fusi
         return float(np.sum(cot.data * fuse(moved_inputs, moved_weights, config).data))
 
     numeric = (loss(1.0) - loss(-1.0)) / (2.0 * DIRECTIONAL_STEP)
-    terms = [(grads[name] + corruption) * direction[name] for name in point]
-    analytic = sum(float(term.sum()) for term in terms)
-    scale = sum(float(np.abs(term).sum()) for term in terms)
+    # one gradient-times-direction product at a time: a list of them all would
+    # hold a copy of every gradient
+    analytic = scale = 0.0
+    for name in point:
+        term = (grads[name] + corruption) * direction[name]
+        analytic += float(term.sum())
+        scale += float(np.abs(term).sum())
     return {"analytic": analytic, "numeric": numeric, "scale": scale,
             "error": abs(analytic - numeric) / scale}

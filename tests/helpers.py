@@ -1,6 +1,7 @@
 """Constructors, documents and writers that only the tests need."""
 
 import json
+import tracemalloc
 
 import numpy as np
 
@@ -26,6 +27,18 @@ def zero_tokens(frames: int, tokens: int, width: int) -> TokenTensor:
 def identity_layer_norm(width: int) -> LayerNormParams:
     """Gain one, shift zero: the layer norm alone, at `LN_EPSILON`."""
     return LayerNormParams(np.ones(width), np.zeros(width))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes tracemalloc saw while `fn()` ran, above what was traced when
+    it started; tracing stops also when `fn` raises."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def write_records(path, records) -> None:

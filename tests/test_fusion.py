@@ -3,7 +3,6 @@ import os
 import sys
 import threading
 import time
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -39,7 +38,7 @@ from camfuse.fusion import (
     token_weights,
     VARIANTS,
 )
-from camfuse.gradcheck import check_directional, check_fuse_gradients
+from camfuse.gradcheck import _named, check_directional, check_fuse_gradients
 from camfuse.pipeline import synth_tokens
 from camfuse.tensor import (
     DimensionError,
@@ -51,7 +50,7 @@ from camfuse.tensor import (
     swish,
 )
 
-from helpers import DEMO_CONFIG, zero_tokens
+from helpers import DEMO_CONFIG, traced_peak, zero_tokens
 from oracles import ref_attention, ref_fuse, whole_frame_attention, whole_frame_attention_vjp
 
 
@@ -531,13 +530,7 @@ class TestTiledAttention:
         inputs = synth_tokens(config, 25)
         weights = init_weights(config, 26)
         cot = TokenTensor(np.random.default_rng(27).standard_normal(inputs.visual.shape))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            fuse_backward(inputs, weights, config, cot)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: fuse_backward(inputs, weights, config, cot))
         assert peak < cache_bytes / 4
 
 
@@ -860,13 +853,7 @@ class TestFuse:
         frame = workspace + 12 * 8 * (config.m_visual + config.m_spatial) * config.d_attn
         inputs = synth_tokens(config, 64)
         weights = init_weights(config, 65)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            fuse(inputs, weights, config)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: fuse(inputs, weights, config))
         assert peak < inputs.visual.data.nbytes + workers * frame
 
     def test_shape_mismatch_raises(self):
@@ -981,27 +968,57 @@ class TestFuseBackward:
         corrupted = check_directional(inputs, weights, config, seed=3, corruption=1e-2)
         assert corrupted["error"] > 1e-6
 
+    @pytest.mark.parametrize("corruption", [0.0, 1e-2])
+    @pytest.mark.parametrize("config", [TINY, MULTI_TILE])
+    def test_directional_sums_match_a_list_of_every_term(self, config, corruption):
+        # check_directional sums name by name; a list holding every gradient
+        # times its direction, summed after, gives the same floats bit for bit
+        inputs = synth_tokens(config, 11)
+        weights = init_weights(config, 12)
+        got = check_directional(inputs, weights, config, seed=3, corruption=corruption)
+        rng = np.random.default_rng(3)  # the cotangent, then the direction, as drawn there
+        cot = TokenTensor(rng.standard_normal(inputs.visual.shape))
+        grads = _named(*fuse_backward(inputs, weights, config, cot))
+        terms = [(g + corruption) * rng.standard_normal(g.shape) for g in grads.values()]
+        analytic = sum(float(term.sum()) for term in terms)
+        scale = sum(float(np.abs(term).sum()) for term in terms)
+        want = {"analytic": analytic, "numeric": got["numeric"], "scale": scale,
+                "error": abs(analytic - got["numeric"]) / scale}
+        assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+
+    @staticmethod
+    def traced_backward(n_frames: int):
+        """(traced peak bytes, input-gradient plus weight-partial bytes) of one
+        fuse_backward at the demo widths over n_frames frames."""
+        config = replace(DEMO_CONFIG, n_frames=n_frames)
+        inputs = synth_tokens(config, 28)
+        weights = init_weights(config, 29)
+        cot = TokenTensor(np.random.default_rng(30).standard_normal(inputs.visual.shape))
+        gradient_bytes = 8 * param_count(config) * n_frames + sum(
+            getattr(inputs, name).data.nbytes for name in REQUIRED_STREAMS)
+        return traced_peak(lambda: fuse_backward(inputs, weights, config, cot)), gradient_bytes
+
     def test_backward_peak_allocation_grows_only_by_the_gradients(self, monkeypatch):
         # no residual outlives its frame: two frames more add their input-gradient
         # rows and weight-gradient partials, and nothing else. One worker, since
         # two workers' peaks depend on how their frames happen to interleave
         monkeypatch.setattr(fusion, "_usable_cores", lambda: 1)
-        peaks, gradient_bytes = [], []
-        for n in (2, 4):
-            config = replace(DEMO_CONFIG, n_frames=n)
-            inputs = synth_tokens(config, 28)
-            weights = init_weights(config, 29)
-            cot = TokenTensor(np.random.default_rng(30).standard_normal(inputs.visual.shape))
-            gradient_bytes.append(8 * param_count(config) * n + sum(
-                getattr(inputs, name).data.nbytes for name in REQUIRED_STREAMS))
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                fuse_backward(inputs, weights, config, cot)
-                peaks.append(tracemalloc.get_traced_memory()[1] - base)
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] - peaks[0] <= 1.1 * (gradient_bytes[1] - gradient_bytes[0])
+        (peak2, grads2), (peak4, grads4) = self.traced_backward(2), self.traced_backward(4)
+        assert peak4 - peak2 <= 1.1 * (grads4 - grads2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_backward_frame_holds_its_workspace_and_a_dozen_token_arrays(self, workers,
+                                                                          monkeypatch):
+        # the forward's bound per worker (see TestFuse), with the backward
+        # workspace: each residual and cotangent is dropped at its last read
+        monkeypatch.setattr(fusion, "_usable_cores", lambda: workers)
+        config = DEMO_CONFIG
+        workspace = sum(array.nbytes for array in fusion._workspace(
+            config.n_heads, config.m_visual, config.m_spatial + 1, config.d_attn,
+            backward=True).values())
+        frame = workspace + 12 * 8 * (config.m_visual + config.m_spatial) * config.d_attn
+        peak, gradient_bytes = self.traced_backward(2)
+        assert peak - gradient_bytes <= workers * frame
 
     def test_timings_cover_every_stage_and_change_no_bit(self, monkeypatch):
         monkeypatch.setattr(fusion, "_usable_cores", lambda: 2)

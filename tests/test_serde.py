@@ -3,7 +3,6 @@ import os
 import re
 import stat
 import threading
-import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -35,7 +34,7 @@ from camfuse.serde import (
     write_atomic,
 )
 
-from helpers import DEEP_JSON, LONG_INT_JSON, write_records
+from helpers import DEEP_JSON, LONG_INT_JSON, traced_peak, write_records
 
 CONFIG = FusionConfig(n_frames=2, m_visual=3, m_spatial=4,
                       d_visual=6, d_spatial=5, d_attn=4, n_heads=2)
@@ -291,12 +290,9 @@ class TestContainerFormat:
         inputs = synth_tokens(config, 0)
         save_token_streams(inputs, path)
         size = os.path.getsize(path)
-        tracemalloc.start()
-        try:
-            loaded, _ = load_token_streams(path, config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        streams = []
+        peak = traced_peak(lambda: streams.append(load_token_streams(path, config)[0]))
+        loaded, = streams
         assert peak <= 1.3 * size, (peak, size)
         for name in ("visual", "spatial", "camera", "register"):
             data = getattr(loaded, name).data
@@ -307,12 +303,7 @@ class TestContainerFormat:
         path = tmp_path / "stream.cft"
         inputs = synth_tokens(FusionConfig(n_frames=4, m_visual=256, m_spatial=64, d_visual=64,
                                            d_spatial=64, d_attn=64, n_heads=8), 0)
-        tracemalloc.start()
-        try:
-            save_token_streams(inputs, path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: save_token_streams(inputs, path))
         size = os.path.getsize(path)
         assert size > 500_000 and peak <= 0.05 * size, (peak, size)
 
