@@ -16,34 +16,33 @@ identical inputs. `fuse_backward` returns analytic gradients for every
 parameter and input stream; `camfuse.gradcheck` holds the independent
 finite-difference harness that validates them.
 
-`fuse` and `fuse_backward` run one pass (`_pass`) with one frame body. Only
-the camera rows' GEMMs (`p_c`, and the gate's `p_g1` and `p_g2`) run
-batched on the calling thread, before the frames: a one-row GEMM returns
-different bytes. Then one frame pool (`_over_frames`) runs each frame's
-body: project, geo bias, token weights, that frame's attention tiles and
-gate-and-fuse, into the frame's output rows. Given a cotangent, the body
-goes straight on to the frame's VJPs (gate-and-fuse, attention, the
-queries' projection, token weights, geo bias, the keys' and values'
-projection), and drops each residual and each cotangent at its last read,
-so a worker holds its backward workspace and about 8 arrays of one frame's
-tokens at attention width. It writes its input-gradient rows, its
-camera-row cotangents and its partial of every weight gradient into rows
-the calling thread allocated; after the pool the partials are summed over
-frames in frame order and the camera rows' VJPs run batched. A frame's
-arithmetic does not depend on the thread that runs it, so every result is
-the same bit for bit at every worker count. The pool has one thread per
-usable core, the calling thread among them; only when the whole pass,
-every frame's queries together, fits in one attention tile does it run
-serially on the calling thread. OpenBLAS is held to one thread
-for the whole dispatch, pooled or serial, so that workers do not start BLAS
-threads of their own on cores that are already busy, and so that a GEMM's
-bytes do not depend on the worker count. No function that bench/spans.py
-traces runs in a frame body, since its span stack is global: the body calls
-the five public stages (`project_qkvc`, `geo_bias`, `token_weights`,
-`attend`, `gate_and_fuse`) through private aliases the tracer does not
-wrap, and otherwise only `affine`, `layer_norm`, the VJPs `affine_vjp` and
-`layer_norm_vjp`, and the private `tensor._sigmoid`, `_swish` and
-`_swish_vjp`.
+`fuse` and `fuse_backward` run one pass (`_pass`) with one frame body, and
+nothing around it but the input check and, in the reverse pass, the sum of
+the weight-gradient partials. One frame pool (`_over_frames`) runs each
+frame's body: project (the frame's camera row included), geo bias, token
+weights, that frame's attention tiles, the frame's gate from its camera
+slot, and gate-and-fuse, into the frame's output rows. Given a cotangent,
+the body goes straight on to the frame's VJPs (gate-and-fuse, attention,
+the queries' projection, token weights, geo bias, the keys' and values'
+projection, then the gate's and the camera row's), and drops each residual
+and each cotangent at its last read, so a worker holds its backward
+workspace and about 8 arrays of one frame's tokens at attention width. It
+writes its input-gradient rows and its partial of every weight gradient
+into rows the calling thread allocated; after the pool the partials are
+summed over frames in frame order. A frame's arithmetic does not depend on
+the thread that runs it, so every result is the same bit for bit at every
+worker count. The pool has one thread per usable core, the calling thread
+among them; only when the whole pass, every frame's queries together, fits
+in one attention tile does it run serially on the calling thread. OpenBLAS
+is held to one thread for the whole dispatch, pooled or serial, so that
+workers do not start BLAS threads of their own on cores that are already
+busy, and so that a GEMM's bytes do not depend on the worker count. No
+function that bench/spans.py traces runs in a frame body, since its span
+stack is global: the body calls the five public stages (`project_qkvc`,
+`geo_bias`, `token_weights`, `attend`, `gate_and_fuse`) through private
+aliases the tracer does not wrap, and otherwise only `affine`,
+`layer_norm`, the VJPs `affine_vjp` and `layer_norm_vjp`, and the private
+`tensor._sigmoid`, `_swish` and `_swish_vjp`.
 
 Attention walks each frame's queries in row tiles sized so that one tile's
 [heads, rows, memory] score block stays about 2 MiB, in a tile-sized
@@ -99,8 +98,6 @@ from .tensor import (
     layer_norm,
     layer_norm_vjp,
     softmax_rows,  # noqa: F401 -- unused here; bench/test_bench.py patches it as a fusion attribute
-    swish,
-    swish_vjp,
 )
 
 __all__ = [
@@ -332,17 +329,17 @@ def _check_inputs(inputs: FusionInputs, config: FusionConfig) -> None:
             raise DimensionError(f"{name} stream has shape {stream.shape}, config expects {shape}")
 
 
-def project_qkvc(visual: np.ndarray, spatial: np.ndarray, weights: FusionWeights):
-    """Project one frame's visual [mq, d_visual] and spatial [ms, d_spatial]
-    tokens into the shared attention space, each stream layer-normalized
-    first; returns (q, k, v, lnv, lns), the last two being the normalized
-    tokens that the reverse pass reads.
-
-    The camera rows are projected apart, in one GEMM over every frame.
-    """
+def project_qkvc(visual: np.ndarray, spatial: np.ndarray, camera: np.ndarray,
+                 weights: FusionWeights):
+    """Project one frame's visual [mq, d_visual], spatial [ms, d_spatial] and
+    camera [1, d_spatial] rows into the shared attention space, the visual
+    and spatial tokens layer-normalized first; returns (q, k, v, c, lnv,
+    lns), c being the camera slot [1, d_attn] and the last two the
+    normalized tokens that the reverse pass reads."""
     lnv = layer_norm(visual, weights.ln_v)
     lns = layer_norm(spatial, weights.ln_s)
-    return affine(lnv, weights.p_q), affine(lns, weights.p_k), affine(lns, weights.p_v), lnv, lns
+    return (affine(lnv, weights.p_q), affine(lns, weights.p_k), affine(lns, weights.p_v),
+            affine(camera, weights.p_c), lnv, lns)
 
 
 def geo_bias(spatial: np.ndarray, camera: np.ndarray, weights: FusionWeights):
@@ -542,8 +539,8 @@ def _attend_vjp(q: np.ndarray, g_att: np.ndarray, n_heads: int, ws: dict):
 def gate_and_fuse(attended: np.ndarray, gate: np.ndarray | None, visual: np.ndarray,
                   weights: FusionWeights, out: np.ndarray):
     """Project one frame's attention output [mq, d_attn] back to visual
-    width, scale it by the frame's camera gate ([d_visual], or None when the
-    gate is off) and add the visual residual, writing the result into `out`
+    width, scale it by the frame's camera gate ([1, d_visual], or None when
+    the gate is off) and add the visual residual, writing the result into `out`
     ([mq, d_visual]); returns (out, p, proj, mapped), the last three being
     the projection, its layer norm and the mapped rows before the gate."""
     p = affine(attended, weights.p_o)
@@ -709,13 +706,13 @@ def _pass(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
     fused array, and with a cotangent `g_out` the tuple (g_visual, g_spatial,
     g_camera, weight gradients by name) in its place.
 
-    The camera rows' GEMMs run batched here, before the pool; then one
-    `_over_frames` dispatch runs each frame's body, which, given a
+    One `_over_frames` dispatch runs each frame's body, which projects the
+    frame's camera row with its tokens and forms its gate, and, given a
     cotangent, goes straight on to that frame's VJPs. A frame writes its
-    input-gradient rows, its camera-row cotangents and its partial of every
-    weight gradient into rows allocated here, and the camera rows' VJPs run
-    batched after the pool. `timings` receives busy seconds summed over
-    workers (see `fuse` and `fuse_backward`) and changes no result.
+    input-gradient rows and its partial of every weight gradient into rows
+    allocated here; after the pool the partials are summed over frames in
+    frame order. `timings` receives busy seconds summed over workers (see
+    `fuse` and `fuse_backward`) and changes no result.
     """
     _check_inputs(inputs, config)
     t, w = config.toggles, weights
@@ -723,28 +720,16 @@ def _pass(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
     n, mq, ds = config.n_frames, config.m_visual, config.d_spatial
     mk = config.m_spatial + t.camera_memory
     backward = g_out is not None
-    # stage seconds: a dict per frame, then one for this thread's batched camera rows
-    busy = None if timings is None else [{} for _ in range(n + 1)]
-    lap = _laps(None if busy is None else busy[n])
-    c = affine(xc, w.p_c)
-    gate = None
-    if t.gate:
-        cbar = c[:, 0, :]
-        u, vg = affine(cbar, w.p_g1), affine(cbar, w.p_g2)
-        su = swish(u)
-        gate = su * vg
-    lap("project")
+    busy = None if timings is None else [{} for _ in range(n)]  # stage seconds, per frame
     # the fused rows; in the reverse pass each frame's visual-gradient rows overwrite its own
     out = np.empty_like(xv)
     if backward:
         g_xs, g_xc = np.zeros_like(xs), np.zeros_like(xc)
-        g_c = np.zeros_like(c)  # the camera slot's attention cotangent, per frame
-        g_gate = np.empty(gate.shape) if t.gate else None
         partials = np.zeros((n, param_count(config)))  # per frame, every weight gradient
 
     def frame(i, ws):
         lap = _laps(None if busy is None else busy[i])
-        q, k, v, lnv, lns = _project_qkvc(xv[i], xs[i], w)
+        q, k, v, c, lnv, lns = _project_qkvc(xv[i], xs[i], xc[i], w)
         lap("project")
         if t.geo_bias:
             bias, gin, gh, ga = _geo_bias(xs[i], xc[i], w)
@@ -757,22 +742,27 @@ def _pass(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
             tw, th, ta = _token_weights(xs[i], w)
             weighted = v * tw
         lap("token_weight")
-        att = _attend(q, k, weighted, c[i], config, ws)
+        att = _attend(q, k, weighted, c, config, ws)
         del k, weighted  # now laid out in the workspace; no VJP reads them
         lap("attend")
-        _, p, proj, mapped = _gate_and_fuse(att, None if gate is None else gate[i], xv[i], w,
-                                            out[i])
+        gate = None
+        if t.gate:
+            u, vg = affine(c, w.p_g1), affine(c, w.p_g2)
+            su = _swish(u)
+            gate = su * vg
+        _, p, proj, mapped = _gate_and_fuse(att, gate, xv[i], w, out[i])
         lap("gate_fuse")
         if not backward:
             return
 
-        # each residual and each cotangent is dropped at its last read
+        # each residual and each cotangent is dropped at its last read; the camera
+        # slot's one-row residuals live on to the gate's and p_c's VJPs, which run last
         g = g_out[i]
         part = _param_views(partials[i], config)
         g_mapped = g
         if t.gate:
-            g_mapped = g * gate[i]
-            g_gate[i] = np.einsum("md,md->d", g, mapped)
+            g_mapped = g * gate
+            g_gate = np.einsum("md,md->d", g, mapped)
         del mapped
         g_proj, part["p_l.weight"][...], part["p_l.bias"][...] = affine_vjp(proj, w.p_l, g_mapped)
         del proj, g_mapped
@@ -785,7 +775,8 @@ def _pass(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
         g_q, g_kmem, g_vmem = _attend_vjp(q, g_att, config.n_heads, ws)
         del q, g_att
         lead = int(t.camera_memory)  # the camera slot's rows: 1, or 0 without camera_memory
-        g_c[i, :lead] = g_kmem[:lead] + g_vmem[:lead]
+        g_c = np.zeros_like(c)  # the camera slot's cotangent
+        g_c[:lead] = g_kmem[:lead] + g_vmem[:lead]
         g_k, g_v = g_kmem[lead:], g_vmem[lead:]
         del g_kmem, g_vmem  # each lives on only through its view, g_k or g_v
         lap("attend_vjp")
@@ -838,29 +829,26 @@ def _pass(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
         g_xs[i] += g_xs_ln
         lap("project_vjp")
 
+        if t.gate:  # the gate's two branches both read the camera slot
+            g_c1, part["p_g1.weight"][...], part["p_g1.bias"][...] = affine_vjp(
+                c, w.p_g1, _swish_vjp(u, g_gate * vg))
+            g_c2, part["p_g2.weight"][...], part["p_g2.bias"][...] = affine_vjp(
+                c, w.p_g2, g_gate * su)
+            g_c += g_c1 + g_c2
+        lap("gate_fuse_vjp")
+        g_xc_c, part["p_c.weight"][...], part["p_c.bias"][...] = affine_vjp(xc[i], w.p_c, g_c)
+        g_xc[i] += g_xc_c
+        lap("project_vjp")
+
     count = _pool_size(n, mq, _tile_rows(config.n_heads, mk))
     _over_frames(count, n, frame, functools.partial(
         _workspace, config.n_heads, mq, mk, config.d_attn, backward))
-    lap = _laps(None if busy is None else busy[n])
-    if backward:
-        grads = _param_views(partials.sum(axis=0), config)
-        if t.gate:
-            g_u = swish_vjp(u, g_gate * vg)
-            g_cbar1, grads["p_g1.weight"][...], grads["p_g1.bias"][...] = affine_vjp(
-                cbar, w.p_g1, g_u)
-            g_cbar2, grads["p_g2.weight"][...], grads["p_g2.bias"][...] = affine_vjp(
-                cbar, w.p_g2, g_gate * su)
-            g_c[:, 0, :] += g_cbar1 + g_cbar2
-        lap("gate_fuse_vjp")
-        g_xc_c, grads["p_c.weight"][...], grads["p_c.bias"][...] = affine_vjp(xc, w.p_c, g_c)
-        g_xc += g_xc_c
-        lap("project_vjp")
     if busy is not None:
         totals = {name: sum(b.get(name, 0.0) for b in busy) for name in _STAGES + _VJPS}
         if backward:
             timings["forward"] = sum(totals[name] for name in _STAGES)
         timings.update((name, totals[name]) for name in (_VJPS if backward else _STAGES))
-    return (out, g_xs, g_xc, grads) if backward else out
+    return (out, g_xs, g_xc, _param_views(partials.sum(axis=0), config)) if backward else out
 
 
 def fuse(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
@@ -870,8 +858,8 @@ def fuse(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
     When a `timings` dict is passed, each stage's busy time (seconds) is
     recorded into it under project, geo_bias, token_weight, attend and
     gate_fuse: the stage's time in every frame body, summed over worker
-    threads (so with several workers the sum exceeds the wall time), plus
-    the camera rows' GEMMs on the calling thread, counted under project.
+    threads (so with several workers the sum exceeds the wall time). The
+    camera row's projection counts under project, the gate under gate_fuse.
     """
     out = _pass(inputs, weights, config, timings=timings)
     try:
@@ -903,7 +891,8 @@ def fuse_backward(inputs: FusionInputs, weights: FusionWeights, config: FusionCo
     it under forward, gate_fuse_vjp, attend_vjp, token_weight_vjp,
     geo_bias_vjp and project_vjp: each part's time in every frame body,
     summed over worker threads (so with several workers the sum exceeds the
-    wall time), plus the camera rows' work on the calling thread.
+    wall time). The camera row's VJP counts under project_vjp, the gate's
+    under gate_fuse_vjp.
     """
     if cotangent.shape != inputs.visual.shape:
         raise DimensionError(

@@ -66,13 +66,16 @@ def _named(inputs: FusionInputs, weights: FusionWeights) -> dict[str, np.ndarray
 
 
 def max_relative_error(analytic, numeric) -> float:
+    """The largest relative error over the entries; inf when any entry's
+    error is NaN, so that taking the max of several results cannot skip it."""
     a = np.asarray(analytic, dtype=np.float64)
     n = np.asarray(numeric, dtype=np.float64)
     if a.shape != n.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {n.shape}")
     if a.size == 0:
         return 0.0
-    return float(np.max(np.abs(a - n) / np.maximum(np.abs(n), FLOOR)))
+    worst = float(np.max(np.abs(a - n) / np.maximum(np.abs(n), FLOOR)))
+    return np.inf if np.isnan(worst) else worst
 
 
 def check_fuse_gradients(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,

@@ -4,10 +4,11 @@
 [frames, tokens, width]. The kernels act on plain numpy arrays along the last
 (width) axis, and `affine`, `layer_norm` and `swish` have companion ``*_vjp``
 functions returning the cotangents of ``<cotangent, op(inputs)>``, so larger
-modules compose an analytic backward pass without a tape. Attention's softmax
-and its VJP run inside `fusion`'s query-tiled kernel, folded into its GEMMs:
-the shift and row sum come out of the QK^T and PV products, not out of
-`softmax_rows`, which no package code calls.
+modules compose an analytic backward pass without a tape; `affine_vjp` and
+`layer_norm_vjp` take rows, [m, width]. Attention's softmax and its VJP run
+inside `fusion`'s query-tiled kernel, folded into its GEMMs: the shift and
+row sum come out of the QK^T and PV products, not out of `softmax_rows`,
+which no package code calls.
 
 `_sigmoid`, `_swish` and `_swish_vjp` are the private kernels behind the
 public `sigmoid`, `swish` and `swish_vjp`, and give the same bytes.
@@ -200,26 +201,18 @@ def swish(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def affine_vjp(x: np.ndarray, lin: LinearMap, g: np.ndarray):
-    """Cotangents of y = x @ W + b w.r.t. (x, W, b).
-
-    Works for 2-D or 3-D x.
-    """
-    gx = g @ lin.weight.T
-    batch_axes = tuple(range(x.ndim - 1))
-    gw = np.tensordot(x, g, axes=(batch_axes, batch_axes))
-    gb = g.sum(axis=batch_axes)
-    return gx, gw, gb
+    """Cotangents of y = x @ W + b w.r.t. (x, W, b), for rows x [m, in_width]."""
+    return g @ lin.weight.T, x.T @ g, g.sum(axis=0)
 
 
 def layer_norm_vjp(x: np.ndarray, p: LayerNormParams, gy: np.ndarray):
-    """Returns (grad_x, grad_gain, grad_shift)."""
+    """Returns (grad_x, grad_gain, grad_shift), for rows x [m, width]."""
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPSILON)
     xhat = (x - mu) * inv
-    batch_axes = tuple(range(x.ndim - 1))
-    ggain = (gy * xhat).sum(axis=batch_axes)
-    gshift = gy.sum(axis=batch_axes)
+    ggain = (gy * xhat).sum(axis=0)
+    gshift = gy.sum(axis=0)
     gxhat = gy * p.gain
     gx = inv * (
         gxhat

@@ -5,7 +5,8 @@ import tracemalloc
 
 import numpy as np
 
-from camfuse.fusion import FusionConfig
+from camfuse.fusion import FusionConfig, fuse, fuse_backward
+from camfuse.gradcheck import _named
 from camfuse.serde import write_atomic
 from camfuse.tensor import LayerNormParams, TokenTensor
 
@@ -27,6 +28,14 @@ def zero_tokens(frames: int, tokens: int, width: int) -> TokenTensor:
 def identity_layer_norm(width: int) -> LayerNormParams:
     """Gain one, shift zero: the layer norm alone, at `LN_EPSILON`."""
     return LayerNormParams(np.ones(width), np.zeros(width))
+
+
+def pass_arrays(inputs, weights, config, cot) -> dict:
+    """Name -> array of every result of a pass, in canonical order: "fused"
+    (the `fuse` output), "input.<stream>" (its gradients under `cot`) and each
+    weight gradient."""
+    return {"fused": fuse(inputs, weights, config).data,
+            **_named(*fuse_backward(inputs, weights, config, cot))}
 
 
 def traced_peak(fn) -> int:

@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from camfuse import cli
+from camfuse import cli, gradcheck
 from camfuse.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INVALID,
@@ -236,6 +236,20 @@ class TestGradcheck:
 
     def test_zero_tolerance_fails(self):
         assert main(["gradcheck", "--tolerance", "0"]) == EXIT_CHECK_FAILED
+
+    def test_a_nan_gradient_fails(self, monkeypatch, capsys):
+        # a NaN entry's error must count as the worst, not be skipped by max
+        real = gradcheck.fuse_backward
+
+        def nan_in_p_c(*args, **kwargs):
+            input_grads, weight_grads = real(*args, **kwargs)
+            weight_grads.p_c.weight[0, 0] = np.nan
+            return input_grads, weight_grads
+
+        monkeypatch.setattr(gradcheck, "fuse_backward", nan_in_p_c)
+        assert main(["gradcheck"]) == EXIT_CHECK_FAILED
+        worst = [line for line in capsys.readouterr().out.splitlines() if "worst" in line]
+        assert worst and "inf" in worst[0]
 
     @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
     def test_bad_tolerance_is_invalid_exit(self, value, capsys):

@@ -50,7 +50,7 @@ from camfuse.tensor import (
     swish,
 )
 
-from helpers import DEMO_CONFIG, traced_peak, zero_tokens
+from helpers import DEMO_CONFIG, pass_arrays, traced_peak, zero_tokens
 from oracles import ref_attention, ref_fuse, whole_frame_attention, whole_frame_attention_vjp
 
 
@@ -106,18 +106,17 @@ def overflowing(weights, where):
 
 def attention_inputs(config, inputs, weights):
     """Per frame, the (q, k, v, c) that the frame body hands to `attend`,
-    composed from the public stages; c is the batched camera projection."""
+    composed from the public stages."""
     t = config.toggles
-    c = affine(inputs.camera.data, weights.p_c)
-    for xv, xs, xc, ci in zip(inputs.visual.data, inputs.spatial.data, inputs.camera.data, c):
-        q, k, v, _, _ = project_qkvc(xv, xs, weights)
+    for xv, xs, xc in zip(inputs.visual.data, inputs.spatial.data, inputs.camera.data):
+        q, k, v, c, _, _ = project_qkvc(xv, xs, xc, weights)
         if t.geo_bias:
             bias = geo_bias(xs, xc, weights)[0]
             k += bias
             v += bias
         if t.token_weight:
             v = v * token_weights(xs, weights)[0]
-        yield q, k, v, ci
+        yield q, k, v, c
 
 
 class TestConfig:
@@ -238,21 +237,24 @@ class TestProject:
     def test_output_shapes(self):
         weights = init_weights(TINY, 1)
         inputs = synth_tokens(TINY, 2)
-        q, k, v, lnv, lns = project_qkvc(inputs.visual.data[0], inputs.spatial.data[0], weights)
+        q, k, v, c, lnv, lns = project_qkvc(inputs.visual.data[0], inputs.spatial.data[0],
+                                            inputs.camera.data[0], weights)
         assert q.shape == (3, 4)
         assert k.shape == v.shape == (4, 4)
+        assert c.shape == (1, 4)
         assert lnv.shape == (3, 6) and lns.shape == (4, 5)
 
     def test_composes_kernel_ops_bit_exactly(self):
         weights = init_weights(TINY, 4)
         inputs = synth_tokens(TINY, 5)
-        for xv, xs in zip(inputs.visual.data, inputs.spatial.data):
-            q, k, v, lnv, lns = project_qkvc(xv, xs, weights)
+        for xv, xs, xc in zip(inputs.visual.data, inputs.spatial.data, inputs.camera.data):
+            q, k, v, c, lnv, lns = project_qkvc(xv, xs, xc, weights)
             assert lnv.tobytes() == layer_norm(xv, weights.ln_v).tobytes()
             assert lns.tobytes() == layer_norm(xs, weights.ln_s).tobytes()
             assert q.tobytes() == affine(lnv, weights.p_q).tobytes()
             assert k.tobytes() == affine(lns, weights.p_k).tobytes()
             assert v.tobytes() == affine(lns, weights.p_v).tobytes()
+            assert c.tobytes() == affine(xc, weights.p_c).tobytes()
 
 
 class TestGeoBias:
@@ -573,11 +575,8 @@ class TestFramePool:
         results = {}
         for workers in (1, 2, 3):
             pools = self.count_pools(monkeypatch, workers)
-            input_grads, weight_grads = fuse_backward(inputs, weights, config, cot)
-            results[workers] = [fuse(inputs, weights, config).data.tobytes(),
-                                *(getattr(input_grads, name).data.tobytes()
-                                  for name in REQUIRED_STREAMS),
-                                *(array.tobytes() for _, array in iter_params(weight_grads))]
+            results[workers] = {name: array.tobytes() for name, array
+                                in pass_arrays(inputs, weights, config, cot).items()}
             # one pool per pass, on min(workers, frames) threads
             assert pools == ([] if workers == 1 else [min(workers, config.n_frames)] * 2)
         assert results[2] == results[1]
@@ -645,9 +644,9 @@ class TestFramePool:
         fuse(inputs, weights, config)
         fuse_backward(inputs, weights, config, cot)
         assert pools == [2, 2]  # one per pass
-        # the gate's swish and its VJP run batched, on the calling thread; the
-        # frame bodies reach the stages and kernels through untraced names
-        assert {"tensor.swish", "tensor.swish_vjp"} <= {name for name, _ in calls}
+        # the boundary's TokenTensors are built on the calling thread; the frame
+        # bodies reach the stages and kernels through untraced names
+        assert "tensor.TokenTensor.validate" in {name for name, _ in calls}
         here = threading.current_thread()
         assert [name for name, thread in calls if thread is not here] == []
 
@@ -662,14 +661,12 @@ class TestFramePool:
         results = []
         for workers in (1, 2):
             pools = self.count_pools(monkeypatch, workers)
-            out = fuse(inputs, weights, config).data
-            input_grads, weight_grads = fuse_backward(inputs, weights, config, cot)
+            arrays = pass_arrays(inputs, weights, config, cot)
             # only a pass whose n * m_visual queries fit one tile runs serially
             assert bool(pools) == (workers == 2 and config.n_frames * config.m_visual > rows)
-            npt.assert_allclose(out, ref_fuse(inputs, weights, config), rtol=0, atol=1e-12)
-            results.append([out.tobytes(),
-                            *(getattr(input_grads, name).data.tobytes() for name in REQUIRED_STREAMS),
-                            *(array.tobytes() for _, array in iter_params(weight_grads))])
+            npt.assert_allclose(arrays["fused"], ref_fuse(inputs, weights, config),
+                                rtol=0, atol=1e-12)
+            results.append({name: array.tobytes() for name, array in arrays.items()})
         assert results[1] == results[0]
 
 
@@ -696,7 +693,7 @@ class TestBlasScope:
         unrecorded = fusion.affine
 
         def recording(x, lin):
-            seen.append((threading.current_thread(), get()))
+            seen.append((threading.current_thread(), get(), x.ndim))
             return unrecorded(x, lin)
 
         monkeypatch.setattr(fusion, "affine", recording)
@@ -706,9 +703,10 @@ class TestBlasScope:
         assert pools == [2]
         assert get() == 2
         here = threading.current_thread()
-        assert {count for thread, count in seen if thread is not here} == {1}
-        # here: 1 in this thread's share of the frames, 2 for the camera rows before the pool
-        assert {count for thread, count in seen if thread is here} == {1, 2}
+        assert {count for thread, count, _ in seen if thread is not here} == {1}
+        # this thread runs its share of the frames, camera rows included, and nothing else
+        assert {count for thread, count, _ in seen if thread is here} == {1}
+        assert {ndim for _, _, ndim in seen} == {2}  # one frame's rows at a time
 
     def test_the_count_comes_back_when_a_pass_raises(self, two_threads, monkeypatch):
         get = two_threads
@@ -768,12 +766,11 @@ class TestGateAndFuse:
     def test_composes_kernel_ops(self, config):
         weights = init_weights(config, 4)
         inputs = synth_tokens(config, 5)
-        c = affine(inputs.camera.data, weights.p_c)[:, 0, :]
-        gate = swish(affine(c, weights.p_g1)) * affine(c, weights.p_g2)
         staged = np.empty_like(inputs.visual.data)
-        for i, (q, k, v, ci) in enumerate(attention_inputs(config, inputs, weights)):
-            attended = attend(q, k, v, ci, config)
-            gate_and_fuse(attended, gate[i], inputs.visual.data[i], weights, staged[i])
+        for i, (q, k, v, c) in enumerate(attention_inputs(config, inputs, weights)):
+            attended = attend(q, k, v, c, config)
+            gate = swish(affine(c, weights.p_g1)) * affine(c, weights.p_g2)
+            gate_and_fuse(attended, gate, inputs.visual.data[i], weights, staged[i])
         assert staged.tobytes() == fuse(inputs, weights, config).data.tobytes()
 
 
@@ -1026,23 +1023,25 @@ class TestFuseBackward:
         inputs = synth_tokens(config, 47)
         weights = init_weights(config, 48)
         cot = TokenTensor(np.random.default_rng(49).standard_normal(inputs.visual.shape))
-        timings: dict = {}
-        start = time.perf_counter()
-        timed = fuse_backward(inputs, weights, config, cot, timings=timings)
-        wall = time.perf_counter() - start
-        assert list(timings) == ["forward", "gate_fuse_vjp", "attend_vjp", "token_weight_vjp",
-                                 "geo_bias_vjp", "project_vjp"]
-        assert all(value >= 0 for value in timings.values())
-        assert sum(timings.values()) <= 2 * wall  # busy seconds, summed over two workers
         forward: dict = {}
-        fuse(inputs, weights, config, timings=forward)
+        start = time.perf_counter()
+        fused = fuse(inputs, weights, config, timings=forward).data
+        forward_wall = time.perf_counter() - start
+        backward: dict = {}
+        start = time.perf_counter()
+        grads = fuse_backward(inputs, weights, config, cot, timings=backward)
+        wall = time.perf_counter() - start
         assert list(forward) == ["project", "geo_bias", "token_weight", "attend", "gate_fuse"]
-        plain = fuse_backward(inputs, weights, config, cot)
-        for name in REQUIRED_STREAMS:
-            assert (getattr(timed[0], name).data.tobytes()
-                    == getattr(plain[0], name).data.tobytes()), name
-        for (name, got), (_, want) in zip(iter_params(timed[1]), iter_params(plain[1])):
-            assert got.tobytes() == want.tobytes(), name
+        assert list(backward) == ["forward", "gate_fuse_vjp", "attend_vjp", "token_weight_vjp",
+                                  "geo_bias_vjp", "project_vjp"]
+        assert all(value >= 0 for value in [*forward.values(), *backward.values()])
+        # busy seconds, summed over two workers, each pass against its own wall time
+        assert sum(forward.values()) <= 2 * forward_wall
+        assert sum(backward.values()) <= 2 * wall
+        timed = {"fused": fused, **_named(*grads)}
+        plain = pass_arrays(inputs, weights, config, cot)
+        assert {name: array.tobytes() for name, array in timed.items()} == {
+            name: array.tobytes() for name, array in plain.items()}
 
     def test_cotangent_shape_checked(self):
         weights = init_weights(TINY, 0)
