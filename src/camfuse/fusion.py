@@ -45,20 +45,26 @@ aliases the tracer does not wrap, and otherwise only `affine`,
 `tensor._sigmoid`, `_swish` and `_swish_vjp`.
 
 Attention walks each frame's queries in row tiles sized so that one tile's
-[heads, rows, memory] score block stays about 2 MiB, in a tile-sized
-workspace per worker, so memory is bounded by the outputs plus one frame's
-working set per worker in both passes. Per frame the keys and values (with
-the camera slot written in as slot 0) are laid out once as augmented
-buffers with a row of ones, so a tile makes three passes over its score
-block: the QK^T GEMM, an in-place `exp` and the PV GEMM. The softmax shift
-rides in the first GEMM: each query row carries -c, where c = |q| max|k|
-bounds the row's scores by Cauchy-Schwarz. The row sum rides in the second,
-as its last column. Rows whose shifted sum falls below e^-600 are redone
-with their exact row max. The reverse pass keeps no probability tensor: the
-forward leaves each query row's log-sum-exp in the worker's workspace, and
-the frame's attention VJP folds it into its QK^T GEMM the same way to
-recompute the probabilities tile by tile, summing the key and value
-cotangents head-major into contiguous [heads, memory, head_dim] rows.
+[heads, rows, memory] score block stays about 2 MiB, in a workspace per
+worker that holds one tile's score blocks and one frame's query-width rows,
+so memory is bounded by the outputs plus one frame's working set per worker
+in both passes. Per frame the keys and values (with the camera slot
+written in as slot 0) are laid out once as augmented buffers with a row of
+ones, so a tile is only three passes over its score block: the QK^T GEMM,
+an in-place `exp` and the PV GEMM. The softmax shift rides in the first
+GEMM: each query row carries -c, where c = |q| max|k| bounds the row's
+scores by Cauchy-Schwarz. The row sum rides in the second, as its last
+column. The per-row work runs once per frame, outside the tiles: the
+shifts before them, and after them the redo of rows whose shifted sum falls
+below e^-600 (with their exact row max), the division by the row sums and
+the log-sum-exp. The reverse pass keeps no probability tensor: the forward
+leaves the scaled queries and each query row's log-sum-exp in the worker's
+workspace, and the frame's attention VJP folds the log-sum-exp into its
+QK^T GEMM the same way to recompute the probabilities tile by tile. Its
+tiles are only seven passes (QK^T, `exp`, the value cotangent, the score
+cotangent, its product with the probabilities, and the query and key
+cotangents), summing the key and value cotangents head-major into
+contiguous [heads, memory, head_dim] rows.
 
 The output always has the visual stream's shape, so the module can sit in
 front of a downstream consumer without changing its interface.
@@ -404,16 +410,17 @@ def _workspace(n_heads: int, mq: int, mk: int, d_attn: int, backward: bool = Fal
     """One worker's buffers for frames of mq queries over mk memory slots.
 
     kt and vt hold the frame's memory as `_memory_t` lays it out, att and
-    lse the attention output and each query row's log-sum-exp; qa, e and ow
-    are one query tile's augmented queries, score block and PV product.
-    For the reverse pass, g_s is a tile's score cotangent, gk and gv sum the
-    key and value cotangents head-major, prod takes each tile's share of
-    them and gq is the query cotangent.
+    lse the attention output and each query row's log-sum-exp; qa and ow
+    are the frame's augmented queries and their PV product, and e is one
+    query tile's score block. For the reverse pass, ow holds the frame's
+    augmented cotangent rows instead, g_s is a tile's score cotangent, gk
+    and gv sum the key and value cotangents head-major, prod takes each
+    tile's share of them and gq is the query cotangent.
     """
     h, dh = n_heads, d_attn // n_heads
     tile = min(_tile_rows(n_heads, mk), mq)
     shapes = {"kt": (h, dh + 1, mk), "vt": (h, dh + 1, mk), "att": (mq, d_attn),
-              "lse": (h, mq), "qa": (h, tile, dh + 1), "e": (h, tile, mk), "ow": (h, tile, dh + 1)}
+              "lse": (h, mq), "qa": (h, mq, dh + 1), "e": (h, tile, mk), "ow": (h, mq, dh + 1)}
     if backward:
         shapes.update(g_s=(h, tile, mk), gk=(h, mk, dh), gv=(h, mk, dh), prod=(h, mk, dh),
                       gq=(mq, d_attn))
@@ -421,9 +428,9 @@ def _workspace(n_heads: int, mq: int, mk: int, d_attn: int, backward: bool = Fal
 
 
 def _exact_shift_rows(qa, kt, vt, o, shift, bad):
-    """Recompute a tile's flagged (head, row) pairs shifted by their exact row max.
+    """Recompute a frame's flagged (head, row) pairs shifted by their exact row max.
 
-    `qa` holds the tile's augmented queries, `o` their [h, rows, dh + 1]
+    `qa` holds the frame's augmented queries, `o` their [h, rows, dh + 1]
     product with the augmented V (row sums last) and `shift` the per-row
     shifts; `o` and `shift` are overwritten for every pair flagged in `bad`.
     """
@@ -447,15 +454,18 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, c: np.ndarray,
     of the row (Cauchy-Schwarz). A tile is then three passes over its
     [h, rows, mk] block: the QK^T GEMM returns scores already shifted by c,
     `exp` runs in place, and the PV GEMM returns the row sums z as its last
-    column, so the log-sum-exp is c + log z. Rows with z < e^-600 or a
-    non-finite z are recomputed with their exact row max. Every tile sees
-    the frame's whole memory, so one pass gives the exact softmax.
+    column. Everything else runs once per frame: the scaled queries and
+    their shifts before the tiles, and after them the recompute of a
+    frame's flagged pairs (z < e^-600 or a non-finite z) with their exact
+    row max, the division by z and the log-sum-exp c + log z. Every tile
+    sees the frame's whole memory, so one pass gives the exact softmax.
 
     `ws` is a worker's `_workspace`, sized for this frame; without one, the
-    call allocates its own. The output is its `att` buffer, and its `kt`,
-    `vt` and `lse` are left holding the memory layout and each row's
-    log-sum-exp of the scaled scores, from which `_attend_vjp` recomputes
-    the probabilities. No probability tensor is stored.
+    call allocates its own. The output is its `att` buffer, and its `qa`,
+    `kt`, `vt` and `lse` are left holding the scaled queries, the memory
+    layout and each row's log-sum-exp of the scaled scores, from which
+    `_attend_vjp` recomputes the probabilities. No probability tensor is
+    stored.
     """
     slot = c if config.toggles.camera_memory else c[:0]
     mq, da = q.shape
@@ -470,69 +480,73 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, c: np.ndarray,
     dh = da // n_heads
     scale = 1.0 / np.sqrt(dh)
     rows = _tile_rows(n_heads, mk)
-    kt, vt, att, lse = ws["kt"], ws["vt"], ws["att"], ws["lse"]
+    kt, vt, att, lse, qa, ow = (ws[name] for name in ("kt", "vt", "att", "lse", "qa", "ow"))
     _memory_t(k, slot, n_heads, kt)
     _memory_t(v, slot, n_heads, vt)
     k_norm = np.sqrt(np.einsum("hdk,hdk->hk", kt[:, :dh], kt[:, :dh]).max(axis=1))
+    qh = qa[..., :dh]
+    np.multiply(_heads(q, n_heads), scale, out=qh)
+    shift = np.sqrt(np.einsum("hqd,hqd->hq", qh, qh)) * k_norm[:, None]
+    # assigned, not np.negative(..., out=): numpy 2.4 misreads a size-1 row axis
+    qa[..., dh] = -shift
     for lo in range(0, mq, rows):
         hi = min(lo + rows, mq)
-        qt, et = ws["qa"][:, :hi - lo], ws["e"][:, :hi - lo]
-        qh = qt[..., :dh]
-        np.multiply(_heads(q[lo:hi], n_heads), scale, out=qh)
-        shift = np.sqrt(np.einsum("hqd,hqd->hq", qh, qh)) * k_norm[:, None]
-        # assigned, not np.negative(..., out=): numpy 2.4 misreads a size-1 row axis
-        qt[..., dh] = -shift
-        np.matmul(qt, kt, out=et)
+        et = ws["e"][:, :hi - lo]
+        np.matmul(qa[:, lo:hi], kt, out=et)
         np.exp(et, out=et)
         # [h, rows, dh + 1]; the last column is z
-        o = np.matmul(et, vt.transpose(0, 2, 1), out=ws["ow"][:, :hi - lo])
-        z = o[..., dh]
-        bad = ~((z >= _Z_MIN) & (z < np.inf))
-        if bad.any():
-            _exact_shift_rows(qt, kt, vt, o, shift, bad)
-        np.divide(o[..., :dh], o[..., dh:], out=_heads(att[lo:hi], n_heads))
-        lse[:, lo:hi] = shift + np.log(z)
+        np.matmul(et, vt.transpose(0, 2, 1), out=ow[:, lo:hi])
+    z = ow[..., dh]
+    bad = ~((z >= _Z_MIN) & (z < np.inf))
+    if bad.any():
+        _exact_shift_rows(qa, kt, vt, ow, shift, bad)
+    np.divide(ow[..., :dh], ow[..., dh:], out=_heads(att, n_heads))
+    lse[...] = shift + np.log(z)
     return att
 
 
-def _attend_vjp(q: np.ndarray, g_att: np.ndarray, n_heads: int, ws: dict):
+def _attend_vjp(g_att: np.ndarray, n_heads: int, ws: dict):
     """Cotangents (gq, gk, gv) of ``<g_att, attend(q, ...)>`` for the frame
-    whose `attend` last ran in the backward workspace `ws`.
+    whose `attend` last ran in the backward workspace `ws`, which still
+    holds that frame's scaled queries, memory layout, output and
+    log-sum-exp.
 
     gk and gv ([mk, d_attn]) cover the whole memory, the camera slot's row
-    first when there is one. Per query tile the scaled queries carry a last
-    entry -lse, so one GEMM against the memory layout and an in-place `exp`
+    first when there is one. The scaled queries carry a last entry -lse, so
+    per query tile one GEMM against the memory layout and an in-place `exp`
     recompute the probabilities p; with D = rowsum(g_att * att) the
     cotangent rows carry -D, so one more GEMM gives g_att v^T - D, and the
     score cotangent is p times that. gk and gv are summed head-major, in
     [h, mk, dh] zeros: each tile's GEMM writes into `prod`, which is added
-    to them, so tiles add in order onto zeros. The heads are merged once, at
-    the end; gq is written token-major in place.
+    to them, so tiles add in order onto zeros. The -lse and -D columns are
+    written once per frame before the tiles, and gq, written token-major in
+    place, is scaled once after them; the heads are merged once, at the end.
     """
-    mq, da = q.shape
+    mq, da = ws["att"].shape
     dh = da // n_heads
     scale = 1.0 / np.sqrt(dh)
-    kt, vt, att, lse = ws["kt"], ws["vt"], ws["att"], ws["lse"]
+    kt, vt, att, lse, qa, ow = (ws[name] for name in ("kt", "vt", "att", "lse", "qa", "ow"))
     gq, gk, gv, prod = ws["gq"], ws["gk"], ws["gv"], ws["prod"]
     rows = _tile_rows(n_heads, kt.shape[2])
     gk.fill(0.0)
     gv.fill(0.0)
     kh = kt[:, :dh].transpose(0, 2, 1)
+    qa[..., dh] = -lse
+    goh = ow[..., :dh]
+    goh[...] = _heads(g_att, n_heads)
+    ow[..., dh] = -(goh * _heads(att, n_heads)).sum(axis=-1)
+    gqh = _heads(gq, n_heads)
     for lo in range(0, mq, rows):
         hi = min(lo + rows, mq)
-        qt, gt, pt, st = (ws[name][:, :hi - lo] for name in ("qa", "ow", "e", "g_s"))
-        qh, goh = qt[..., :dh], gt[..., :dh]
-        np.multiply(_heads(q[lo:hi], n_heads), scale, out=qh)
-        qt[..., dh] = -lse[:, lo:hi]
-        goh[...] = _heads(g_att[lo:hi], n_heads)
-        gt[..., dh] = -(goh * _heads(att[lo:hi], n_heads)).sum(axis=-1)
-        np.matmul(qt, kt, out=pt)
+        pt, st = ws["e"][:, :hi - lo], ws["g_s"][:, :hi - lo]
+        np.matmul(qa[:, lo:hi], kt, out=pt)
         np.exp(pt, out=pt)
-        gv += np.matmul(pt.transpose(0, 2, 1), goh, out=prod)
-        np.matmul(gt, vt, out=st)
+        gv += np.matmul(pt.transpose(0, 2, 1), goh[:, lo:hi], out=prod)
+        np.matmul(ow[:, lo:hi], vt, out=st)
         st *= pt
-        np.multiply(st @ kh, scale, out=_heads(gq[lo:hi], n_heads))
-        gk += np.matmul(st.transpose(0, 2, 1), qh, out=prod)
+        np.matmul(st, kh, out=gqh[:, lo:hi])
+        gk += np.matmul(st.transpose(0, 2, 1), qa[:, lo:hi, :dh], out=prod)
+    gq *= scale
     return gq, _merge_heads(gk), _merge_heads(gv)
 
 
@@ -743,7 +757,7 @@ def _pass(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
             weighted = v * tw
         lap("token_weight")
         att = _attend(q, k, weighted, c, config, ws)
-        del k, weighted  # now laid out in the workspace; no VJP reads them
+        del q, k, weighted  # now laid out in the workspace; no VJP reads them
         lap("attend")
         gate = None
         if t.gate:
@@ -772,8 +786,8 @@ def _pass(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
         del g_p
         lap("gate_fuse_vjp")
 
-        g_q, g_kmem, g_vmem = _attend_vjp(q, g_att, config.n_heads, ws)
-        del q, g_att
+        g_q, g_kmem, g_vmem = _attend_vjp(g_att, config.n_heads, ws)
+        del g_att
         lead = int(t.camera_memory)  # the camera slot's rows: 1, or 0 without camera_memory
         g_c = np.zeros_like(c)  # the camera slot's cotangent
         g_c[:lead] = g_kmem[:lead] + g_vmem[:lead]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from camfuse import fusion
+from camfuse import fusion, gradcheck
 from camfuse.fusion import (
     _attend_vjp,
     _heads,
@@ -389,7 +389,7 @@ class TestTiledAttention:
             ws = _workspace(n_heads, mq, mk, da, backward=True)
             out[i] = attend(q[i], k[i], v[i], c[i], config, ws)
             lse[i] = ws["lse"]
-            for grad, frame_grad in zip(grads, _attend_vjp(q[i], g_out[i], n_heads, ws)):
+            for grad, frame_grad in zip(grads, _attend_vjp(g_out[i], n_heads, ws)):
                 grad[i] = frame_grad
         kmem, vmem = (x if slot is None else np.concatenate([slot, x], axis=1) for x in (k, v))
         expected, probs = whole_frame_attention(q, kmem, vmem, n_heads)
@@ -451,7 +451,7 @@ class TestTiledAttention:
         ws = _workspace(config.n_heads, config.m_visual, mk, da, backward=True)
         attend(q, k, v, c, config, ws)
         g_att = np.random.default_rng(46).standard_normal(q.shape)
-        gq, gk, gv = _attend_vjp(q, g_att, config.n_heads, ws)
+        gq, gk, gv = _attend_vjp(g_att, config.n_heads, ws)
         assert gq.shape == (config.m_visual, da)
         assert gk.shape == gv.shape == (mk, da)
         assert all(g.flags.c_contiguous for g in (gq, gk, gv))
@@ -506,6 +506,7 @@ class TestTiledAttention:
             out, lse = self.check_against_whole_frame(q, k, v, heads, slot=slot)
         assert np.isfinite(out).all() and np.isfinite(lse).all()
         assert sum(counts) == n * heads * mq // 2  # every even row, and only those
+        assert len(counts) == n  # one fallback call per frame, after its tiles
 
     def test_fallback_stays_idle_on_ordinary_inputs(self, monkeypatch):
         counts = self.count_exact_shift_rows(monkeypatch)
@@ -1048,6 +1049,98 @@ class TestFuseBackward:
         inputs = synth_tokens(TINY, 0)
         with pytest.raises(DimensionError, match="cotangent"):
             fuse_backward(inputs, weights, TINY, zero_tokens(1, 1, 1))
+
+
+def scaled_projections(weights, scale):
+    """`weights` with the p_q, p_k and p_c weight matrices times `scale`: the
+    scores grow as scale^2, so at 100 some rows' shift bounds sit e^600 and
+    more above their largest score. Scaling the token streams instead does
+    not: ln_v and ln_s normalise it away."""
+    return replace(weights, **{name: LinearMap(getattr(weights, name).weight * scale,
+                                               getattr(weights, name).bias)
+                               for name in ("p_q", "p_k", "p_c")})
+
+
+# the weight gradients that a toggle turned off leaves at exactly zero
+DISABLED = {"geo_bias": ("geo_mlp.0", "geo_mlp.1"), "token_weight": ("tw_mlp.0", "tw_mlp.1"),
+            "gate": ("p_g1", "p_g2")}
+
+
+class TestWholePass:
+    """`fuse` and `fuse_backward` over drawn shapes, toggles, tile budgets and
+    worker counts."""
+
+    @staticmethod
+    def directional_error(inputs, weights, config, step):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gradcheck, "DIRECTIONAL_STEP", step)
+            return check_directional(inputs, weights, config, seed=5)["error"]
+
+    @given(st.data())
+    def test_matches_the_oracle_and_its_gradients_at_random_shapes(self, data):
+        bits = data.draw(st.tuples(*[st.booleans()] * 4), label="toggles")
+        heads = data.draw(st.integers(1, 3), label="heads")
+        dh = data.draw(st.integers(1, 4), label="head width")
+        config = FusionConfig(
+            n_frames=data.draw(st.integers(1, 3), label="frames"),
+            m_visual=data.draw(st.integers(1, 9), label="visual tokens"),
+            m_spatial=data.draw(st.integers(0 if bits[2] else 1, 9), label="spatial tokens"),
+            d_visual=data.draw(st.integers(1, 6), label="d_visual"),
+            d_spatial=data.draw(st.integers(1, 6), label="d_spatial"),
+            d_attn=heads * dh, n_heads=heads, toggles=FusionToggles(*bits))
+        mk = config.m_spatial + bits[2]
+        # a score block of a few rows at most, down to one-row tiles
+        tile_bytes = data.draw(st.integers(1, 8 * heads * mk * 4), label="tile")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        scale = data.draw(st.sampled_from([1.0, 10.0, 100.0]), label="scale")
+        inputs = synth_tokens(config, seed)
+        weights = scaled_projections(init_weights(config, seed), scale)
+        cot = TokenTensor(np.random.default_rng(seed).standard_normal(inputs.visual.shape))
+        runs = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fusion, "_TILE_BYTES", tile_bytes)
+            for workers in (1, 2, 3):
+                patch.setattr(fusion, "_usable_cores", lambda w=workers: w)
+                runs.append(pass_arrays(inputs, weights, config, cot))
+            # A central difference is off by O(step^2) truncation plus O(1/step)
+            # rounding. At small widths the truncation reaches 1e-2 at the
+            # default step, so shorter steps are tried until one is within
+            # 1e-8. Projections scaled by 100 make scores so large that the
+            # rounding alone is ~1e-8 at every step; the fallback rows' VJP
+            # is checked against the whole-frame oracle in TestTiledAttention.
+            if scale <= 10.0:
+                errors = []
+                for shorter in range(6):
+                    errors.append(self.directional_error(
+                        inputs, weights, config, gradcheck.DIRECTIONAL_STEP / 10**shorter))
+                    if errors[-1] <= 1e-8:
+                        break
+                assert errors[-1] <= 1e-8, errors
+        arrays = runs[0]
+        for run in runs[1:]:
+            assert {name: array.tobytes() for name, array in run.items()} == {
+                name: array.tobytes() for name, array in arrays.items()}
+        expected = ref_fuse(inputs, weights, config)
+        # both sides round each score to ~1e-16 of its size, and scores grow as scale^2
+        tolerance = 1e-13 * scale**2 * max(1.0, np.abs(expected).max())
+        assert np.abs(arrays["fused"] - expected).max() <= tolerance
+        off = [group for toggle, groups in DISABLED.items()
+               if not getattr(config.toggles, toggle) for group in groups]
+        if not (config.toggles.camera_memory or config.toggles.gate):
+            off.append("p_c")  # the camera slot feeds only the memory and the gate
+            if not config.toggles.geo_bias:
+                off.append("input.camera")
+        for name, array in arrays.items():
+            if name in off or name.rpartition(".")[0] in off:
+                assert not array.any(), name
+
+    def test_scaled_projections_reach_the_exact_shift_fallback(self, monkeypatch):
+        counts = TestTiledAttention.count_exact_shift_rows(monkeypatch)
+        inputs = synth_tokens(TINY, 55)
+        fuse(inputs, init_weights(TINY, 56), TINY)
+        assert counts == []
+        fuse(inputs, scaled_projections(init_weights(TINY, 56), 100.0), TINY)
+        assert sum(counts) > 0
 
 
 class TestBoundary:
