@@ -3,8 +3,9 @@
 Per frame, visual tokens cross-attend over spatial tokens plus one camera
 memory slot, with three camera-conditioned controls layered on top:
 
-* geo bias -- an MLP over each spatial token concatenated with its frame's
-  camera embedding, added to both attention keys and values;
+* geo bias -- an MLP over each spatial token and its frame's camera
+  embedding, added to both attention keys and values; the camera's share of
+  its first layer, with the bias, is one row per frame;
 * token weights -- a sigmoid MLP over spatial tokens giving each a
   query-independent importance in (0, 1) that rescales the values;
 * gate -- a SwiGLU-style gate computed from the camera embedding that
@@ -350,16 +351,21 @@ def project_qkvc(visual: np.ndarray, spatial: np.ndarray, camera: np.ndarray,
 
 def geo_bias(spatial: np.ndarray, camera: np.ndarray, weights: FusionWeights):
     """The camera-conditioned bias [ms, d_attn] that one frame adds to its
-    keys and values; returns (bias, gin, gh, ga), the last three being the
-    MLP's input, hidden pre-activation and activation.
+    keys and values; returns (bias, gh, ga), the last two being the MLP's
+    hidden pre-activation and activation.
 
-    The bias is an MLP over each spatial token concatenated, along width,
-    with the frame's camera row `camera` ([1, d_spatial]).
+    The bias is an MLP over each spatial token and the frame's camera row
+    `camera` ([1, d_spatial]), as if the two were concatenated along width.
+    The first layer's weight is split by rows at d_spatial: its spatial half
+    maps every token, and its camera half, with the bias, gives one
+    [1, d_attn] row per frame that is added to every token's hidden row.
     """
-    gin = np.concatenate([spatial, np.broadcast_to(camera, spatial.shape)], axis=-1)
-    gh = affine(gin, weights.geo_mlp[0])
+    first = weights.geo_mlp[0]
+    ds = spatial.shape[1]
+    gh = spatial @ first.weight[:ds]
+    gh += camera @ first.weight[ds:] + first.bias
     ga = _swish(gh)
-    return affine(ga, weights.geo_mlp[1]), gin, gh, ga
+    return affine(ga, weights.geo_mlp[1]), gh, ga
 
 
 def token_weights(spatial: np.ndarray, weights: FusionWeights):
@@ -746,7 +752,7 @@ def _pass(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
         q, k, v, c, lnv, lns = _project_qkvc(xv[i], xs[i], xc[i], w)
         lap("project")
         if t.geo_bias:
-            bias, gin, gh, ga = _geo_bias(xs[i], xc[i], w)
+            bias, gh, ga = _geo_bias(xs[i], xc[i], w)
             k += bias
             v += bias
             del bias
@@ -824,12 +830,17 @@ def _pass(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
             g_ga, part["geo_mlp.1.weight"][...], part["geo_mlp.1.bias"][...] = affine_vjp(
                 ga, w.geo_mlp[1], g_k + g_v)
             del ga
-            g_gin, part["geo_mlp.0.weight"][...], part["geo_mlp.0.bias"][...] = affine_vjp(
-                gin, w.geo_mlp[0], _swish_vjp(gh, g_ga))
-            del gin, gh, g_ga
-            g_xs[i] += g_gin[:, :ds]
-            g_xc[i] += g_gin[:, ds:].sum(axis=0)
-            del g_gin
+            g_gh = _swish_vjp(gh, g_ga)
+            del gh, g_ga
+            # the camera half maps one row, whose cotangent is also the bias gradient
+            w_s, w_c = w.geo_mlp[0].weight[:ds], w.geo_mlp[0].weight[ds:]
+            g_row = g_gh.sum(axis=0)
+            part["geo_mlp.0.weight"][:ds] = xs[i].T @ g_gh
+            part["geo_mlp.0.weight"][ds:] = xc[i].T * g_row
+            part["geo_mlp.0.bias"][...] = g_row
+            g_xs[i] += g_gh @ w_s.T
+            del g_gh
+            g_xc[i] += g_row @ w_c.T
         lap("geo_bias_vjp")
 
         g_lns_k, part["p_k.weight"][...], part["p_k.bias"][...] = affine_vjp(lns, w.p_k, g_k)

@@ -293,6 +293,16 @@ class TestGradcheck:
         assert main(["gradcheck", "--directional"]) == EXIT_OK
         assert main(["gradcheck", "--directional", "--tolerance", "0"]) == EXIT_CHECK_FAILED
 
+    def test_directional_passes_correct_gradients_at_narrow_widths(self, tmp_path):
+        # at d_spatial 2 the O(step^2) truncation of a plain central difference
+        # at step 1e-6 is 1.3e-8, over the tolerance; the extrapolated one reads ~5e-13
+        path = tmp_path / "narrow.json"
+        save_config(FusionConfig(n_frames=2, m_visual=3, m_spatial=4,
+                                 d_visual=4, d_spatial=2, d_attn=4, n_heads=2), 1, path)
+        assert main(["gradcheck", "--config", str(path), "--directional"]) == EXIT_OK
+        assert main(["gradcheck", "--config", str(path), "--directional",
+                     "--tolerance", "0"]) == EXIT_CHECK_FAILED
+
 
 class TestSeedFlag:
     @pytest.mark.parametrize("argv", [

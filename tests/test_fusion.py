@@ -68,6 +68,9 @@ ONE_TOKEN = [replace(TINY, n_frames=3, m_visual=mv, m_spatial=ms, toggles=Fusion
              for bits in itertools.product([False, True], repeat=4)
              if ms or bits[2]]  # no spatial tokens needs the camera slot
 
+# one demo frame's spatial side (1369 tokens of width 64) behind a single query
+DEMO_FRAME = replace(DEMO_CONFIG, n_frames=1, m_visual=1)
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -279,12 +282,34 @@ class TestGeoBias:
         bias = bias_of(spatial, camera, weights)
         assert (bias[0] != bias[1]).any()
 
-    def test_shape_and_residuals(self):
+    @pytest.mark.parametrize("config", [TINY, DEMO_FRAME], ids=["tiny", "demo-frame"])
+    def test_shape_and_residuals(self, config):
+        weights = init_weights(config, 4)
+        inputs = synth_tokens(config, 5)
+        xs, xc = inputs.spatial.data[0], inputs.camera.data[0]
+        result = geo_bias(xs, xc, weights)
+        assert len(result) == 3
+        assert all(r.shape == (config.m_spatial, config.d_attn) for r in result)
+        # the MLP over each spatial token concatenated with the camera row, as one GEMM;
+        # the split first layer sums in another order, so agreement is to rounding
+        gin = np.concatenate([xs, np.broadcast_to(xc, xs.shape)], axis=-1)
+        gh = affine(gin, weights.geo_mlp[0])
+        ga = swish(gh)
+        for got, want in zip(result, (affine(ga, weights.geo_mlp[1]), gh, ga)):
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    def test_camera_rows_of_the_weight_gradient_are_one_outer_product(self):
+        # with one camera row in every frame, the camera half of geo_mlp.0's weight
+        # gradient is that row's outer product with the bias gradient
         weights = init_weights(TINY, 4)
         inputs = synth_tokens(TINY, 5)
-        bias, gin, gh, ga = geo_bias(inputs.spatial.data[0], inputs.camera.data[0], weights)
-        assert bias.shape == gh.shape == ga.shape == (4, 4)
-        assert gin.shape == (4, 10)
+        xc = np.broadcast_to(inputs.camera.data[:1], inputs.camera.shape)
+        inputs = replace(inputs, camera=TokenTensor(xc))
+        cot = TokenTensor(np.random.default_rng(6).standard_normal(inputs.visual.shape))
+        first = fuse_backward(inputs, weights, TINY, cot)[1].geo_mlp[0]
+        want = np.outer(xc[0, 0], first.bias)
+        got = first.weight[TINY.d_spatial:]
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestTokenWeights:
