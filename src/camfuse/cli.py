@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands: gen (synthetic token streams), fuse (run the module on a stream
-file or a fresh synthetic batch), gradcheck (analytic vs finite-difference
-gradients, entry by entry or along one random direction), ablate (structural
-variants on identical inputs), score (record files against a benchmark
-protocol).
+Subcommands: gen (synthetic token streams), fuse (run the module on a
+token-stream file), gradcheck (analytic vs finite-difference gradients, entry
+by entry within the entry budget, along one random direction above it),
+ablate (structural variants on identical inputs), score (record files against
+a benchmark protocol). The structural toggles come only from the config file.
 
 Exit codes: 0 success, 2 usage, 3 invalid input/config/file, 4 failed check.
 """
@@ -26,7 +26,6 @@ from .fusion import (
     VARIANTS,
     ConfigError,
     FusionConfig,
-    FusionToggles,
     fuse,
     init_weights,
     param_count,
@@ -54,7 +53,7 @@ TINY_CONFIG = FusionConfig(n_frames=2, m_visual=3, m_spatial=4,
 
 GRADCHECK_ENTRY_BUDGET = 50_000
 
-# default --tolerance per gradcheck mode; a directional error sums over every
+# default --tolerance per gradcheck method; a directional error sums over every
 # entry, so a 1e-2 corruption reads ~4e-6 at the demo shape, while correct
 # gradients read ~1e-12 there and ~5e-13 at widths of 2 against the
 # extrapolated central difference, whose O(step^4) error is far below 1e-8
@@ -72,23 +71,6 @@ def _config_and_seed(args, default: FusionConfig | None = None) -> tuple[FusionC
     return config, seed if args.seed is None else args.seed
 
 
-def _apply_toggle_flags(config: FusionConfig, args) -> FusionConfig:
-    toggles = {name: on and not getattr(args, f"no_{name}")
-               for name, on in vars(config.toggles).items()}
-    return replace(config, toggles=FusionToggles(**toggles))
-
-
-def _add_toggle_flags(parser) -> None:
-    parser.add_argument("--no-geo-bias", action="store_true",
-                        help="disable the camera-conditioned key/value bias")
-    parser.add_argument("--no-token-weight", action="store_true",
-                        help="disable per-token importance weighting")
-    parser.add_argument("--no-camera-memory", action="store_true",
-                        help="drop the camera slot from the attention memory")
-    parser.add_argument("--no-gate", action="store_true",
-                        help="disable the camera-conditioned output gate")
-
-
 def _cmd_gen(args) -> int:
     config, seed = _config_and_seed(args)
     inputs = synth_tokens(config, seed)
@@ -99,17 +81,12 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    # argparse's required exclusive group guarantees exactly one of --in / --seed
-    config, config_seed = load_config(args.config)
-    config = _apply_toggle_flags(config, args)
+    config, seed = load_config(args.config)
     if args.weights is not None:
         weights = load_weights(args.weights, config)
     else:
-        weights = init_weights(config, config_seed)
-    if args.input_path is not None:
-        inputs, _ = load_token_streams(args.input_path, config)
-    else:
-        inputs = synth_tokens(config, args.seed)
+        weights = init_weights(config, seed)
+    inputs, _ = load_token_streams(args.input_path, config)
 
     timings: dict[str, float] = {}
     start = time.perf_counter()
@@ -131,27 +108,21 @@ def _cmd_fuse(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     config, seed = _config_and_seed(args, TINY_CONFIG)
-    config = _apply_toggle_flags(config, args)
+    shapes = stream_shapes(config)
+    entries = param_count(config) + sum(math.prod(shapes[n]) for n in REQUIRED_STREAMS)
+    directional = entries > GRADCHECK_ENTRY_BUDGET
 
     tolerance = args.tolerance
     if tolerance is None:
-        tolerance = DIRECTIONAL_TOLERANCE if args.directional else ENTRYWISE_TOLERANCE
+        tolerance = DIRECTIONAL_TOLERANCE if directional else ENTRYWISE_TOLERANCE
     elif not (np.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"--tolerance must be a finite number >= 0, got {tolerance}")
 
-    if not args.directional:
-        shapes = stream_shapes(config)
-        entries = param_count(config) + sum(math.prod(shapes[n]) for n in REQUIRED_STREAMS)
-        if entries > GRADCHECK_ENTRY_BUDGET:
-            print(f"error: config has {entries} checkable entries, over the "
-                  f"{GRADCHECK_ENTRY_BUDGET} finite-difference budget; "
-                  f"use smaller dims (the default config works) or --directional",
-                  file=sys.stderr)
-            return EXIT_INVALID
-
+    print(f"{entries} checkable entries, budget {GRADCHECK_ENTRY_BUDGET}: "
+          f"{'directional' if directional else 'entrywise'} check")
     inputs = synth_tokens(config, seed)
     weights = init_weights(config, seed)
-    if args.directional:
+    if directional:
         result = check_directional(inputs, weights, config, seed=seed,
                                    corruption=args.self_test_corruption)
         ok = result["error"] <= tolerance
@@ -229,27 +200,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuse", help="fuse a token stream and write the result")
     p.add_argument("--config", required=True)
     p.add_argument("--weights", default=None, help="weights container; default: init from config seed")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--in", dest="input_path", default=None, help="token-stream container")
-    source.add_argument("--seed", type=int, default=None, help="generate synthetic inputs")
+    p.add_argument("--in", dest="input_path", required=True,
+                   help="token-stream container, e.g. from camfuse gen")
     p.add_argument("--out", required=True)
-    _add_toggle_flags(p)
     p.set_defaults(func=_cmd_fuse)
 
-    p = sub.add_parser("gradcheck", help="analytic vs finite-difference gradients")
+    p = sub.add_parser("gradcheck", help="analytic vs finite-difference gradients",
+                       description=f"Entry by entry up to {GRADCHECK_ENTRY_BUDGET} inputs and "
+                                   "parameters, along one random direction above that.")
     p.add_argument("--config", default=None, help="default: a built-in tiny config")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tolerance", type=float, default=None,
-                   help=f"largest passing relative error; default {ENTRYWISE_TOLERANCE:g}, "
-                        f"or {DIRECTIONAL_TOLERANCE:g} with --directional")
-    p.add_argument("--directional", action="store_true",
-                   help="check one random direction over every input and parameter "
-                        "against Richardson-extrapolated central differences: four "
-                        "forward passes at any shape, no entry budget")
+                   help=f"largest passing relative error; default {ENTRYWISE_TOLERANCE:g} "
+                        f"entrywise, {DIRECTIONAL_TOLERANCE:g} directional")
     p.add_argument("--self-test-corruption", type=float, default=0.0,
                    help="add a constant to every analytic gradient; a nonzero "
                         "value must make the check fail (negative control)")
-    _add_toggle_flags(p)
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("ablate", help="run the structural variants on identical inputs")

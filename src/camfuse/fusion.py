@@ -102,6 +102,7 @@ from .tensor import (
     _swish_vjp,
     affine,
     affine_vjp,
+    empty_buffer,
     layer_norm,
     layer_norm_vjp,
     softmax_rows,  # noqa: F401 -- unused here; bench/test_bench.py patches it as a fusion attribute
@@ -742,7 +743,7 @@ def _pass(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
     backward = g_out is not None
     busy = None if timings is None else [{} for _ in range(n)]  # stage seconds, per frame
     # the fused rows; in the reverse pass each frame's visual-gradient rows overwrite its own
-    out = np.empty_like(xv)
+    out = empty_buffer(xv.shape)
     if backward:
         g_xs, g_xc = np.zeros_like(xs), np.zeros_like(xc)
         partials = np.zeros((n, param_count(config)))  # per frame, every weight gradient

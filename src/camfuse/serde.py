@@ -43,7 +43,7 @@ from .fusion import (
     stream_shapes,
     weights_from_arrays,
 )
-from .tensor import LN_EPSILON, TokenTensor
+from .tensor import LN_EPSILON, TokenTensor, empty_buffer
 
 __all__ = [
     "ContainerError",
@@ -177,13 +177,14 @@ def load_container(path):
     or offsets are not as documented, non-dense offsets, or a payload whose
     size disagrees with the header) raises ContainerError naming the file, and
     the tensor where there is one; nothing is returned, so there is no partial
-    result to misuse. The payload is read once into one buffer and every array
-    is a writable view of it, so a load holds about the file's size. A path
-    that is not a regular file is refused before any read (see open_regular).
+    result to misuse. The payload is read once into one `empty_buffer` and
+    every array is a writable view of it, so a load holds about the file's
+    size. A path that is not a regular file is refused before any read (see
+    open_regular).
     """
     with open_regular(path, ContainerError, "container") as handle:
         line = handle.readline()
-        blob = np.empty(max(0, os.fstat(handle.fileno()).st_size - len(line)), np.uint8)
+        blob = empty_buffer((max(0, os.fstat(handle.fileno()).st_size - len(line)),), np.uint8)
         complete = handle.readinto(blob) == blob.size and not handle.read(1)
     if not line.endswith(b"\n"):
         raise ContainerError(f"{path}: no header line found")

@@ -27,6 +27,9 @@ a copy when the input already is contiguous float64); the kernels assume it.
 
 from __future__ import annotations
 
+import contextlib
+import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +37,7 @@ import numpy as np
 __all__ = [
     "LN_EPSILON",
     "DimensionError",
+    "empty_buffer",
     "TokenTensor",
     "LinearMap",
     "LayerNormParams",
@@ -50,6 +54,8 @@ __all__ = [
 
 LN_EPSILON = 1e-6  # added to every layer norm's row variance
 
+_MAPPED_BYTES = 1 << 20  # empty_buffer maps buffers of this size and up
+
 
 class DimensionError(ValueError):
     """Shapes incompatible with the requested operation."""
@@ -60,6 +66,27 @@ def _as_float_array(value, what: str, ndim: int) -> np.ndarray:
     if arr.ndim != ndim:
         raise DimensionError(f"{what} must be rank {ndim}, got shape {arr.shape}")
     return arr
+
+
+def empty_buffer(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """An uninitialised, writable, C-contiguous array, as `np.empty` gives.
+
+    From 1 MiB up the buffer is a private anonymous mapping of its own,
+    advised for transparent huge pages where the kernel has them, and
+    unmapped when its last array is freed, so it never sits in malloc's
+    heap, where the peak resident size would depend on whether unrelated
+    allocations left a hole it fits.
+    Smaller buffers, and platforms without these mmap flags, get `np.empty`.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    if nbytes < _MAPPED_BYTES or not hasattr(mmap, "MAP_ANONYMOUS"):
+        return np.empty(shape, dtype)
+    buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        with contextlib.suppress(OSError):  # a kernel without huge pages refuses the advice
+            buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype).reshape(shape)
 
 
 @dataclass(frozen=True)

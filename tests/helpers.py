@@ -1,6 +1,7 @@
 """Constructors, documents and writers that only the tests need."""
 
 import json
+import mmap
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,14 @@ DEMO_CONFIG = FusionConfig(n_frames=32, m_visual=1024, m_spatial=1369,
 # nesting past the recursion limit, and an integer past the int-string digit limit
 DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
 LONG_INT_JSON = b"1" * 5000
+
+
+def in_own_mapping(array: np.ndarray) -> bool:
+    """Whether `array` views an mmap, as `empty_buffer` gives from 1 MiB up."""
+    base = array
+    while isinstance(base, (np.ndarray, memoryview)):
+        base = base.base if isinstance(base, np.ndarray) else base.obj
+    return isinstance(base, mmap.mmap)
 
 
 def zero_tokens(frames: int, tokens: int, width: int) -> TokenTensor:
@@ -48,6 +57,12 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def traced_bytes(*arrays: np.ndarray) -> int:
+    """The bytes of `arrays` that tracemalloc sees: all but `empty_buffer`'s
+    own mappings, which are not allocated through it."""
+    return sum(array.nbytes for array in arrays if not in_own_mapping(array))
 
 
 def write_records(path, records) -> None:

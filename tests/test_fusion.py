@@ -50,7 +50,8 @@ from camfuse.tensor import (
     swish,
 )
 
-from helpers import DEMO_CONFIG, pass_arrays, traced_peak, zero_tokens
+from helpers import (DEMO_CONFIG, in_own_mapping, pass_arrays, traced_bytes, traced_peak,
+                     zero_tokens)
 from oracles import ref_attention, ref_fuse, whole_frame_attention, whole_frame_attention_vjp
 
 
@@ -819,6 +820,25 @@ class TestFuse:
         npt.assert_allclose(fuse(inputs, weights, config).data, expected,
                             rtol=0, atol=1e-12)
 
+    def test_mapped_output_buffer_changes_no_bit(self, monkeypatch):
+        # a 1 MiB visual stream: the fused rows, and in the reverse pass the
+        # visual gradient, sit in empty_buffer's own mapping
+        config = FusionConfig(n_frames=2, m_visual=1024, m_spatial=3,
+                              d_visual=64, d_spatial=4, d_attn=4, n_heads=2)
+        inputs = synth_tokens(config, 3)
+        weights = init_weights(config, 4)
+        cot = TokenTensor(np.random.default_rng(5).standard_normal(inputs.visual.shape))
+        mapped = pass_arrays(inputs, weights, config, cot)
+        for name in ("fused", "input.visual"):
+            array = mapped[name]
+            assert array.dtype == np.float64, name
+            assert array.flags.writeable and array.flags.c_contiguous, name
+            assert in_own_mapping(array), name
+        monkeypatch.setattr(fusion, "empty_buffer", lambda shape: np.empty(shape))
+        assert {name: array.tobytes() for name, array in mapped.items()} == {
+            name: array.tobytes()
+            for name, array in pass_arrays(inputs, weights, config, cot).items()}
+
     def test_shape_matches_visual_stream(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
@@ -876,8 +896,9 @@ class TestFuse:
         frame = workspace + 12 * 8 * (config.m_visual + config.m_spatial) * config.d_attn
         inputs = synth_tokens(config, 64)
         weights = init_weights(config, 65)
-        peak = traced_peak(lambda: fuse(inputs, weights, config))
-        assert peak < inputs.visual.data.nbytes + workers * frame
+        fused = []
+        peak = traced_peak(lambda: fused.append(fuse(inputs, weights, config).data))
+        assert peak < traced_bytes(*fused) + workers * frame
 
     def test_shape_mismatch_raises(self):
         weights = init_weights(TINY, 0)
@@ -991,6 +1012,15 @@ class TestFuseBackward:
         corrupted = check_directional(inputs, weights, config, seed=3, corruption=1e-2)
         assert corrupted["error"] > 1e-6
 
+    def test_directional_passes_correct_gradients_at_narrow_widths(self):
+        # at d_spatial 2 the O(step^2) truncation of a plain central difference
+        # at step 1e-6 is 1.3e-8, over the tolerance; the extrapolated one reads ~5e-13
+        config = FusionConfig(n_frames=2, m_visual=3, m_spatial=4,
+                              d_visual=4, d_spatial=2, d_attn=4, n_heads=2)
+        error = check_directional(synth_tokens(config, 1), init_weights(config, 1), config,
+                                  seed=1)["error"]
+        assert 0 < error <= 1e-8  # a tolerance of 0 still fails it
+
     @pytest.mark.parametrize("corruption", [0.0, 1e-2])
     @pytest.mark.parametrize("config", [TINY, MULTI_TILE])
     def test_directional_sums_match_a_list_of_every_term(self, config, corruption):
@@ -1011,15 +1041,18 @@ class TestFuseBackward:
 
     @staticmethod
     def traced_backward(n_frames: int):
-        """(traced peak bytes, input-gradient plus weight-partial bytes) of one
-        fuse_backward at the demo widths over n_frames frames."""
+        """(traced peak bytes, traced input-gradient plus weight-partial bytes)
+        of one fuse_backward at the demo widths over n_frames frames."""
         config = replace(DEMO_CONFIG, n_frames=n_frames)
         inputs = synth_tokens(config, 28)
         weights = init_weights(config, 29)
         cot = TokenTensor(np.random.default_rng(30).standard_normal(inputs.visual.shape))
-        gradient_bytes = 8 * param_count(config) * n_frames + sum(
-            getattr(inputs, name).data.nbytes for name in REQUIRED_STREAMS)
-        return traced_peak(lambda: fuse_backward(inputs, weights, config, cot)), gradient_bytes
+        grads = []
+        peak = traced_peak(lambda: grads.append(fuse_backward(inputs, weights, config, cot)))
+        (input_grads, _), = grads
+        gradient_bytes = 8 * param_count(config) * n_frames + traced_bytes(
+            *(getattr(input_grads, name).data for name in REQUIRED_STREAMS))
+        return peak, gradient_bytes
 
     def test_backward_peak_allocation_grows_only_by_the_gradients(self, monkeypatch):
         # no residual outlives its frame: two frames more add their input-gradient
@@ -1127,10 +1160,13 @@ class TestWholePass:
             for workers in (1, 2, 3):
                 patch.setattr(fusion, "_usable_cores", lambda w=workers: w)
                 runs.append(pass_arrays(inputs, weights, config, cot))
-            # A central difference is off by O(step^2) truncation plus O(1/step)
-            # rounding. At small widths the truncation reaches 1e-2 at the
-            # default step, so shorter steps are tried until one is within
-            # 1e-8. Projections scaled by 100 make scores so large that the
+            # The extrapolated central difference is off by O(step^4)
+            # truncation plus O(1/step) rounding. The truncation is large
+            # where a layer norm's input is near constant, since the norm
+            # then bends on the scale of sqrt(LN_EPSILON): at small widths
+            # about 1 draw in 170 reads over 1e-8 at the default step, up to
+            # 8e-3, so shorter steps are tried until one is within 1e-8.
+            # Projections scaled by 100 make scores so large that the
             # rounding alone is ~1e-8 at every step; the fallback rows' VJP
             # is checked against the whole-frame oracle in TestTiledAttention.
             if scale <= 10.0:

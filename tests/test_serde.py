@@ -34,7 +34,7 @@ from camfuse.serde import (
     write_atomic,
 )
 
-from helpers import DEEP_JSON, LONG_INT_JSON, traced_peak, write_records
+from helpers import DEEP_JSON, LONG_INT_JSON, in_own_mapping, traced_peak, write_records
 
 CONFIG = FusionConfig(n_frames=2, m_visual=3, m_spatial=4,
                       d_visual=6, d_spatial=5, d_attn=4, n_heads=2)
@@ -190,6 +190,21 @@ class TestContainerFormat:
         }
         save_container(first, tensors, {"note": "round trip", "epsilon": 1e-6})
         loaded, meta = load_container(first)
+        save_container(second, loaded, meta)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("shape", [(0, 4), (2, 1024, 64)], ids=["0-byte", "1-MiB"])
+    def test_payload_loads_writable_and_round_trips(self, tmp_path, shape):
+        # a 1 MiB payload is read into empty_buffer's own mapping
+        first = tmp_path / "a.cft"
+        second = tmp_path / "b.cft"
+        array = np.random.default_rng(1).standard_normal(shape)
+        save_container(first, {"x": array}, {})
+        loaded, meta = load_container(first)
+        x = loaded["x"]
+        assert x.dtype == np.float64 and x.flags.writeable and x.flags.c_contiguous
+        assert in_own_mapping(x) == (x.nbytes > 0)
+        assert x.tobytes() == array.tobytes()
         save_container(second, loaded, meta)
         assert first.read_bytes() == second.read_bytes()
 

@@ -1,4 +1,6 @@
+import errno
 import math
+import mmap
 
 import numpy as np
 import numpy.testing as npt
@@ -15,6 +17,7 @@ from camfuse.tensor import (
     TokenTensor,
     affine,
     affine_vjp,
+    empty_buffer,
     layer_norm,
     layer_norm_vjp,
     sigmoid,
@@ -24,7 +27,7 @@ from camfuse.tensor import (
 )
 from camfuse.gradcheck import finite_difference_grad, max_relative_error
 
-from helpers import identity_layer_norm
+from helpers import identity_layer_norm, in_own_mapping
 from oracles import former_affine, former_layer_norm, ref_affine, two_branch_sigmoid
 
 # the edges of float64 that a logistic function must get right: signed zeros,
@@ -141,6 +144,40 @@ def _kernel_inputs():
         yield pytest.param(rng.standard_normal((2, 5, width)) + 1e8, id=f"offset-1e8-{width}")
         yield pytest.param(rng.standard_normal((6, 9, 2 * width))[::2, 1::2, ::2],
                            id=f"strided-view-{width}")
+
+
+class TestEmptyBuffer:
+    @pytest.mark.parametrize("shape, dtype, mapped", [
+        ((0,), np.uint8, False),
+        (((1 << 20) - 1,), np.uint8, False),
+        ((1 << 20,), np.uint8, True),
+        ((3, 5), np.float64, False),
+        ((2, 1024, 64), np.float64, True),
+    ])
+    def test_writable_c_contiguous_and_mapped_from_1_mib(self, shape, dtype, mapped):
+        array = empty_buffer(shape, dtype)
+        assert array.shape == shape and array.dtype == dtype
+        assert array.flags.writeable and array.flags.c_contiguous
+        assert in_own_mapping(array) == mapped
+        array[...] = 7
+        assert (array == 7).all()
+
+    @pytest.mark.skipif(not hasattr(mmap, "MADV_HUGEPAGE"), reason="no huge-page advice here")
+    def test_refused_huge_page_advice_still_maps(self, monkeypatch):
+        # a kernel built without transparent huge pages answers the advice with EINVAL
+        advised = []
+
+        class NoHugePages(mmap.mmap):
+            def madvise(self, *args):
+                advised.append(args)
+                raise OSError(errno.EINVAL, "Invalid argument")
+
+        monkeypatch.setattr(mmap, "mmap", NoHugePages)
+        array = empty_buffer((2, 1024, 64))
+        assert advised == [(mmap.MADV_HUGEPAGE,)]
+        assert in_own_mapping(array) and array.flags.writeable
+        array[...] = 7
+        assert (array == 7).all()
 
 
 class TestKernelBytes:
