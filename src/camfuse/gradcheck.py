@@ -1,15 +1,18 @@
-"""Central finite-difference gradient checking.
+"""Finite-difference gradient checking.
 
 This is the independent verification route: it only ever evaluates the
 forward pass, so agreement with `fuse_backward` validates the analytic
-gradients. `check_fuse_gradients` checks entry by entry, two forward passes
-per entry, so it is for small configs. Its relative error per group is
+gradients. Every derivative is taken one way: the Richardson extrapolation
+(4 D(h/2) - D(h)) / 3 of the central differences D(s) = (f(s) - f(-s)) / (2 s)
+at h = STEP, which cancels their O(h^2) truncation error and leaves O(h^4),
+for four evaluations of f. `check_fuse_gradients` takes it entry by entry, so
+it is for small configs. Its relative error per group is
 
     max_i |analytic_i - numeric_i| / max(|numeric_i|, FLOOR)
 
 with a small floor so near-zero entries are judged absolutely.
-`check_directional` checks one random direction over every entry at once, four
-forward passes at any shape.
+`check_directional` takes it along one random direction over every entry at
+once, four forward passes at any shape. Both draw the cotangent from `seed`.
 """
 
 from __future__ import annotations
@@ -33,13 +36,20 @@ from .tensor import TokenTensor
 __all__ = ["finite_difference_grad", "max_relative_error", "check_fuse_gradients",
            "check_directional"]
 
-STEP = 1e-5              # central-difference step of the entrywise check
-DIRECTIONAL_STEP = 1e-5  # longer step of the two along the unnormalised N(0, 1) direction
-FLOOR = 1e-3             # smallest |numeric| a relative error divides by
+STEP = 1e-5   # the longer of the two central-difference steps
+FLOOR = 1e-3  # smallest |numeric| a relative error divides by
+
+
+def _derivative(f) -> float:
+    """d/ds f(s) at s = 0, extrapolated from central differences at STEP and STEP / 2."""
+    def central(step: float) -> float:
+        return (f(step) - f(-step)) / (2.0 * step)
+
+    return (4.0 * central(STEP / 2) - central(STEP)) / 3.0
 
 
 def finite_difference_grad(loss, array: np.ndarray) -> np.ndarray:
-    """Central-difference gradient of scalar `loss()` w.r.t. `array`.
+    """Finite-difference gradient of scalar `loss()` w.r.t. `array`.
 
     Perturbs `array` in place and restores every entry; `loss` must read the
     live array on each call.
@@ -47,14 +57,15 @@ def finite_difference_grad(loss, array: np.ndarray) -> np.ndarray:
     grad = np.zeros_like(array)
     flat = array.reshape(-1)
     gflat = grad.reshape(-1)
+
+    def moved(step: float) -> float:  # entry i of the loop below, moved from orig
+        flat[i] = orig + step
+        return loss()
+
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + STEP
-        fp = loss()
-        flat[i] = orig - STEP
-        fm = loss()
+        gflat[i] = _derivative(moved)
         flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * STEP)
     return grad
 
 
@@ -79,14 +90,13 @@ def max_relative_error(analytic, numeric) -> float:
 
 
 def check_fuse_gradients(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
-                         *, cotangent_seed: int = 0, corruption: float = 0.0) -> dict[str, float]:
-    """Compare fuse_backward against central differences, group by group.
+                         *, seed: int = 0) -> dict[str, float]:
+    """Compare fuse_backward with finite differences, group by group.
 
     Returns a dict mapping each input stream and parameter name to its max
-    relative error. `corruption` adds a constant to every analytic gradient
-    and exists purely as a negative control for the checker itself.
+    relative error.
     """
-    rng = np.random.default_rng(cotangent_seed)
+    rng = np.random.default_rng(seed)
     cot = TokenTensor(rng.standard_normal(inputs.visual.shape))
 
     input_grads, weight_grads = fuse_backward(inputs, weights, config, cot)
@@ -95,26 +105,20 @@ def check_fuse_gradients(inputs: FusionInputs, weights: FusionWeights, config: F
         return float(np.sum(cot.data * fuse(inputs, weights, config).data))
 
     analytic = _named(input_grads, weight_grads)
-    return {name: max_relative_error(analytic[name] + corruption,
-                                     finite_difference_grad(loss, array))
+    return {name: max_relative_error(analytic[name], finite_difference_grad(loss, array))
             for name, array in _named(inputs, weights).items()}
 
 
 def check_directional(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
-                      *, seed: int = 0, corruption: float = 0.0) -> dict[str, float]:
-    """Compare fuse_backward with a central difference along one random direction.
+                      *, seed: int = 0) -> dict[str, float]:
+    """Compare fuse_backward with a finite difference along one random direction.
 
-    A standard-normal direction d is drawn over every input stream and
-    parameter at once. The analytic derivative <grads, d> of
-    ``L = <cot, fuse>`` is compared with the Richardson extrapolation
-    (4 D(h/2) - D(h)) / 3 of the central differences
-    D(s) = (L(x + s d) - L(x - s d)) / (2 s), h = DIRECTIONAL_STEP, which
-    cancels their O(h^2) truncation error and leaves O(h^4). So the check
-    costs four forward passes and one backward pass at any shape. Returns
-    {analytic, numeric, scale, error} with
+    The cotangent and then a standard-normal direction d over every input
+    stream and parameter are drawn from `seed`. The analytic derivative
+    <grads, d> of ``L = <cot, fuse>`` is compared with the finite-difference
+    derivative of L along d, so the check costs four forward passes and one
+    backward pass at any shape. Returns {analytic, numeric, scale, error} with
     error = |analytic - numeric| / scale and scale = sum |grads * d|.
-    `corruption` adds a constant to every analytic gradient and exists purely
-    as a negative control for the checker itself.
     """
     rng = np.random.default_rng(seed)
     cot = TokenTensor(rng.standard_normal(inputs.visual.shape))
@@ -131,15 +135,12 @@ def check_directional(inputs: FusionInputs, weights: FusionWeights, config: Fusi
         moved_weights = weights_from_arrays(moved)
         return float(np.sum(cot.data * fuse(moved_inputs, moved_weights, config).data))
 
-    def central(step: float) -> float:
-        return (loss(step) - loss(-step)) / (2.0 * step)
-
-    numeric = (4.0 * central(DIRECTIONAL_STEP / 2) - central(DIRECTIONAL_STEP)) / 3.0
+    numeric = _derivative(loss)
     # one gradient-times-direction product at a time: a list of them all would
     # hold a copy of every gradient
     analytic = scale = 0.0
     for name in point:
-        term = (grads[name] + corruption) * direction[name]
+        term = grads[name] * direction[name]
         analytic += float(term.sum())
         scale += float(np.abs(term).sum())
     return {"analytic": analytic, "numeric": numeric, "scale": scale,

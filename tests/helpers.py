@@ -3,10 +3,13 @@
 import json
 import mmap
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 
-from camfuse.fusion import FusionConfig, fuse, fuse_backward
+from camfuse import gradcheck
+from camfuse.fusion import (REQUIRED_STREAMS, FusionConfig, fuse, fuse_backward, iter_params,
+                            weights_from_arrays)
 from camfuse.gradcheck import _named
 from camfuse.serde import write_atomic
 from camfuse.tensor import LayerNormParams, TokenTensor
@@ -45,6 +48,22 @@ def pass_arrays(inputs, weights, config, cot) -> dict:
     weight gradient."""
     return {"fused": fuse(inputs, weights, config).data,
             **_named(*fuse_backward(inputs, weights, config, cot))}
+
+
+def corrupt_gradients(monkeypatch, constant: float) -> None:
+    """Make `gradcheck`'s `fuse_backward` add `constant` to every gradient it
+    returns: a negative control that the checks must fail."""
+    real = gradcheck.fuse_backward
+
+    def corrupted(*args, **kwargs):
+        input_grads, weight_grads = real(*args, **kwargs)
+        return (replace(input_grads, **{name: TokenTensor(getattr(input_grads, name).data
+                                                          + constant)
+                                        for name in REQUIRED_STREAMS}),
+                weights_from_arrays({name: array + constant
+                                     for name, array in iter_params(weight_grads)}))
+
+    monkeypatch.setattr(gradcheck, "fuse_backward", corrupted)
 
 
 def traced_peak(fn) -> int:

@@ -79,7 +79,8 @@ def test_c02_residual_identity():
 
 
 def test_c03_gradient_correctness():
-    """Analytic backward vs central differences (h=1e-5), dims <= 8, < 1e-5."""
+    """Analytic backward vs central differences extrapolated from h = 1e-5,
+    dims <= 8, < 1e-5."""
     start = time.perf_counter()
     worst = 0.0
     cases = [
@@ -90,7 +91,7 @@ def test_c03_gradient_correctness():
     for i, config in enumerate(cases):
         inputs = synth_tokens(config, i)
         weights = init_weights(config, i + 10)
-        results = check_fuse_gradients(inputs, weights, config, cotangent_seed=i + 20)
+        results = check_fuse_gradients(inputs, weights, config, seed=i + 20)
         case_worst = max(results.values())
         assert case_worst < 1e-5, (config, results)
         worst = max(worst, case_worst)

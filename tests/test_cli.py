@@ -13,13 +13,13 @@ from camfuse.cli import (
     EXIT_OK,
     main,
 )
-from camfuse.fusion import FusionConfig, fuse, init_weights, iter_params
+from camfuse.fusion import FusionConfig, FusionToggles, fuse, init_weights, iter_params
 from camfuse.metrics import AnswerType, EvalRecord
 from camfuse.pipeline import synth_tokens
 from camfuse.serde import load_container, save_config, save_container, save_weights
 from camfuse.tensor import LinearMap
 
-from helpers import DEEP_JSON, LONG_INT_JSON, write_records
+from helpers import DEEP_JSON, LONG_INT_JSON, corrupt_gradients, write_records
 
 TINY = FusionConfig(n_frames=2, m_visual=3, m_spatial=4,
                     d_visual=6, d_spatial=5, d_attn=4, n_heads=2)
@@ -231,10 +231,22 @@ class TestGradcheck:
         assert "worst" in out
         assert "FAIL" not in out
 
-    def test_corrupted_gradients_fail(self, capsys):
-        code = main(["gradcheck", "--self-test-corruption", "1e-2"])
-        assert code == EXIT_CHECK_FAILED
+    def test_corrupted_gradients_fail(self, monkeypatch, capsys):
+        corrupt_gradients(monkeypatch, 1e-2)
+        assert main(["gradcheck"]) == EXIT_CHECK_FAILED
         assert "FAIL" in capsys.readouterr().out
+
+    def test_passes_where_a_layer_norm_normalises_a_zero_row(self, tmp_path, capsys):
+        # every value row is 0, so ln_o bends on the scale of sqrt(LN_EPSILON):
+        # a plain central difference at step 1e-5 read 5.2e-5 (ln_s.shift) and
+        # exited 4; the extrapolated one reads ~1e-9
+        path = tmp_path / "zero_rows.json"
+        save_config(FusionConfig(n_frames=1, m_visual=1, m_spatial=6, d_visual=1, d_spatial=1,
+                                 d_attn=2, n_heads=1, toggles=FusionToggles(*[False] * 4)),
+                    128, path)
+        assert main(["gradcheck", "--config", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "entrywise check" in out and "FAIL" not in out
 
     def test_zero_tolerance_fails(self):
         assert main(["gradcheck", "--tolerance", "0"]) == EXIT_CHECK_FAILED
@@ -280,10 +292,9 @@ class TestGradcheck:
         assert code == EXIT_CHECK_FAILED
         assert "directional check" in capsys.readouterr().out
 
-    def test_directional_corrupted_gradients_fail(self, multi_tile_config, capsys):
-        code = main(["gradcheck", "--config", multi_tile_config,
-                     "--self-test-corruption", "1e-2"])
-        assert code == EXIT_CHECK_FAILED
+    def test_directional_corrupted_gradients_fail(self, multi_tile_config, monkeypatch, capsys):
+        corrupt_gradients(monkeypatch, 1e-2)
+        assert main(["gradcheck", "--config", multi_tile_config]) == EXIT_CHECK_FAILED
         assert "FAIL" in capsys.readouterr().out
 
 
@@ -434,12 +445,14 @@ class TestHelp:
     @pytest.mark.parametrize("command, second_route", [("fuse", "--seed"),
                                                         ("gradcheck", "--directional")])
     def test_help_lists_one_route_per_input(self, command, second_route, capsys):
-        # tokens come only from --in, toggles only from the config, and
-        # gradcheck's method only from the config's size
+        # tokens come only from --in, toggles only from the config,
+        # gradcheck's method only from the config's size, and its negative
+        # control only from the tests
         with pytest.raises(SystemExit) as err:
             main([command, "-h"])
         assert err.value.code == 0
         out = capsys.readouterr().out
         assert out.startswith(f"usage: camfuse {command}")
         assert [option for option in (second_route, "--no-geo-bias", "--no-token-weight",
-                                      "--no-camera-memory", "--no-gate") if option in out] == []
+                                      "--no-camera-memory", "--no-gate",
+                                      "--self-test-corruption") if option in out] == []
