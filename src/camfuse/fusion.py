@@ -42,8 +42,25 @@ function that bench/spans.py traces runs in a frame body, since its span
 stack is global: the body calls the five public stages (`project_qkvc`,
 `geo_bias`, `token_weights`, `attend`, `gate_and_fuse`) through private
 aliases the tracer does not wrap, and otherwise only `affine`,
-`layer_norm`, the VJPs `affine_vjp` and `layer_norm_vjp`, and the private
-`tensor._sigmoid`, `_swish` and `_swish_vjp`.
+`normalise`, `layer_norm`, the VJPs `affine_vjp` and `layer_norm_vjp`, and
+the private `tensor._sigmoid`, `_swish` and `_swish_vjp`.
+
+The visual rows take one GEMM per projection. Once per pass, on the calling
+thread, `_fold` folds every per-row affine of the visual path into the GEMM
+that follows it: ln_v's gain and shift, p_q's bias and the attention scale
+1/sqrt(head_dim) into the query weight, split by head; p_o's bias into its
+weight; ln_o's gain and shift and p_l's bias into p_l's weight. Each bias
+rides as the weight's last row, against a last column of ones that
+`normalise` writes next to the normalised rows (and `attend` next to its
+output). So a frame normalises its visual rows, and one GEMM writes their
+scaled query heads straight into attention's head layout; after the tiles
+one GEMM gives p_o's product, which is normalised, and one GEMM against
+p_l's folded weight, its columns scaled by the frame's gate, writes the
+mapped rows into the frame's output rows, to which the visual rows are then
+added. The reverse pass keeps the unfolded VJPs: it rebuilds the layer
+norms' outputs from the normalised rows left in the workspace (gain times
+row plus shift, the bytes `layer_norm` gives), and takes the gate's
+cotangent from p_l's VJP against the gated map, without the mapped rows.
 
 Attention walks each frame's queries in row tiles sized so that one tile's
 [heads, rows, memory] score block stays about 2 MiB, in a workspace per
@@ -54,11 +71,12 @@ written in as slot 0) are laid out once as augmented buffers with a row of
 ones, so a tile is only three passes over its score block: the QK^T GEMM,
 an in-place `exp` and the PV GEMM. The softmax shift rides in the first
 GEMM: each query row carries -c, where c = |q| max|k| bounds the row's
-scores by Cauchy-Schwarz. The row sum rides in the second, as its last
-column. The per-row work runs once per frame, outside the tiles: the
-shifts before them, and after them the redo of rows whose shifted sum falls
-below e^-600 (with their exact row max), the division by the row sums and
-the log-sum-exp. The reverse pass keeps no probability tensor: the forward
+scores by Cauchy-Schwarz. The row sum rides in the second, which writes
+its product transposed, as its last row. The per-row work runs once per
+frame, outside the tiles: the shifts before them, and after them the redo
+of rows whose shifted sum falls below e^-600 (with their exact row max),
+the division by the row sums, along whole rows of the transposed product,
+and the log-sum-exp. The reverse pass keeps no probability tensor: the forward
 leaves the scaled queries and each query row's log-sum-exp in the worker's
 workspace, and the frame's attention VJP folds the log-sum-exp into its
 QK^T GEMM the same way to recompute the probabilities tile by tile. Its
@@ -74,8 +92,9 @@ Streams enter as `TokenTensor`s (finite, rank 3, float64) inside a
 `FusionInputs`, shaped as `stream_shapes(config)` states, and `fuse` /
 `fuse_backward` check them and return `TokenTensor`s. Between those
 boundaries the five stages take one frame's plain float64 arrays, return
-their result followed by the intermediates the reverse pass reads (`attend`
-leaves them in the worker's workspace), and validate nothing.
+their result followed by the intermediates the reverse pass reads (the
+visual rows' stages, `project_qkvc`, `attend` and `gate_and_fuse`, leave
+theirs in the worker's workspace), and validate nothing.
 """
 
 from __future__ import annotations
@@ -84,6 +103,7 @@ import contextvars
 import ctypes
 import functools
 import itertools
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -103,8 +123,10 @@ from .tensor import (
     affine,
     affine_vjp,
     empty_buffer,
+    fold,
     layer_norm,
     layer_norm_vjp,
+    normalise,
     softmax_rows,  # noqa: F401 -- unused here; bench/test_bench.py patches it as a fusion attribute
 )
 
@@ -337,17 +359,39 @@ def _check_inputs(inputs: FusionInputs, config: FusionConfig) -> None:
             raise DimensionError(f"{name} stream has shape {stream.shape}, config expects {shape}")
 
 
+def _fold(weights: FusionWeights, config: FusionConfig):
+    """The visual path's folded weights (wq, wo, wl), made once per pass.
+
+    wq [h, d_visual + 1, head_dim] is `fold(ln_v, p_q)` times the attention
+    scale 1/sqrt(head_dim), split by head; wo [d_attn + 1, d_attn] is p_o's
+    weight over its bias; wl [d_attn + 1, d_visual] is `fold(ln_o, p_l)`.
+    Each maps rows with a last column of ones, as `normalise` writes them.
+    """
+    h = config.n_heads
+    dh = config.d_attn // h
+    wq = fold(weights.ln_v, weights.p_q) * (1.0 / np.sqrt(dh))
+    wq = np.ascontiguousarray(wq.reshape(-1, h, dh).transpose(1, 0, 2))
+    return wq, np.vstack([weights.p_o.weight, weights.p_o.bias]), fold(weights.ln_o, weights.p_l)
+
+
 def project_qkvc(visual: np.ndarray, spatial: np.ndarray, camera: np.ndarray,
-                 weights: FusionWeights):
+                 weights: FusionWeights, wq: np.ndarray, ws: dict):
     """Project one frame's visual [mq, d_visual], spatial [ms, d_spatial] and
     camera [1, d_spatial] rows into the shared attention space, the visual
-    and spatial tokens layer-normalized first; returns (q, k, v, c, lnv,
-    lns), c being the camera slot [1, d_attn] and the last two the
-    normalized tokens that the reverse pass reads."""
-    lnv = layer_norm(visual, weights.ln_v)
+    and spatial tokens layer-normalized first; returns (k, v, c, lns), c
+    being the camera slot [1, d_attn] and lns the normalized spatial tokens
+    that the reverse pass reads.
+
+    The visual rows go to the worker's workspace `ws`: `normalise` writes
+    them, with a last column of ones, into ws["xa"], and one GEMM against
+    the folded query weight `wq` ([h, d_visual + 1, head_dim], see `_fold`),
+    which carries ln_v's gain and shift, p_q's bias and the attention scale,
+    writes their scaled query heads into the leading columns of ws["qa"],
+    where `attend` reads them.
+    """
+    np.matmul(normalise(visual, ws["xa"]), wq, out=ws["qa"][..., :-1])
     lns = layer_norm(spatial, weights.ln_s)
-    return (affine(lnv, weights.p_q), affine(lns, weights.p_k), affine(lns, weights.p_v),
-            affine(camera, weights.p_c), lnv, lns)
+    return affine(lns, weights.p_k), affine(lns, weights.p_v), affine(camera, weights.p_c), lns
 
 
 def geo_bias(spatial: np.ndarray, camera: np.ndarray, weights: FusionWeights):
@@ -413,46 +457,67 @@ def _memory_t(x: np.ndarray, slot: np.ndarray, n_heads: int, mt: np.ndarray) -> 
     mt[:, dh] = 1.0
 
 
-def _workspace(n_heads: int, mq: int, mk: int, d_attn: int, backward: bool = False) -> dict:
-    """One worker's buffers for frames of mq queries over mk memory slots.
+def _workspace(config: FusionConfig, backward: bool = False) -> dict:
+    """One worker's buffers for one frame of `config`.
 
-    kt and vt hold the frame's memory as `_memory_t` lays it out, att and
-    lse the attention output and each query row's log-sum-exp; qa and ow
-    are the frame's augmented queries and their PV product, and e is one
-    query tile's score block. For the reverse pass, ow holds the frame's
-    augmented cotangent rows instead, g_s is a tile's score cotangent, gk
-    and gv sum the key and value cotangents head-major, prod takes each
-    tile's share of them and gq is the query cotangent.
+    xa holds the frame's normalized visual rows and pa those of p_o's
+    product p, each with a last column of ones; kt and vt hold the frame's
+    memory as `_memory_t` lays it out, att the attention output transposed,
+    [d_attn + 1, mq] with a last row of ones, and lse each query row's
+    log-sum-exp; qa is the frame's augmented queries, ow their PV product
+    transposed, [h, head_dim + 1, mq], and e is one query tile's score
+    block. For the reverse pass, ow's memory holds the frame's augmented
+    cotangent rows instead, [h, mq, head_dim + 1]; g_s is a tile's score
+    cotangent, gk and gv sum the key and value cotangents head-major, prod
+    takes each tile's share of them and gq is the query cotangent.
+
+    The buffers are views of one `empty_buffer` block, so a worker's
+    workspace of 1 MiB or more is a mapping of its own, unmapped when the
+    pass drops it: it faults in a few huge pages where the kernel has them,
+    not one page per 4 KiB of each buffer, and never sits in malloc's heap.
     """
-    h, dh = n_heads, d_attn // n_heads
-    tile = min(_tile_rows(n_heads, mk), mq)
-    shapes = {"kt": (h, dh + 1, mk), "vt": (h, dh + 1, mk), "att": (mq, d_attn),
-              "lse": (h, mq), "qa": (h, mq, dh + 1), "e": (h, tile, mk), "ow": (h, mq, dh + 1)}
+    h, mq, da = config.n_heads, config.m_visual, config.d_attn
+    mk = config.m_spatial + config.toggles.camera_memory
+    dh = da // h
+    tile = min(_tile_rows(h, mk), mq)
+    shapes = {"xa": (mq, config.d_visual + 1), "kt": (h, dh + 1, mk), "vt": (h, dh + 1, mk),
+              "att": (da + 1, mq), "lse": (h, mq), "qa": (h, mq, dh + 1), "e": (h, tile, mk),
+              "ow": (h, dh + 1, mq), "p": (mq, da), "pa": (mq, da + 1)}
     if backward:
         shapes.update(g_s=(h, tile, mk), gk=(h, mk, dh), gv=(h, mk, dh), prod=(h, mk, dh),
-                      gq=(mq, d_attn))
-    return {name: np.empty(shape) for name, shape in shapes.items()}
+                      gq=(mq, da))
+    # each buffer starts on a 64-byte boundary of the block
+    padded = {name: -(-math.prod(shape) // 8) * 8 for name, shape in shapes.items()}
+    block = empty_buffer((sum(padded.values()),))
+    views, start = {}, 0
+    for name, shape in shapes.items():
+        views[name] = block[start:start + math.prod(shape)].reshape(shape)
+        start += padded[name]
+    return views
 
 
 def _exact_shift_rows(qa, kt, vt, o, shift, bad):
     """Recompute a frame's flagged (head, row) pairs shifted by their exact row max.
 
-    `qa` holds the frame's augmented queries, `o` their [h, rows, dh + 1]
-    product with the augmented V (row sums last) and `shift` the per-row
-    shifts; `o` and `shift` are overwritten for every pair flagged in `bad`.
+    `qa` holds the frame's augmented queries, `o` their product with the
+    augmented V, transposed ([h, dh + 1, rows], row sums last), and `shift`
+    the per-row shifts; `o` and `shift` are overwritten for every pair
+    flagged in `bad`.
     """
     dh = kt.shape[1] - 1
     for h, r in zip(*np.nonzero(bad)):
         s = qa[h, r, :dh] @ kt[h, :dh]
         shift[h, r] = s.max()
-        o[h, r] = np.exp(s - shift[h, r]) @ vt[h].T
+        o[h, :, r] = np.exp(s - shift[h, r]) @ vt[h].T
 
 
-def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, c: np.ndarray,
-           config: FusionConfig, ws: dict | None = None) -> np.ndarray:
-    """One frame's visual queries q [mq, d_attn] attend over its spatial keys
-    and values [ms, d_attn], led by the camera slot c ([1, d_attn]) as both
-    key and value when camera_memory is on; returns the output [mq, d_attn].
+def attend(k: np.ndarray, v: np.ndarray, c: np.ndarray, config: FusionConfig,
+           ws: dict) -> np.ndarray:
+    """One frame's visual queries, whose scaled heads `project_qkvc` left in
+    the worker's workspace `ws`, attend over its spatial keys and values
+    [ms, d_attn], led by the camera slot c ([1, d_attn]) as both key and
+    value when camera_memory is on; returns the output [mq, d_attn + 1],
+    whose last column is ones, as a transposed view.
 
     Multi-head scaled dot-product attention (scale 1/sqrt(head_dim)) in
     query tiles. The keys and values, camera slot included, are laid out
@@ -460,39 +525,35 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, c: np.ndarray,
     row gets a last entry -c, where c = |q_i| max_j |k_j| bounds every score
     of the row (Cauchy-Schwarz). A tile is then three passes over its
     [h, rows, mk] block: the QK^T GEMM returns scores already shifted by c,
-    `exp` runs in place, and the PV GEMM returns the row sums z as its last
-    column. Everything else runs once per frame: the scaled queries and
-    their shifts before the tiles, and after them the recompute of a
-    frame's flagged pairs (z < e^-600 or a non-finite z) with their exact
-    row max, the division by z and the log-sum-exp c + log z. Every tile
-    sees the frame's whole memory, so one pass gives the exact softmax.
+    `exp` runs in place, and the PV GEMM, which writes the product
+    transposed ([h, dh + 1, rows], as V^T P^T), returns the row sums z as
+    its last row. Everything else runs once per frame: the shifts before the
+    tiles, and after them the recompute of a frame's flagged pairs
+    (z < e^-600 or a non-finite z) with their exact row max, the division by
+    z, which runs along whole rows of the transposed product, and the
+    log-sum-exp c + log z. Every tile sees the frame's whole memory, so one
+    pass gives the exact softmax.
 
-    `ws` is a worker's `_workspace`, sized for this frame; without one, the
-    call allocates its own. The output is its `att` buffer, and its `qa`,
-    `kt`, `vt` and `lse` are left holding the scaled queries, the memory
-    layout and each row's log-sum-exp of the scaled scores, from which
-    `_attend_vjp` recomputes the probabilities. No probability tensor is
-    stored.
+    `ws` is a worker's `_workspace` for this frame's config, with the scaled
+    query heads in the leading columns of its `qa`. The output is its `att`
+    buffer, transposed, and its `qa`, `kt`, `vt` and `lse` are left holding
+    the scaled queries, the memory layout and each row's log-sum-exp of the
+    scaled scores, from which `_attend_vjp` recomputes the probabilities.
+    No probability tensor is stored.
     """
     slot = c if config.toggles.camera_memory else c[:0]
-    mq, da = q.shape
-    mk = k.shape[0] + slot.shape[0]
-    if mk == 0:
+    if k.shape[0] + slot.shape[0] == 0:
         raise DimensionError(
             "attention memory is empty: no spatial tokens and camera memory disabled"
         )
     n_heads = config.n_heads
-    if ws is None:
-        ws = _workspace(n_heads, mq, mk, da)
-    dh = da // n_heads
-    scale = 1.0 / np.sqrt(dh)
-    rows = _tile_rows(n_heads, mk)
     kt, vt, att, lse, qa, ow = (ws[name] for name in ("kt", "vt", "att", "lse", "qa", "ow"))
+    mq, dh = qa.shape[1], qa.shape[2] - 1
+    rows = _tile_rows(n_heads, kt.shape[2])
     _memory_t(k, slot, n_heads, kt)
     _memory_t(v, slot, n_heads, vt)
     k_norm = np.sqrt(np.einsum("hdk,hdk->hk", kt[:, :dh], kt[:, :dh]).max(axis=1))
     qh = qa[..., :dh]
-    np.multiply(_heads(q, n_heads), scale, out=qh)
     shift = np.sqrt(np.einsum("hqd,hqd->hq", qh, qh)) * k_norm[:, None]
     # assigned, not np.negative(..., out=): numpy 2.4 misreads a size-1 row axis
     qa[..., dh] = -shift
@@ -501,15 +562,16 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, c: np.ndarray,
         et = ws["e"][:, :hi - lo]
         np.matmul(qa[:, lo:hi], kt, out=et)
         np.exp(et, out=et)
-        # [h, rows, dh + 1]; the last column is z
-        np.matmul(et, vt.transpose(0, 2, 1), out=ow[:, lo:hi])
-    z = ow[..., dh]
+        # [h, dh + 1, rows]; the last row is z
+        np.matmul(vt, et.transpose(0, 2, 1), out=ow[:, :, lo:hi])
+    z = ow[:, dh]
     bad = ~((z >= _Z_MIN) & (z < np.inf))
     if bad.any():
         _exact_shift_rows(qa, kt, vt, ow, shift, bad)
-    np.divide(ow[..., :dh], ow[..., dh:], out=_heads(att, n_heads))
+    np.divide(ow[:, :dh], ow[:, dh:], out=att[:-1].reshape(n_heads, dh, mq))
+    att[-1] = 1.0
     lse[...] = shift + np.log(z)
-    return att
+    return att.T
 
 
 def _attend_vjp(g_att: np.ndarray, n_heads: int, ws: dict):
@@ -529,10 +591,12 @@ def _attend_vjp(g_att: np.ndarray, n_heads: int, ws: dict):
     written once per frame before the tiles, and gq, written token-major in
     place, is scaled once after them; the heads are merged once, at the end.
     """
-    mq, da = ws["att"].shape
+    mq, da = g_att.shape
     dh = da // n_heads
     scale = 1.0 / np.sqrt(dh)
-    kt, vt, att, lse, qa, ow = (ws[name] for name in ("kt", "vt", "att", "lse", "qa", "ow"))
+    kt, vt, lse, qa = (ws[name] for name in ("kt", "vt", "lse", "qa"))
+    att = ws["att"][:-1].T
+    ow = ws["ow"].reshape(n_heads, mq, dh + 1)  # the forward's PV buffer: free now
     gq, gk, gv, prod = ws["gq"], ws["gk"], ws["gv"], ws["prod"]
     rows = _tile_rows(n_heads, kt.shape[2])
     gk.fill(0.0)
@@ -558,21 +622,24 @@ def _attend_vjp(g_att: np.ndarray, n_heads: int, ws: dict):
 
 
 def gate_and_fuse(attended: np.ndarray, gate: np.ndarray | None, visual: np.ndarray,
-                  weights: FusionWeights, out: np.ndarray):
-    """Project one frame's attention output [mq, d_attn] back to visual
-    width, scale it by the frame's camera gate ([1, d_visual], or None when
-    the gate is off) and add the visual residual, writing the result into `out`
-    ([mq, d_visual]); returns (out, p, proj, mapped), the last three being
-    the projection, its layer norm and the mapped rows before the gate."""
-    p = affine(attended, weights.p_o)
-    proj = layer_norm(p, weights.ln_o)
-    mapped = affine(proj, weights.p_l)
-    if gate is None:
-        np.add(mapped, visual, out=out)
-    else:
-        np.multiply(mapped, gate, out=out)
-        out += visual
-    return out, p, proj, mapped
+                  wo: np.ndarray, wl: np.ndarray, ws: dict, out: np.ndarray) -> np.ndarray:
+    """Project one frame's attention output `attended` ([mq, d_attn + 1],
+    whose last column is ones) back to visual width, scale it by the
+    frame's camera gate ([1, d_visual], or None when the gate is off) and
+    add the visual residual, writing the result into `out` ([mq, d_visual]);
+    returns `out`.
+
+    `wo` is p_o's weight over its bias, so one GEMM gives p_o's product p,
+    which goes to the workspace `ws` as ws["p"]; `normalise` writes its rows,
+    with a last column of ones, into ws["pa"], and one GEMM against the
+    folded `wl` (ln_o's gain and shift and p_l's bias ride in it, see
+    `_fold`), its columns scaled by the gate, writes the mapped rows into
+    `out`. The reverse pass reads p and pa.
+    """
+    p = np.matmul(attended, wo, out=ws["p"])
+    np.matmul(normalise(p, ws["pa"]), wl if gate is None else wl * gate, out=out)
+    out += visual
+    return out
 
 
 # Distinct objects that call the public stages: bench/spans.py wraps every
@@ -748,9 +815,11 @@ def _pass(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
         g_xs, g_xc = np.zeros_like(xs), np.zeros_like(xc)
         partials = np.zeros((n, param_count(config)))  # per frame, every weight gradient
 
+    wq, wo, wl = _fold(w, config)
+
     def frame(i, ws):
         lap = _laps(None if busy is None else busy[i])
-        q, k, v, c, lnv, lns = _project_qkvc(xv[i], xs[i], xc[i], w)
+        k, v, c, lns = _project_qkvc(xv[i], xs[i], xc[i], w, wq, ws)
         lap("project")
         if t.geo_bias:
             bias, gh, ga = _geo_bias(xs[i], xc[i], w)
@@ -763,33 +832,41 @@ def _pass(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
             tw, th, ta = _token_weights(xs[i], w)
             weighted = v * tw
         lap("token_weight")
-        att = _attend(q, k, weighted, c, config, ws)
-        del q, k, weighted  # now laid out in the workspace; no VJP reads them
+        att = _attend(k, weighted, c, config, ws)
+        del k, weighted  # now laid out in the workspace; no VJP reads them
         lap("attend")
         gate = None
         if t.gate:
             u, vg = affine(c, w.p_g1), affine(c, w.p_g2)
             su = _swish(u)
             gate = su * vg
-        _, p, proj, mapped = _gate_and_fuse(att, gate, xv[i], w, out[i])
+        _gate_and_fuse(att, gate, xv[i], wo, wl, ws, out[i])
         lap("gate_fuse")
         if not backward:
             return
 
         # each residual and each cotangent is dropped at its last read; the camera
-        # slot's one-row residuals live on to the gate's and p_c's VJPs, which run last
+        # slot's one-row residuals live on to the gate's and p_c's VJPs, which run last.
+        # The layer norms' outputs are rebuilt from the normalized rows in the workspace.
         g = g_out[i]
         part = _param_views(partials[i], config)
-        g_mapped = g
+        proj = ws["pa"][:, :-1] * w.ln_o.gain + w.ln_o.shift
+        # out = (proj @ W + b) * gate + visual: p_l's VJP against the gated map gives
+        # g_proj, proj^T g and the sum of g, from which the gate's cotangent and p_l's
+        # gradients follow without the mapped rows
+        lin = w.p_l if gate is None else LinearMap(w.p_l.weight * gate, w.p_l.bias * gate[0])
+        g_proj, g_weight, g_bias = affine_vjp(proj, lin, g)
+        del proj
         if t.gate:
-            g_mapped = g * gate
-            g_gate = np.einsum("md,md->d", g, mapped)
-        del mapped
-        g_proj, part["p_l.weight"][...], part["p_l.bias"][...] = affine_vjp(proj, w.p_l, g_mapped)
-        del proj, g_mapped
-        g_p, part["ln_o.gain"][...], part["ln_o.shift"][...] = layer_norm_vjp(p, w.ln_o, g_proj)
-        del p, g_proj
-        g_att, part["p_o.weight"][...], part["p_o.bias"][...] = affine_vjp(att, w.p_o, g_p)
+            g_gate = (w.p_l.weight * g_weight).sum(axis=0) + w.p_l.bias * g_bias
+            g_weight *= gate
+            g_bias *= gate[0]
+        part["p_l.weight"][...], part["p_l.bias"][...] = g_weight, g_bias
+        g_p, part["ln_o.gain"][...], part["ln_o.shift"][...] = layer_norm_vjp(
+            ws["p"], w.ln_o, g_proj)
+        del g_proj
+        g_att, part["p_o.weight"][...], part["p_o.bias"][...] = affine_vjp(
+            att[:, :-1], w.p_o, g_p)
         del g_p
         lap("gate_fuse_vjp")
 
@@ -802,8 +879,9 @@ def _pass(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
         del g_kmem, g_vmem  # each lives on only through its view, g_k or g_v
         lap("attend_vjp")
 
-        # the queries' VJPs come next, so lnv dies here: g_q is in the workspace,
-        # and out[i] is read no more, so its rows take the visual gradient now
+        # the queries' VJPs come next: g_q is in the workspace, and out[i] is
+        # read no more, so its rows take the visual gradient now
+        lnv = ws["xa"][:, :-1] * w.ln_v.gain + w.ln_v.shift
         g_lnv, part["p_q.weight"][...], part["p_q.bias"][...] = affine_vjp(lnv, w.p_q, g_q)
         del lnv
         g_xv_ln, part["ln_v.gain"][...], part["ln_v.shift"][...] = layer_norm_vjp(
@@ -867,8 +945,7 @@ def _pass(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
         lap("project_vjp")
 
     count = _pool_size(n, mq, _tile_rows(config.n_heads, mk))
-    _over_frames(count, n, frame, functools.partial(
-        _workspace, config.n_heads, mq, mk, config.d_attn, backward))
+    _over_frames(count, n, frame, functools.partial(_workspace, config, backward))
     if busy is not None:
         totals = {name: sum(b.get(name, 0.0) for b in busy) for name in _STAGES + _VJPS}
         if backward:

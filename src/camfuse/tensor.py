@@ -5,18 +5,23 @@
 (width) axis, and `affine`, `layer_norm` and `swish` have companion ``*_vjp``
 functions returning the cotangents of ``<cotangent, op(inputs)>``, so larger
 modules compose an analytic backward pass without a tape; `affine_vjp` and
-`layer_norm_vjp` take rows, [m, width]. Attention's softmax and its VJP run
-inside `fusion`'s query-tiled kernel, folded into its GEMMs: the shift and
-row sum come out of the QK^T and PV products, not out of `softmax_rows`,
-which no package code calls.
+`layer_norm_vjp` take rows, [m, width]. `normalise` is a layer norm without
+its gain and shift: it writes the normalised rows into a buffer one column
+wider and sets that column to 1, so that one GEMM against `fold`'s weight
+(the layer norm's gain and shift and the map's bias folded in, the bias as
+the last row) gives the map of the layer norm. `layer_norm` forms the same
+rows, with the same bytes, and scales and shifts them in place.
+Attention's softmax and its VJP run inside `fusion`'s query-tiled kernel,
+folded into its GEMMs: the shift and row sum come out of the QK^T and PV
+products, not out of `softmax_rows`, which no package code calls.
 
 `_sigmoid`, `_swish` and `_swish_vjp` are the private kernels behind the
 public `sigmoid`, `swish` and `swish_vjp`, and give the same bytes.
 `fusion`'s per-frame bodies run on worker threads and call, of this
-module, only `affine`, `layer_norm`, `affine_vjp`, `layer_norm_vjp` and the
-three private kernels: bench/spans.py wraps the public names, including
-`sigmoid`, `swish` and `swish_vjp`, with spans on one global stack, which a
-worker thread must never touch.
+module, only `affine`, `normalise`, `layer_norm`, `affine_vjp`,
+`layer_norm_vjp` and the three private kernels: bench/spans.py wraps the
+public names, including `sigmoid`, `swish` and `swish_vjp`, with spans on
+one global stack, which a worker thread must never touch.
 
 float64 is the only working precision, so finite-difference gradient checks
 are meaningful. Every layer norm adds the one constant `LN_EPSILON` to its
@@ -42,6 +47,8 @@ __all__ = [
     "LinearMap",
     "LayerNormParams",
     "affine",
+    "normalise",
+    "fold",
     "layer_norm",
     "softmax_rows",
     "sigmoid",
@@ -162,21 +169,61 @@ def affine(x: np.ndarray, lin: LinearMap) -> np.ndarray:
     return out
 
 
-def layer_norm(x: np.ndarray, p: LayerNormParams) -> np.ndarray:
-    """Normalize each row to zero mean / unit variance, then gain and shift.
+def _centred(x: np.ndarray, squares: np.ndarray | None = None):
+    """(d, s): the rows of `x` less their mean, as a new array, and each
+    row's sqrt(var + LN_EPSILON), [..., 1]; the squared deviations go to
+    `squares` (an array of x's shape) when it is given, else to a temporary.
 
     The variance is the biased one (the standard layer-norm convention),
     formed as `np.var` forms it: the mean of the squared deviations from the
-    row mean. One full-size temporary, the centred rows, is made and then
-    updated in place, so the result has the bytes of
-    ``gain * ((x - mean) / sqrt(var + LN_EPSILON)) + shift``; `x` is never
-    written.
+    row mean.
     """
     d = x - x.mean(axis=-1, keepdims=True)
-    s = np.multiply(d, d).sum(axis=-1, keepdims=True)
+    s = np.multiply(d, d, out=squares).sum(axis=-1, keepdims=True)
     s /= x.shape[-1]
     s += LN_EPSILON
     np.sqrt(s, out=s)
+    return d, s
+
+
+def normalise(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write each row of `x` ([..., width]) less its mean, over
+    sqrt(var + LN_EPSILON), into ``out[..., :width]``, and 1 into the last
+    column of `out` ([..., width + 1]); returns `out`.
+
+    The ones column lets a following GEMM add a bias: a weight with the bias
+    as its last row maps `out` to the affine image of the normalised rows,
+    and a layer norm's gain and shift fold into that weight (see `fold`).
+    The normalised rows have the bytes that `layer_norm` scales and shifts;
+    `x` is never written. The squared deviations are formed in `out`'s own
+    memory, seen as an array of x's shape, before the rows overwrite them:
+    with the centred rows the one full-size temporary, a frame's two
+    normalisations free no more than one array each, which malloc keeps
+    rather than returning its pages to the system.
+    """
+    d, s = _centred(x, out.reshape(-1)[:x.size].reshape(x.shape))
+    width = x.shape[-1]
+    np.divide(d, s, out=out[..., :width])
+    out[..., width] = 1.0
+    return out
+
+
+def fold(p: LayerNormParams, lin: LinearMap) -> np.ndarray:
+    """The weight [width + 1, out_width] that maps `normalise`'s rows of x to
+    ``affine(layer_norm(x, p), lin)``: diag(gain) @ weight, over
+    shift @ weight + bias as its last row."""
+    return np.vstack([p.gain[:, None] * lin.weight, p.shift @ lin.weight + lin.bias])
+
+
+def layer_norm(x: np.ndarray, p: LayerNormParams) -> np.ndarray:
+    """Normalize each row to zero mean / unit variance, then gain and shift.
+
+    The centred rows (`_centred`, as `normalise` forms them) are the one
+    full-size temporary, updated in place, so the result has the bytes of
+    ``gain * ((x - mean) / sqrt(var + LN_EPSILON)) + shift``; `x` is never
+    written.
+    """
+    d, s = _centred(x)
     d /= s
     d *= p.gain
     d += p.shift
@@ -194,23 +241,29 @@ def softmax_rows(x) -> np.ndarray:
 def _sigmoid(x) -> np.ndarray:
     """Numerically stable logistic function, elementwise.
 
-    With e = exp(-|x|) this is 1 / (1 + e) for x >= 0 and e / (1 + e) below
-    zero: the exponent is never positive, so nothing overflows. The
-    denominator and the quotient are formed in place, in e and in the
-    numerator, to hold one full-size temporary fewer.
+    With e = exp(-|x|) and num = exp(min(x, 0)), which is e for x < 0 and
+    exactly 1 elsewhere, this is num / (1 + e): the exponent is never
+    positive, so nothing overflows, and no element takes a branch. Both
+    exponentials and the quotient are formed in place, in arrays of x's
+    shape (0-d included).
     """
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    num = np.where(x >= 0, 1.0, e)
+    e = np.abs(x, out=np.empty_like(x))
+    e *= -1.0
+    np.exp(e, out=e)
+    num = np.minimum(x, 0.0, out=np.empty_like(x))
+    np.exp(num, out=num)
     e += 1.0
     num /= e
     return num
 
 
 def _swish(x) -> np.ndarray:
-    """swish(x) = x * sigmoid(x), elementwise."""
+    """swish(x) = x * sigmoid(x), elementwise; the product is formed in the
+    sigmoid's array."""
     x = np.asarray(x)
-    return x * _sigmoid(x)
+    s = _sigmoid(x)
+    return np.multiply(x, s, out=s)
 
 
 def sigmoid(x) -> np.ndarray:
@@ -250,10 +303,18 @@ def layer_norm_vjp(x: np.ndarray, p: LayerNormParams, gy: np.ndarray):
 
 
 def _swish_vjp(x, cotangent) -> np.ndarray:
-    """Cotangent of y = x * sigmoid(x) w.r.t. x."""
-    x = np.asarray(x)
+    """Cotangent of y = x * sigmoid(x) w.r.t. x: g * (s + x * s * (1 - s)),
+    with s = sigmoid(x), each product taken in that order. The sum is formed
+    in one array of x's shape, and so is the result when the cotangent's
+    shape broadcasts to x's."""
+    x, g = np.asarray(x), np.asarray(cotangent)
     s = _sigmoid(x)
-    return np.asarray(cotangent) * (s + x * s * (1.0 - s))
+    d = np.multiply(x, s, out=np.empty_like(s))
+    d *= 1.0 - s
+    d += s
+    if np.broadcast_shapes(g.shape, d.shape) != d.shape:
+        return g * d
+    return np.multiply(g, d, out=d)
 
 
 def swish_vjp(x, cotangent) -> np.ndarray:

@@ -8,8 +8,8 @@ from dataclasses import replace
 import numpy as np
 
 from camfuse import gradcheck
-from camfuse.fusion import (REQUIRED_STREAMS, FusionConfig, fuse, fuse_backward, iter_params,
-                            weights_from_arrays)
+from camfuse.fusion import (REQUIRED_STREAMS, FusionConfig, _heads, _workspace, attend, fuse,
+                            fuse_backward, iter_params, weights_from_arrays)
 from camfuse.gradcheck import _named
 from camfuse.serde import write_atomic
 from camfuse.tensor import LayerNormParams, TokenTensor
@@ -40,6 +40,18 @@ def zero_tokens(frames: int, tokens: int, width: int) -> TokenTensor:
 def identity_layer_norm(width: int) -> LayerNormParams:
     """Gain one, shift zero: the layer norm alone, at `LN_EPSILON`."""
     return LayerNormParams(np.ones(width), np.zeros(width))
+
+
+def attend_rows(q, k, v, c, config, ws=None) -> np.ndarray:
+    """`attend` on one frame's plain query rows q [m_visual, d_attn]: their
+    heads, times 1/sqrt(head_dim), go into the workspace (`ws`, or a new one
+    for `config`) where `project_qkvc` puts them; returns the output rows
+    [m_visual, d_attn], a view of the workspace's `att`."""
+    if ws is None:
+        ws = _workspace(config)
+    scale = 1.0 / np.sqrt(config.d_attn // config.n_heads)
+    np.multiply(_heads(q, config.n_heads), scale, out=ws["qa"][..., :-1])
+    return attend(k, v, c, config, ws)[:, :-1]
 
 
 def pass_arrays(inputs, weights, config, cot) -> dict:

@@ -82,6 +82,33 @@ def two_branch_sigmoid(x):
     return out
 
 
+def former_sigmoid(x):
+    """Logistic function with a `np.where` per element: the kernel before it
+    took exp(min(x, 0)) as its numerator, kept as the reference it must
+    match bit for bit."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    num = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    num /= e
+    return num
+
+
+def former_swish(x):
+    """x * sigmoid(x) into a new array: the swish kernel before it formed
+    the product in place."""
+    x = np.asarray(x)
+    return x * former_sigmoid(x)
+
+
+def former_swish_vjp(x, cotangent):
+    """The swish VJP as one expression, a temporary per step: the kernel
+    before it formed the sum in place."""
+    x = np.asarray(x)
+    s = former_sigmoid(x)
+    return np.asarray(cotangent) * (s + x * s * (1.0 - s))
+
+
 def ref_swish(v):
     return v * ref_sigmoid(v)
 

@@ -18,7 +18,6 @@ from camfuse.fusion import (
     FusionConfig,
     FusionInputs,
     FusionToggles,
-    attend,
     fuse,
     init_weights,
     iter_params,
@@ -30,7 +29,7 @@ from camfuse.pipeline import synth_tokens
 from camfuse.serde import ContainerError, load_weights, save_weights
 from camfuse.tensor import LinearMap, TokenTensor, softmax_rows
 
-from helpers import DEMO_CONFIG
+from helpers import DEMO_CONFIG, attend_rows
 from oracles import ref_attention
 
 
@@ -180,7 +179,7 @@ def test_c07_attention_oracle():
         k = rng.standard_normal((n, ms, da))
         v = rng.standard_normal((n, ms, da))
         c = rng.standard_normal((n, 1, da))
-        out = np.stack([attend(*frame, config) for frame in zip(q, k, v, c)])
+        out = np.stack([attend_rows(*frame, config) for frame in zip(q, k, v, c)])
         kmem = np.concatenate([c, k], axis=1)
         vmem = np.concatenate([c, v], axis=1)
         expected = ref_attention(q, kmem, vmem, 1)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from camfuse import fusion, gradcheck
 from camfuse.fusion import (
     _attend_vjp,
+    _fold,
     _heads,
     _merge_heads,
     _tile_rows,
@@ -46,12 +47,14 @@ from camfuse.tensor import (
     LinearMap,
     TokenTensor,
     affine,
+    fold,
     layer_norm,
+    normalise,
     swish,
 )
 
-from helpers import (DEMO_CONFIG, corrupt_gradients, in_own_mapping, pass_arrays, traced_bytes, traced_peak,
-                     zero_tokens)
+from helpers import (DEMO_CONFIG, attend_rows, corrupt_gradients, in_own_mapping, pass_arrays,
+                     traced_bytes, traced_peak, zero_tokens)
 from oracles import ref_attention, ref_fuse, whole_frame_attention, whole_frame_attention_vjp
 
 
@@ -110,10 +113,13 @@ def overflowing(weights, where):
 
 def attention_inputs(config, inputs, weights):
     """Per frame, the (q, k, v, c) that the frame body hands to `attend`,
-    composed from the public stages."""
+    composed from the public stages; q is the query rows before the
+    attention scale, formed unfolded, as `affine(layer_norm(...))`."""
     t = config.toggles
+    ws, (wq, _, _) = _workspace(config), _fold(weights, config)
     for xv, xs, xc in zip(inputs.visual.data, inputs.spatial.data, inputs.camera.data):
-        q, k, v, c, _, _ = project_qkvc(xv, xs, xc, weights)
+        q = affine(layer_norm(xv, weights.ln_v), weights.p_q)
+        k, v, c, _ = project_qkvc(xv, xs, xc, weights, wq, ws)
         if t.geo_bias:
             bias = geo_bias(xs, xc, weights)[0]
             k += bias
@@ -241,24 +247,45 @@ class TestProject:
     def test_output_shapes(self):
         weights = init_weights(TINY, 1)
         inputs = synth_tokens(TINY, 2)
-        q, k, v, c, lnv, lns = project_qkvc(inputs.visual.data[0], inputs.spatial.data[0],
-                                            inputs.camera.data[0], weights)
-        assert q.shape == (3, 4)
+        ws = _workspace(TINY)
+        k, v, c, lns = project_qkvc(inputs.visual.data[0], inputs.spatial.data[0],
+                                    inputs.camera.data[0], weights, _fold(weights, TINY)[0], ws)
         assert k.shape == v.shape == (4, 4)
         assert c.shape == (1, 4)
-        assert lnv.shape == (3, 6) and lns.shape == (4, 5)
+        assert lns.shape == (4, 5)
+        assert ws["xa"].shape == (3, 7) and ws["qa"].shape == (2, 3, 3)
 
     def test_composes_kernel_ops_bit_exactly(self):
         weights = init_weights(TINY, 4)
         inputs = synth_tokens(TINY, 5)
+        ws = _workspace(TINY)
+        wq = _fold(weights, TINY)[0]
         for xv, xs, xc in zip(inputs.visual.data, inputs.spatial.data, inputs.camera.data):
-            q, k, v, c, lnv, lns = project_qkvc(xv, xs, xc, weights)
-            assert lnv.tobytes() == layer_norm(xv, weights.ln_v).tobytes()
+            k, v, c, lns = project_qkvc(xv, xs, xc, weights, wq, ws)
+            xa = normalise(xv, np.empty((TINY.m_visual, TINY.d_visual + 1)))
+            assert ws["xa"].tobytes() == xa.tobytes()
+            assert ws["qa"][..., :-1].tobytes() == np.matmul(xa, wq).tobytes()
             assert lns.tobytes() == layer_norm(xs, weights.ln_s).tobytes()
-            assert q.tobytes() == affine(lnv, weights.p_q).tobytes()
             assert k.tobytes() == affine(lns, weights.p_k).tobytes()
             assert v.tobytes() == affine(lns, weights.p_v).tobytes()
             assert c.tobytes() == affine(xc, weights.p_c).tobytes()
+
+    @pytest.mark.parametrize("config", [TINY, replace(TINY, d_visual=2, d_attn=8, n_heads=4)])
+    def test_scaled_query_heads_match_the_unfolded_projection(self, config):
+        # the folded weight gives the scaled heads of affine(layer_norm(x)) up to rounding
+        weights = init_weights(config, 6)
+        rng = np.random.default_rng(7)
+        weights = replace(weights, ln_v=LayerNormParams(rng.standard_normal(config.d_visual),
+                                                        rng.standard_normal(config.d_visual)),
+                          p_q=LinearMap(weights.p_q.weight, rng.standard_normal(config.d_attn)))
+        inputs = synth_tokens(config, 8)
+        ws = _workspace(config)
+        xv = inputs.visual.data[0]
+        project_qkvc(xv, inputs.spatial.data[0], inputs.camera.data[0], weights,
+                     _fold(weights, config)[0], ws)
+        q = affine(layer_norm(xv, weights.ln_v), weights.p_q)
+        want = _heads(q, config.n_heads) / np.sqrt(config.d_attn // config.n_heads)
+        assert np.abs(ws["qa"][..., :-1] - want).max() <= 4e-16 * np.abs(want).max()
 
 
 class TestGeoBias:
@@ -349,7 +376,7 @@ class TestAttend:
         q = rng.standard_normal((3, 4))
         k = np.zeros((0, 4))
         c = rng.standard_normal((1, 4))
-        out = attend(q, k, k, c, config)
+        out = attend_rows(q, k, k, c, config)
         npt.assert_allclose(out, np.broadcast_to(c, out.shape), atol=1e-15)
 
     def test_identical_keys_average_values(self):
@@ -360,7 +387,7 @@ class TestAttend:
         v = rng.standard_normal((4, 4))
         q = rng.standard_normal((3, 4))
         c = rng.standard_normal((1, 4))
-        out = attend(q, k, v, c, config)
+        out = attend_rows(q, k, v, c, config)
         expected = np.broadcast_to(v.mean(axis=0), out.shape)
         npt.assert_allclose(out, expected, atol=1e-12)
 
@@ -373,7 +400,7 @@ class TestAttend:
         k = rng.standard_normal((1, 3, 4))
         v = rng.standard_normal((1, 3, 4))
         c = rng.standard_normal((1, 1, 4))
-        out = attend(q[0], k[0], v[0], c[0], config)
+        out = attend_rows(q[0], k[0], v[0], c[0], config)
         kmem = np.concatenate([c, k], axis=1)
         vmem = np.concatenate([c, v], axis=1)
         expected = ref_attention(q, kmem, vmem, heads)
@@ -388,7 +415,7 @@ class TestAttend:
         empty = np.zeros((0, 4))
         c = np.zeros((1, 4))
         with pytest.raises(DimensionError, match="empty"):
-            attend(q, empty, empty, c, config)
+            attend_rows(q, empty, empty, c, config)
 
 
 def relative_error(actual, expected):
@@ -412,8 +439,8 @@ class TestTiledAttention:
         out, lse = np.empty_like(q), np.empty((n, n_heads, mq))
         grads = (np.empty_like(q), np.empty((n, mk, da)), np.empty((n, mk, da)))
         for i in range(n):
-            ws = _workspace(n_heads, mq, mk, da, backward=True)
-            out[i] = attend(q[i], k[i], v[i], c[i], config, ws)
+            ws = _workspace(config, backward=True)
+            out[i] = attend_rows(q[i], k[i], v[i], c[i], config, ws)
             lse[i] = ws["lse"]
             for grad, frame_grad in zip(grads, _attend_vjp(g_out[i], n_heads, ws)):
                 grad[i] = frame_grad
@@ -474,8 +501,8 @@ class TestTiledAttention:
         q, k, v, c = next(attention_inputs(config, synth_tokens(config, 44),
                                            init_weights(config, 45)))
         mk, da = config.m_spatial + camera_memory, config.d_attn
-        ws = _workspace(config.n_heads, config.m_visual, mk, da, backward=True)
-        attend(q, k, v, c, config, ws)
+        ws = _workspace(config, backward=True)
+        attend_rows(q, k, v, c, config, ws)
         g_att = np.random.default_rng(46).standard_normal(q.shape)
         gq, gk, gv = _attend_vjp(g_att, config.n_heads, ws)
         assert gq.shape == (config.m_visual, da)
@@ -545,7 +572,7 @@ class TestTiledAttention:
         # frame's [heads, queries, memory] probabilities
         config = MULTI_TILE
         mk = config.m_spatial + 1
-        ws = _workspace(config.n_heads, config.m_visual, mk, config.d_attn, backward=True)
+        ws = _workspace(config, backward=True)
         assert max(array.size for array in ws.values()) < config.n_heads * config.m_visual * mk
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -793,12 +820,37 @@ class TestGateAndFuse:
     def test_composes_kernel_ops(self, config):
         weights = init_weights(config, 4)
         inputs = synth_tokens(config, 5)
+        ws, (wq, wo, wl) = _workspace(config), _fold(weights, config)
         staged = np.empty_like(inputs.visual.data)
-        for i, (q, k, v, c) in enumerate(attention_inputs(config, inputs, weights)):
-            attended = attend(q, k, v, c, config)
+        for i, (xv, xs, xc) in enumerate(zip(inputs.visual.data, inputs.spatial.data,
+                                              inputs.camera.data)):
+            k, v, c, _ = project_qkvc(xv, xs, xc, weights, wq, ws)
+            bias = geo_bias(xs, xc, weights)[0]
+            k += bias
+            v += bias
+            attended = attend(k, v * token_weights(xs, weights)[0], c, config, ws)
             gate = swish(affine(c, weights.p_g1)) * affine(c, weights.p_g2)
-            gate_and_fuse(attended, gate, inputs.visual.data[i], weights, staged[i])
+            gate_and_fuse(attended, gate, xv, wo, wl, ws, staged[i])
         assert staged.tobytes() == fuse(inputs, weights, config).data.tobytes()
+
+    @pytest.mark.parametrize("gate", [False, True])
+    def test_matches_the_unfolded_projection(self, gate):
+        # p_o, ln_o, p_l and the gate, folded, give the unfolded chain up to rounding
+        config = replace(TINY, d_visual=7)
+        weights = init_weights(config, 6)
+        rng = np.random.default_rng(9)
+        weights = replace(weights, p_o=LinearMap(weights.p_o.weight, rng.standard_normal(4)),
+                          ln_o=LayerNormParams(rng.standard_normal(4), rng.standard_normal(4)),
+                          p_l=LinearMap(weights.p_l.weight, rng.standard_normal(7)))
+        ws, (_, wo, wl) = _workspace(config), _fold(weights, config)
+        rows = rng.standard_normal((config.m_visual, 4))
+        attended = np.hstack([rows, np.ones((config.m_visual, 1))])
+        row = rng.standard_normal((1, 7)) if gate else None
+        visual = rng.standard_normal((config.m_visual, 7))
+        out = gate_and_fuse(attended, row, visual, wo, wl, ws, np.empty_like(visual))
+        mapped = affine(layer_norm(affine(rows, weights.p_o), weights.ln_o), weights.p_l)
+        want = (mapped if row is None else mapped * row) + visual
+        assert np.abs(out - want).max() <= 1e-15 * np.abs(want).max()
 
 
 class TestFuse:
@@ -890,9 +942,7 @@ class TestFuse:
         # tokens at attention width (the stage outputs and residuals it holds)
         monkeypatch.setattr(fusion, "_usable_cores", lambda: workers)
         config = DEMO_CONFIG
-        mk = config.m_spatial + 1
-        workspace = sum(array.nbytes for array in fusion._workspace(
-            config.n_heads, config.m_visual, mk, config.d_attn).values())
+        workspace = sum(array.nbytes for array in fusion._workspace(config).values())
         frame = workspace + 12 * 8 * (config.m_visual + config.m_spatial) * config.d_attn
         inputs = synth_tokens(config, 64)
         weights = init_weights(config, 65)
@@ -1082,9 +1132,7 @@ class TestFuseBackward:
         # workspace: each residual and cotangent is dropped at its last read
         monkeypatch.setattr(fusion, "_usable_cores", lambda: workers)
         config = DEMO_CONFIG
-        workspace = sum(array.nbytes for array in fusion._workspace(
-            config.n_heads, config.m_visual, config.m_spatial + 1, config.d_attn,
-            backward=True).values())
+        workspace = sum(array.nbytes for array in fusion._workspace(config, backward=True).values())
         frame = workspace + 12 * 8 * (config.m_visual + config.m_spatial) * config.d_attn
         peak, gradient_bytes = self.traced_backward(2)
         assert peak - gradient_bytes <= workers * frame
