@@ -46,13 +46,13 @@ aliases the tracer does not wrap, and otherwise only `affine`,
 the private `tensor._sigmoid`, `_swish` and `_swish_vjp`.
 
 The visual rows take one GEMM per projection. Once per pass, on the calling
-thread, `_fold` folds every per-row affine of the visual path into the GEMM
-that follows it: ln_v's gain and shift, p_q's bias and the attention scale
-1/sqrt(head_dim) into the query weight, split by head; p_o's bias into its
-weight; ln_o's gain and shift and p_l's bias into p_l's weight. Each bias
-rides as the weight's last row, against a last column of ones that
-`normalise` writes next to the normalised rows (and `attend` next to its
-output). So a frame normalises its visual rows, and one GEMM writes their
+thread, `fold_weights` folds every per-row affine of the visual path into
+the GEMM that follows it: ln_v's gain and shift, p_q's bias and the
+attention scale 1/sqrt(head_dim) into the query weight, split by head; p_o's
+bias into its weight; ln_o's gain and shift and p_l's bias into p_l's
+weight. Each bias rides as the weight's last row, against a last column of
+ones that `normalise` writes next to the normalised rows (and `attend` next
+to its output). So a frame normalises its visual rows, and one GEMM writes their
 scaled query heads straight into attention's head layout; after the tiles
 one GEMM gives p_o's product, which is normalised, and one GEMM against
 p_l's folded weight, its columns scaled by the frame's gate, writes the
@@ -123,7 +123,6 @@ from .tensor import (
     affine,
     affine_vjp,
     empty_buffer,
-    fold,
     layer_norm,
     layer_norm_vjp,
     normalise,
@@ -144,6 +143,8 @@ __all__ = [
     "param_count",
     "iter_params",
     "weights_from_arrays",
+    "FoldedWeights",
+    "fold_weights",
     "project_qkvc",
     "geo_bias",
     "token_weights",
@@ -359,23 +360,52 @@ def _check_inputs(inputs: FusionInputs, config: FusionConfig) -> None:
             raise DimensionError(f"{name} stream has shape {stream.shape}, config expects {shape}")
 
 
-def _fold(weights: FusionWeights, config: FusionConfig):
-    """The visual path's folded weights (wq, wo, wl), made once per pass.
+def _attention_scale(head_dim: int) -> float:
+    """The attention scale 1/sqrt(head_dim), which the folded query weight
+    carries and the query cotangent takes back."""
+    return 1.0 / np.sqrt(head_dim)
 
-    wq [h, d_visual + 1, head_dim] is `fold(ln_v, p_q)` times the attention
-    scale 1/sqrt(head_dim), split by head; wo [d_attn + 1, d_attn] is p_o's
-    weight over its bias; wl [d_attn + 1, d_visual] is `fold(ln_o, p_l)`.
-    Each maps rows with a last column of ones, as `normalise` writes them.
+
+def _fold_ln(p: LayerNormParams, lin: LinearMap) -> np.ndarray:
+    """The weight [width + 1, out_width] that maps `normalise`'s rows of x to
+    ``affine(layer_norm(x, p), lin)``: diag(gain) @ weight, over
+    shift @ weight + bias as its last row."""
+    return np.vstack([p.gain[:, None] * lin.weight, p.shift @ lin.weight + lin.bias])
+
+
+@dataclass(frozen=True)
+class FoldedWeights:
+    """`weights` and the visual path's weights folded from them by
+    `fold_weights`, which `project_qkvc` and `gate_and_fuse` take together.
+
+    wq [h, d_visual + 1, head_dim] maps normalised visual rows to their
+    scaled query heads: ln_v's gain and shift, p_q's bias and the attention
+    scale ride in it, split by head. wo [d_attn + 1, d_attn] is p_o's weight
+    over its bias, and wl [d_attn + 1, d_visual] carries ln_o's gain and
+    shift and p_l's bias. Each maps rows with a last column of ones, as
+    `normalise` writes them.
     """
+
+    weights: FusionWeights
+    wq: np.ndarray
+    wo: np.ndarray
+    wl: np.ndarray
+
+
+def fold_weights(weights: FusionWeights, config: FusionConfig) -> FoldedWeights:
+    """Fold every per-row affine of the visual path into the weight of the
+    GEMM that follows it (see `FoldedWeights`); a pass does this once, on
+    the calling thread."""
     h = config.n_heads
     dh = config.d_attn // h
-    wq = fold(weights.ln_v, weights.p_q) * (1.0 / np.sqrt(dh))
+    wq = _fold_ln(weights.ln_v, weights.p_q) * _attention_scale(dh)
     wq = np.ascontiguousarray(wq.reshape(-1, h, dh).transpose(1, 0, 2))
-    return wq, np.vstack([weights.p_o.weight, weights.p_o.bias]), fold(weights.ln_o, weights.p_l)
+    return FoldedWeights(weights, wq, np.vstack([weights.p_o.weight, weights.p_o.bias]),
+                         _fold_ln(weights.ln_o, weights.p_l))
 
 
 def project_qkvc(visual: np.ndarray, spatial: np.ndarray, camera: np.ndarray,
-                 weights: FusionWeights, wq: np.ndarray, ws: dict):
+                 folded: FoldedWeights, ws: dict):
     """Project one frame's visual [mq, d_visual], spatial [ms, d_spatial] and
     camera [1, d_spatial] rows into the shared attention space, the visual
     and spatial tokens layer-normalized first; returns (k, v, c, lns), c
@@ -384,12 +414,12 @@ def project_qkvc(visual: np.ndarray, spatial: np.ndarray, camera: np.ndarray,
 
     The visual rows go to the worker's workspace `ws`: `normalise` writes
     them, with a last column of ones, into ws["xa"], and one GEMM against
-    the folded query weight `wq` ([h, d_visual + 1, head_dim], see `_fold`),
-    which carries ln_v's gain and shift, p_q's bias and the attention scale,
-    writes their scaled query heads into the leading columns of ws["qa"],
-    where `attend` reads them.
+    the folded query weight (`folded.wq`), which carries ln_v's gain and
+    shift, p_q's bias and the attention scale, writes their scaled query
+    heads into the leading columns of ws["qa"], where `attend` reads them.
     """
-    np.matmul(normalise(visual, ws["xa"]), wq, out=ws["qa"][..., :-1])
+    weights = folded.weights
+    np.matmul(normalise(visual, ws["xa"]), folded.wq, out=ws["qa"][..., :-1])
     lns = layer_norm(spatial, weights.ln_s)
     return affine(lns, weights.p_k), affine(lns, weights.p_v), affine(camera, weights.p_c), lns
 
@@ -519,20 +549,22 @@ def attend(k: np.ndarray, v: np.ndarray, c: np.ndarray, config: FusionConfig,
     value when camera_memory is on; returns the output [mq, d_attn + 1],
     whose last column is ones, as a transposed view.
 
-    Multi-head scaled dot-product attention (scale 1/sqrt(head_dim)) in
-    query tiles. The keys and values, camera slot included, are laid out
-    once as [h, dh + 1, mk] with a last row of ones, and each scaled query
-    row gets a last entry -c, where c = |q_i| max_j |k_j| bounds every score
-    of the row (Cauchy-Schwarz). A tile is then three passes over its
-    [h, rows, mk] block: the QK^T GEMM returns scores already shifted by c,
-    `exp` runs in place, and the PV GEMM, which writes the product
-    transposed ([h, dh + 1, rows], as V^T P^T), returns the row sums z as
-    its last row. Everything else runs once per frame: the shifts before the
-    tiles, and after them the recompute of a frame's flagged pairs
-    (z < e^-600 or a non-finite z) with their exact row max, the division by
-    z, which runs along whole rows of the transposed product, and the
-    log-sum-exp c + log z. Every tile sees the frame's whole memory, so one
-    pass gives the exact softmax.
+    Multi-head dot-product attention in query tiles. The queries arrive
+    already scaled by 1/sqrt(head_dim) (the folded query weight carries the
+    scale), so the scores are their plain products with the keys. The keys
+    and values, camera slot included, are laid out once as [h, dh + 1, mk]
+    with a last row of ones, and each scaled query row gets a last entry -c,
+    where c = |q_i| max_j |k_j| bounds every score of the row
+    (Cauchy-Schwarz). A tile is then three passes over its [h, rows, mk]
+    block: the QK^T GEMM returns scores already shifted by c, `exp` runs in
+    place, and the PV GEMM, which writes the product transposed
+    ([h, dh + 1, rows], as V^T P^T), returns the row sums z as its last row.
+    Everything else runs once per frame: the shifts before the tiles, and
+    after them the recompute of a frame's flagged pairs (z < e^-600 or a
+    non-finite z) with their exact row max, the division by z, which runs
+    along whole rows of the transposed product, and the log-sum-exp
+    c + log z. Every tile sees the frame's whole memory, so one pass gives
+    the exact softmax.
 
     `ws` is a worker's `_workspace` for this frame's config, with the scaled
     query heads in the leading columns of its `qa`. The output is its `att`
@@ -593,7 +625,6 @@ def _attend_vjp(g_att: np.ndarray, n_heads: int, ws: dict):
     """
     mq, da = g_att.shape
     dh = da // n_heads
-    scale = 1.0 / np.sqrt(dh)
     kt, vt, lse, qa = (ws[name] for name in ("kt", "vt", "lse", "qa"))
     att = ws["att"][:-1].T
     ow = ws["ow"].reshape(n_heads, mq, dh + 1)  # the forward's PV buffer: free now
@@ -617,26 +648,27 @@ def _attend_vjp(g_att: np.ndarray, n_heads: int, ws: dict):
         st *= pt
         np.matmul(st, kh, out=gqh[:, lo:hi])
         gk += np.matmul(st.transpose(0, 2, 1), qa[:, lo:hi, :dh], out=prod)
-    gq *= scale
+    gq *= _attention_scale(dh)
     return gq, _merge_heads(gk), _merge_heads(gv)
 
 
 def gate_and_fuse(attended: np.ndarray, gate: np.ndarray | None, visual: np.ndarray,
-                  wo: np.ndarray, wl: np.ndarray, ws: dict, out: np.ndarray) -> np.ndarray:
+                  folded: FoldedWeights, ws: dict, out: np.ndarray) -> np.ndarray:
     """Project one frame's attention output `attended` ([mq, d_attn + 1],
     whose last column is ones) back to visual width, scale it by the
     frame's camera gate ([1, d_visual], or None when the gate is off) and
     add the visual residual, writing the result into `out` ([mq, d_visual]);
     returns `out`.
 
-    `wo` is p_o's weight over its bias, so one GEMM gives p_o's product p,
-    which goes to the workspace `ws` as ws["p"]; `normalise` writes its rows,
-    with a last column of ones, into ws["pa"], and one GEMM against the
-    folded `wl` (ln_o's gain and shift and p_l's bias ride in it, see
-    `_fold`), its columns scaled by the gate, writes the mapped rows into
-    `out`. The reverse pass reads p and pa.
+    `folded.wo` is p_o's weight over its bias, so one GEMM gives p_o's
+    product p, which goes to the workspace `ws` as ws["p"]; `normalise`
+    writes its rows, with a last column of ones, into ws["pa"], and one GEMM
+    against `folded.wl` (ln_o's gain and shift and p_l's bias ride in it),
+    its columns scaled by the gate, writes the mapped rows into `out`. The
+    reverse pass reads p and pa.
     """
-    p = np.matmul(attended, wo, out=ws["p"])
+    p = np.matmul(attended, folded.wo, out=ws["p"])
+    wl = folded.wl
     np.matmul(normalise(p, ws["pa"]), wl if gate is None else wl * gate, out=out)
     out += visual
     return out
@@ -815,11 +847,11 @@ def _pass(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
         g_xs, g_xc = np.zeros_like(xs), np.zeros_like(xc)
         partials = np.zeros((n, param_count(config)))  # per frame, every weight gradient
 
-    wq, wo, wl = _fold(w, config)
+    folded = fold_weights(w, config)
 
     def frame(i, ws):
         lap = _laps(None if busy is None else busy[i])
-        k, v, c, lns = _project_qkvc(xv[i], xs[i], xc[i], w, wq, ws)
+        k, v, c, lns = _project_qkvc(xv[i], xs[i], xc[i], folded, ws)
         lap("project")
         if t.geo_bias:
             bias, gh, ga = _geo_bias(xs[i], xc[i], w)
@@ -840,7 +872,7 @@ def _pass(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
             u, vg = affine(c, w.p_g1), affine(c, w.p_g2)
             su = _swish(u)
             gate = su * vg
-        _gate_and_fuse(att, gate, xv[i], wo, wl, ws, out[i])
+        _gate_and_fuse(att, gate, xv[i], folded, ws, out[i])
         lap("gate_fuse")
         if not backward:
             return

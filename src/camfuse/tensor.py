@@ -7,10 +7,11 @@ functions returning the cotangents of ``<cotangent, op(inputs)>``, so larger
 modules compose an analytic backward pass without a tape; `affine_vjp` and
 `layer_norm_vjp` take rows, [m, width]. `normalise` is a layer norm without
 its gain and shift: it writes the normalised rows into a buffer one column
-wider and sets that column to 1, so that one GEMM against `fold`'s weight
-(the layer norm's gain and shift and the map's bias folded in, the bias as
-the last row) gives the map of the layer norm. `layer_norm` forms the same
-rows, with the same bytes, and scales and shifts them in place.
+wider and sets that column to 1, so that one GEMM against a weight with the
+layer norm's gain and shift and the map's bias folded in (the bias as the
+last row, as `fusion.fold_weights` folds them) gives the map of the layer
+norm. `layer_norm` forms the same rows, with the same bytes, and scales and
+shifts them in place.
 Attention's softmax and its VJP run inside `fusion`'s query-tiled kernel,
 folded into its GEMMs: the shift and row sum come out of the QK^T and PV
 products, not out of `softmax_rows`, which no package code calls.
@@ -48,7 +49,6 @@ __all__ = [
     "LayerNormParams",
     "affine",
     "normalise",
-    "fold",
     "layer_norm",
     "softmax_rows",
     "sigmoid",
@@ -193,7 +193,8 @@ def normalise(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
     The ones column lets a following GEMM add a bias: a weight with the bias
     as its last row maps `out` to the affine image of the normalised rows,
-    and a layer norm's gain and shift fold into that weight (see `fold`).
+    and a layer norm's gain and shift fold into that weight (as
+    `fusion.fold_weights` folds them).
     The normalised rows have the bytes that `layer_norm` scales and shifts;
     `x` is never written. The squared deviations are formed in `out`'s own
     memory, seen as an array of x's shape, before the rows overwrite them:
@@ -206,13 +207,6 @@ def normalise(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     np.divide(d, s, out=out[..., :width])
     out[..., width] = 1.0
     return out
-
-
-def fold(p: LayerNormParams, lin: LinearMap) -> np.ndarray:
-    """The weight [width + 1, out_width] that maps `normalise`'s rows of x to
-    ``affine(layer_norm(x, p), lin)``: diag(gain) @ weight, over
-    shift @ weight + bias as its last row."""
-    return np.vstack([p.gain[:, None] * lin.weight, p.shift @ lin.weight + lin.bias])
 
 
 def layer_norm(x: np.ndarray, p: LayerNormParams) -> np.ndarray:

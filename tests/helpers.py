@@ -8,8 +8,8 @@ from dataclasses import replace
 import numpy as np
 
 from camfuse import gradcheck
-from camfuse.fusion import (REQUIRED_STREAMS, FusionConfig, _heads, _workspace, attend, fuse,
-                            fuse_backward, iter_params, weights_from_arrays)
+from camfuse.fusion import (REQUIRED_STREAMS, FusionConfig, _attention_scale, _heads, _workspace,
+                            attend, fuse, fuse_backward, iter_params, weights_from_arrays)
 from camfuse.gradcheck import _named
 from camfuse.serde import write_atomic
 from camfuse.tensor import LayerNormParams, TokenTensor
@@ -49,7 +49,7 @@ def attend_rows(q, k, v, c, config, ws=None) -> np.ndarray:
     [m_visual, d_attn], a view of the workspace's `att`."""
     if ws is None:
         ws = _workspace(config)
-    scale = 1.0 / np.sqrt(config.d_attn // config.n_heads)
+    scale = _attention_scale(config.d_attn // config.n_heads)
     np.multiply(_heads(q, config.n_heads), scale, out=ws["qa"][..., :-1])
     return attend(k, v, c, config, ws)[:, :-1]
 

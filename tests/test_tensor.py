@@ -18,7 +18,6 @@ from camfuse.tensor import (
     affine,
     affine_vjp,
     empty_buffer,
-    fold,
     layer_norm,
     layer_norm_vjp,
     normalise,
@@ -264,37 +263,6 @@ class TestKernelBytes:
         assert got.tobytes() == former_affine(x, lin.weight, lin.bias).tobytes()
         for arg, copy in zip((x, lin.weight, lin.bias), before):
             assert arg.tobytes() == copy.tobytes()
-
-
-class TestFold:
-    @given(st.data())
-    def test_normalised_rows_through_the_fold_match_layer_norm_then_affine(self, data):
-        # the folded weight sums the same terms in another order: the gap is
-        # bounded by 4 eps of each output's sum of absolute terms (2.95 eps was
-        # the worst of 40,000 draws), with and without a gate on the columns
-        rows, width, out = (data.draw(st.integers(1, hi), label=name)
-                            for name, hi in (("rows", 40), ("width", 80), ("out", 80)))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        magnitudes = 10.0 ** rng.integers(-3, 4, size=2)
-        x = (rng.standard_normal((rows, width)) * magnitudes[0]
-             + rng.standard_normal() * magnitudes[1])
-        ln = LayerNormParams(rng.standard_normal(width) * 10.0 ** rng.integers(-1, 2),
-                             rng.standard_normal(width) * 10.0 ** rng.integers(-1, 2))
-        lin = LinearMap(rng.standard_normal((width, out)) * 10.0 ** rng.integers(-1, 2),
-                        rng.standard_normal(out) * 10.0 ** rng.integers(-1, 2))
-        lnx = layer_norm(x, ln)
-        xa = normalise(x, np.empty((rows, width + 1)))
-        for gate in (np.ones((1, out)), rng.standard_normal((1, out))):
-            got = xa @ (fold(ln, lin) * gate)
-            want = affine(lnx, lin) * gate
-            terms = (np.abs(lnx) @ np.abs(lin.weight) + np.abs(lin.bias)) * np.abs(gate)
-            assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * terms.max()
-
-    def test_zero_weight_folds_to_exact_zeros(self):
-        # a zero map stays exactly zero through the fold, so a zero p_l leaves the residual
-        rng = np.random.default_rng(62)
-        ln = LayerNormParams(rng.standard_normal(5), rng.standard_normal(5))
-        assert (fold(ln, LinearMap(np.zeros((5, 3)), np.zeros(3))) == 0).all()
 
 
 class TestSoftmax:
