@@ -42,25 +42,28 @@ function that bench/spans.py traces runs in a frame body, since its span
 stack is global: the body calls the five public stages (`project_qkvc`,
 `geo_bias`, `token_weights`, `attend`, `gate_and_fuse`) through private
 aliases the tracer does not wrap, and otherwise only `affine`,
-`normalise`, `layer_norm`, the VJPs `affine_vjp` and `layer_norm_vjp`, and
-the private `tensor._sigmoid`, `_swish` and `_swish_vjp`.
+`normalise`, the VJPs `affine_vjp` and `layer_norm_vjp`, and the private
+`tensor._sigmoid`, `_swish` and `_swish_vjp`.
 
-The visual rows take one GEMM per projection. Once per pass, on the calling
-thread, `fold_weights` folds every per-row affine of the visual path into
-the GEMM that follows it: ln_v's gain and shift, p_q's bias and the
-attention scale 1/sqrt(head_dim) into the query weight, split by head; p_o's
-bias into its weight; ln_o's gain and shift and p_l's bias into p_l's
-weight. Each bias rides as the weight's last row, against a last column of
-ones that `normalise` writes next to the normalised rows (and `attend` next
-to its output). So a frame normalises its visual rows, and one GEMM writes their
-scaled query heads straight into attention's head layout; after the tiles
-one GEMM gives p_o's product, which is normalised, and one GEMM against
-p_l's folded weight, its columns scaled by the frame's gate, writes the
-mapped rows into the frame's output rows, to which the visual rows are then
-added. The reverse pass keeps the unfolded VJPs: it rebuilds the layer
-norms' outputs from the normalised rows left in the workspace (gain times
-row plus shift, the bytes `layer_norm` gives), and takes the gate's
-cotangent from p_l's VJP against the gated map, without the mapped rows.
+Every layer norm is `normalise` plus one GEMM. Once per pass, on the calling
+thread, `fold_weights` folds each layer norm's gain and shift, and the bias
+of the map that follows it, into that map's weight: ln_v's with p_q's bias
+and the attention scale 1/sqrt(head_dim) into the query weight, split by
+head; ln_s's with p_k's and p_v's biases into one weight that gives the
+keys and values side by side; ln_o's with p_l's bias into p_l's weight.
+p_o's bias goes into its weight. Each bias rides as the weight's last row,
+against a last column of ones that `normalise` writes next to the
+normalised rows (and `attend` next to its output). So a frame normalises
+its visual rows, and one GEMM writes their scaled query heads straight into
+attention's head layout; it normalises its spatial rows, and one GEMM
+writes their keys and values; after the tiles one GEMM gives p_o's
+product, which is normalised, and one GEMM against p_l's folded weight, its
+columns scaled by the frame's gate, writes the mapped rows into the frame's
+output rows, to which the visual rows are then added. The reverse pass
+keeps the unfolded VJPs: it rebuilds the layer norms' outputs from the
+normalised rows left in the workspace (gain times row plus shift), and
+takes the gate's cotangent from p_l's VJP against the gated map, without
+the mapped rows.
 
 Attention walks each frame's queries in row tiles sized so that one tile's
 [heads, rows, memory] score block stays about 2 MiB, in a workspace per
@@ -75,11 +78,12 @@ scores by Cauchy-Schwarz. The row sum rides in the second, which writes
 its product transposed, as its last row. The per-row work runs once per
 frame, outside the tiles: the shifts before them, and after them the redo
 of rows whose shifted sum falls below e^-600 (with their exact row max),
-the division by the row sums, along whole rows of the transposed product,
-and the log-sum-exp. The reverse pass keeps no probability tensor: the forward
-leaves the scaled queries and each query row's log-sum-exp in the worker's
-workspace, and the frame's attention VJP folds the log-sum-exp into its
-QK^T GEMM the same way to recompute the probabilities tile by tile. Its
+and the division by the row sums, along whole rows of the transposed
+product. The reverse pass keeps no probability tensor: the forward leaves
+the scaled queries with their shifts, and the row sums, in the worker's
+workspace, and the frame's attention VJP forms each row's log-sum-exp from
+them and folds it into its QK^T GEMM the same way to recompute the
+probabilities tile by tile. Its
 tiles are only seven passes (QK^T, `exp`, the value cotangent, the score
 cotangent, its product with the probabilities, and the query and key
 cotangents), summing the key and value cotangents head-major into
@@ -123,7 +127,6 @@ from .tensor import (
     affine,
     affine_vjp,
     empty_buffer,
-    layer_norm,
     layer_norm_vjp,
     normalise,
     softmax_rows,  # noqa: F401 -- unused here; bench/test_bench.py patches it as a fusion attribute
@@ -368,60 +371,71 @@ def _attention_scale(head_dim: int) -> float:
 
 def _fold_ln(p: LayerNormParams, lin: LinearMap) -> np.ndarray:
     """The weight [width + 1, out_width] that maps `normalise`'s rows of x to
-    ``affine(layer_norm(x, p), lin)``: diag(gain) @ weight, over
-    shift @ weight + bias as its last row."""
+    ``affine(gain * xhat + shift, lin)``, xhat being x's normalised rows:
+    diag(gain) @ weight, over shift @ weight + bias as its last row."""
     return np.vstack([p.gain[:, None] * lin.weight, p.shift @ lin.weight + lin.bias])
 
 
 @dataclass(frozen=True)
 class FoldedWeights:
-    """`weights` and the visual path's weights folded from them by
-    `fold_weights`, which `project_qkvc` and `gate_and_fuse` take together.
+    """`weights` and the weights that `fold_weights` folds from them, which
+    `project_qkvc` and `gate_and_fuse` take together.
 
     wq [h, d_visual + 1, head_dim] maps normalised visual rows to their
     scaled query heads: ln_v's gain and shift, p_q's bias and the attention
-    scale ride in it, split by head. wo [d_attn + 1, d_attn] is p_o's weight
-    over its bias, and wl [d_attn + 1, d_visual] carries ln_o's gain and
-    shift and p_l's bias. Each maps rows with a last column of ones, as
-    `normalise` writes them.
+    scale ride in it, split by head. wkv [d_spatial + 1, 2 * d_attn] maps
+    normalised spatial rows to their keys and values side by side: ln_s's
+    gain and shift with p_k's bias, then with p_v's. wo [d_attn + 1, d_attn]
+    is p_o's weight over its bias, and wl [d_attn + 1, d_visual] carries
+    ln_o's gain and shift and p_l's bias. Each maps rows with a last column
+    of ones, as `normalise` writes them.
     """
 
     weights: FusionWeights
     wq: np.ndarray
+    wkv: np.ndarray
     wo: np.ndarray
     wl: np.ndarray
 
 
 def fold_weights(weights: FusionWeights, config: FusionConfig) -> FoldedWeights:
-    """Fold every per-row affine of the visual path into the weight of the
-    GEMM that follows it (see `FoldedWeights`); a pass does this once, on
+    """Fold every layer norm's gain and shift, and every bias of a map that
+    takes normalised rows or attention's output, into the weight of the GEMM
+    that takes those rows (see `FoldedWeights`); a pass does this once, on
     the calling thread."""
     h = config.n_heads
     dh = config.d_attn // h
     wq = _fold_ln(weights.ln_v, weights.p_q) * _attention_scale(dh)
     wq = np.ascontiguousarray(wq.reshape(-1, h, dh).transpose(1, 0, 2))
-    return FoldedWeights(weights, wq, np.vstack([weights.p_o.weight, weights.p_o.bias]),
-                         _fold_ln(weights.ln_o, weights.p_l))
+    return FoldedWeights(
+        weights, wq=wq,
+        wkv=np.hstack([_fold_ln(weights.ln_s, weights.p_k), _fold_ln(weights.ln_s, weights.p_v)]),
+        wo=np.vstack([weights.p_o.weight, weights.p_o.bias]),
+        wl=_fold_ln(weights.ln_o, weights.p_l))
 
 
 def project_qkvc(visual: np.ndarray, spatial: np.ndarray, camera: np.ndarray,
                  folded: FoldedWeights, ws: dict):
     """Project one frame's visual [mq, d_visual], spatial [ms, d_spatial] and
     camera [1, d_spatial] rows into the shared attention space, the visual
-    and spatial tokens layer-normalized first; returns (k, v, c, lns), c
-    being the camera slot [1, d_attn] and lns the normalized spatial tokens
-    that the reverse pass reads.
+    and spatial tokens layer-normalized first; returns (k, v, c), the keys
+    and values [ms, d_attn] and the camera slot [1, d_attn].
 
-    The visual rows go to the worker's workspace `ws`: `normalise` writes
-    them, with a last column of ones, into ws["xa"], and one GEMM against
-    the folded query weight (`folded.wq`), which carries ln_v's gain and
-    shift, p_q's bias and the attention scale, writes their scaled query
-    heads into the leading columns of ws["qa"], where `attend` reads them.
+    The token rows go to the worker's workspace `ws`, each stream through
+    `normalise` and one GEMM. The visual rows, with a last column of ones,
+    go to ws["xa"], and the folded query weight (`folded.wq`), which carries
+    ln_v's gain and shift, p_q's bias and the attention scale, writes their
+    scaled query heads into the leading columns of ws["qa"], where `attend`
+    reads them. The spatial rows go to ws["sa"], and `folded.wkv`, which
+    carries ln_s's gain and shift and p_k's and p_v's biases, writes the
+    keys and values side by side into ws["kv"]: k and v are views of it,
+    which the next frame's projection in this workspace overwrites. The
+    reverse pass reads xa and sa.
     """
-    weights = folded.weights
     np.matmul(normalise(visual, ws["xa"]), folded.wq, out=ws["qa"][..., :-1])
-    lns = layer_norm(spatial, weights.ln_s)
-    return affine(lns, weights.p_k), affine(lns, weights.p_v), affine(camera, weights.p_c), lns
+    kv = np.matmul(normalise(spatial, ws["sa"]), folded.wkv, out=ws["kv"])
+    da = kv.shape[1] // 2
+    return kv[:, :da], kv[:, da:], affine(camera, folded.weights.p_c)
 
 
 def geo_bias(spatial: np.ndarray, camera: np.ndarray, weights: FusionWeights):
@@ -490,28 +504,30 @@ def _memory_t(x: np.ndarray, slot: np.ndarray, n_heads: int, mt: np.ndarray) -> 
 def _workspace(config: FusionConfig, backward: bool = False) -> dict:
     """One worker's buffers for one frame of `config`.
 
-    xa holds the frame's normalized visual rows and pa those of p_o's
-    product p, each with a last column of ones; kt and vt hold the frame's
-    memory as `_memory_t` lays it out, att the attention output transposed,
-    [d_attn + 1, mq] with a last row of ones, and lse each query row's
-    log-sum-exp; qa is the frame's augmented queries, ow their PV product
-    transposed, [h, head_dim + 1, mq], and e is one query tile's score
-    block. For the reverse pass, ow's memory holds the frame's augmented
-    cotangent rows instead, [h, mq, head_dim + 1]; g_s is a tile's score
-    cotangent, gk and gv sum the key and value cotangents head-major, prod
-    takes each tile's share of them and gq is the query cotangent.
+    xa holds the frame's normalized visual rows, sa its spatial rows and pa
+    those of p_o's product p, each with a last column of ones; kv holds the
+    keys and values side by side, kt and vt the frame's memory as
+    `_memory_t` lays it out, att the attention output transposed,
+    [d_attn + 1, mq] with a last row of ones; qa is the frame's augmented
+    queries, ow their PV product transposed, [h, head_dim + 1, mq], and e
+    is one query tile's score block. For the reverse pass, ow's memory holds
+    the frame's augmented cotangent rows instead, [h, mq, head_dim + 1]; g_s
+    is a tile's score cotangent, gk and gv sum the key and value cotangents
+    head-major, prod takes each tile's share of them and gq is the query
+    cotangent.
 
     The buffers are views of one `empty_buffer` block, so a worker's
     workspace of 1 MiB or more is a mapping of its own, unmapped when the
     pass drops it: it faults in a few huge pages where the kernel has them,
     not one page per 4 KiB of each buffer, and never sits in malloc's heap.
     """
-    h, mq, da = config.n_heads, config.m_visual, config.d_attn
-    mk = config.m_spatial + config.toggles.camera_memory
+    h, mq, ms, da = config.n_heads, config.m_visual, config.m_spatial, config.d_attn
+    mk = ms + config.toggles.camera_memory
     dh = da // h
     tile = min(_tile_rows(h, mk), mq)
-    shapes = {"xa": (mq, config.d_visual + 1), "kt": (h, dh + 1, mk), "vt": (h, dh + 1, mk),
-              "att": (da + 1, mq), "lse": (h, mq), "qa": (h, mq, dh + 1), "e": (h, tile, mk),
+    shapes = {"xa": (mq, config.d_visual + 1), "sa": (ms, config.d_spatial + 1),
+              "kv": (ms, 2 * da), "kt": (h, dh + 1, mk), "vt": (h, dh + 1, mk),
+              "att": (da + 1, mq), "qa": (h, mq, dh + 1), "e": (h, tile, mk),
               "ow": (h, dh + 1, mq), "p": (mq, da), "pa": (mq, da + 1)}
     if backward:
         shapes.update(g_s=(h, tile, mk), gk=(h, mk, dh), gv=(h, mk, dh), prod=(h, mk, dh),
@@ -526,19 +542,20 @@ def _workspace(config: FusionConfig, backward: bool = False) -> dict:
     return views
 
 
-def _exact_shift_rows(qa, kt, vt, o, shift, bad):
+def _exact_shift_rows(qa, kt, vt, o, bad):
     """Recompute a frame's flagged (head, row) pairs shifted by their exact row max.
 
-    `qa` holds the frame's augmented queries, `o` their product with the
-    augmented V, transposed ([h, dh + 1, rows], row sums last), and `shift`
-    the per-row shifts; `o` and `shift` are overwritten for every pair
-    flagged in `bad`.
+    `qa` holds the frame's augmented queries, each row's shift negated as its
+    last entry, and `o` their product with the augmented V, transposed
+    ([h, dh + 1, rows], row sums last); for every pair flagged in `bad`, the
+    row's exact shift, negated, overwrites its last entry in `qa`, and its
+    product overwrites its column of `o`.
     """
     dh = kt.shape[1] - 1
     for h, r in zip(*np.nonzero(bad)):
         s = qa[h, r, :dh] @ kt[h, :dh]
-        shift[h, r] = s.max()
-        o[h, :, r] = np.exp(s - shift[h, r]) @ vt[h].T
+        qa[h, r, dh] = -s.max()
+        o[h, :, r] = np.exp(s + qa[h, r, dh]) @ vt[h].T
 
 
 def attend(k: np.ndarray, v: np.ndarray, c: np.ndarray, config: FusionConfig,
@@ -561,17 +578,17 @@ def attend(k: np.ndarray, v: np.ndarray, c: np.ndarray, config: FusionConfig,
     ([h, dh + 1, rows], as V^T P^T), returns the row sums z as its last row.
     Everything else runs once per frame: the shifts before the tiles, and
     after them the recompute of a frame's flagged pairs (z < e^-600 or a
-    non-finite z) with their exact row max, the division by z, which runs
-    along whole rows of the transposed product, and the log-sum-exp
-    c + log z. Every tile sees the frame's whole memory, so one pass gives
-    the exact softmax.
+    non-finite z) with their exact row max, and the division by z, which
+    runs along whole rows of the transposed product. Every tile sees the
+    frame's whole memory, so one pass gives the exact softmax.
 
     `ws` is a worker's `_workspace` for this frame's config, with the scaled
     query heads in the leading columns of its `qa`. The output is its `att`
-    buffer, transposed, and its `qa`, `kt`, `vt` and `lse` are left holding
-    the scaled queries, the memory layout and each row's log-sum-exp of the
-    scaled scores, from which `_attend_vjp` recomputes the probabilities.
-    No probability tensor is stored.
+    buffer, transposed. Its `qa` is left holding the scaled queries, each
+    with its row's shift negated as the last entry, `kt` and `vt` the memory
+    layout and `ow` the PV product, whose last row is each row's z: from
+    these `_attend_vjp` forms the log-sum-exp and recomputes the
+    probabilities. No probability tensor is stored.
     """
     slot = c if config.toggles.camera_memory else c[:0]
     if k.shape[0] + slot.shape[0] == 0:
@@ -579,7 +596,7 @@ def attend(k: np.ndarray, v: np.ndarray, c: np.ndarray, config: FusionConfig,
             "attention memory is empty: no spatial tokens and camera memory disabled"
         )
     n_heads = config.n_heads
-    kt, vt, att, lse, qa, ow = (ws[name] for name in ("kt", "vt", "att", "lse", "qa", "ow"))
+    kt, vt, att, qa, ow = (ws[name] for name in ("kt", "vt", "att", "qa", "ow"))
     mq, dh = qa.shape[1], qa.shape[2] - 1
     rows = _tile_rows(n_heads, kt.shape[2])
     _memory_t(k, slot, n_heads, kt)
@@ -599,23 +616,23 @@ def attend(k: np.ndarray, v: np.ndarray, c: np.ndarray, config: FusionConfig,
     z = ow[:, dh]
     bad = ~((z >= _Z_MIN) & (z < np.inf))
     if bad.any():
-        _exact_shift_rows(qa, kt, vt, ow, shift, bad)
+        _exact_shift_rows(qa, kt, vt, ow, bad)
     np.divide(ow[:, :dh], ow[:, dh:], out=att[:-1].reshape(n_heads, dh, mq))
     att[-1] = 1.0
-    lse[...] = shift + np.log(z)
     return att.T
 
 
 def _attend_vjp(g_att: np.ndarray, n_heads: int, ws: dict):
     """Cotangents (gq, gk, gv) of ``<g_att, attend(q, ...)>`` for the frame
     whose `attend` last ran in the backward workspace `ws`, which still
-    holds that frame's scaled queries, memory layout, output and
-    log-sum-exp.
+    holds that frame's scaled queries with their negated shifts, memory
+    layout, PV product and output.
 
     gk and gv ([mk, d_attn]) cover the whole memory, the camera slot's row
-    first when there is one. The scaled queries carry a last entry -lse, so
-    per query tile one GEMM against the memory layout and an in-place `exp`
-    recompute the probabilities p; with D = rowsum(g_att * att) the
+    first when there is one. Each scaled query's last entry, its row's
+    negated shift, less log z is -lse, the negated log-sum-exp, so per query
+    tile one GEMM against the memory layout and an in-place `exp` recompute
+    the probabilities p; with D = rowsum(g_att * att) the
     cotangent rows carry -D, so one more GEMM gives g_att v^T - D, and the
     score cotangent is p times that. gk and gv are summed head-major, in
     [h, mk, dh] zeros: each tile's GEMM writes into `prod`, which is added
@@ -625,15 +642,15 @@ def _attend_vjp(g_att: np.ndarray, n_heads: int, ws: dict):
     """
     mq, da = g_att.shape
     dh = da // n_heads
-    kt, vt, lse, qa = (ws[name] for name in ("kt", "vt", "lse", "qa"))
+    kt, vt, qa = (ws[name] for name in ("kt", "vt", "qa"))
     att = ws["att"][:-1].T
+    qa[..., dh] -= np.log(ws["ow"][:, dh])  # z, read before its memory takes the cotangents
     ow = ws["ow"].reshape(n_heads, mq, dh + 1)  # the forward's PV buffer: free now
     gq, gk, gv, prod = ws["gq"], ws["gk"], ws["gv"], ws["prod"]
     rows = _tile_rows(n_heads, kt.shape[2])
     gk.fill(0.0)
     gv.fill(0.0)
     kh = kt[:, :dh].transpose(0, 2, 1)
-    qa[..., dh] = -lse
     goh = ow[..., :dh]
     goh[...] = _heads(g_att, n_heads)
     ow[..., dh] = -(goh * _heads(att, n_heads)).sum(axis=-1)
@@ -851,7 +868,7 @@ def _pass(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
 
     def frame(i, ws):
         lap = _laps(None if busy is None else busy[i])
-        k, v, c, lns = _project_qkvc(xv[i], xs[i], xc[i], folded, ws)
+        k, v, c = _project_qkvc(xv[i], xs[i], xc[i], folded, ws)
         lap("project")
         if t.geo_bias:
             bias, gh, ga = _geo_bias(xs[i], xc[i], w)
@@ -954,6 +971,7 @@ def _pass(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
             g_xc[i] += g_row @ w_c.T
         lap("geo_bias_vjp")
 
+        lns = ws["sa"][:, :-1] * w.ln_s.gain + w.ln_s.shift
         g_lns_k, part["p_k.weight"][...], part["p_k.bias"][...] = affine_vjp(lns, w.p_k, g_k)
         del g_k
         g_lns_v, part["p_v.weight"][...], part["p_v.bias"][...] = affine_vjp(lns, w.p_v, g_v)

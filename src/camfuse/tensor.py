@@ -2,16 +2,16 @@
 
 `TokenTensor` is the validated boundary type: a finite rank-3 array laid out
 [frames, tokens, width]. The kernels act on plain numpy arrays along the last
-(width) axis, and `affine`, `layer_norm` and `swish` have companion ``*_vjp``
-functions returning the cotangents of ``<cotangent, op(inputs)>``, so larger
-modules compose an analytic backward pass without a tape; `affine_vjp` and
-`layer_norm_vjp` take rows, [m, width]. `normalise` is a layer norm without
-its gain and shift: it writes the normalised rows into a buffer one column
-wider and sets that column to 1, so that one GEMM against a weight with the
-layer norm's gain and shift and the map's bias folded in (the bias as the
-last row, as `fusion.fold_weights` folds them) gives the map of the layer
-norm. `layer_norm` forms the same rows, with the same bytes, and scales and
-shifts them in place.
+(width) axis, and `affine` and `swish` have companion ``*_vjp`` functions
+returning the cotangents of ``<cotangent, op(inputs)>``, so larger modules
+compose an analytic backward pass without a tape; `affine_vjp` takes rows,
+[m, width]. `normalise` is the one layer-norm forward kernel: a layer norm
+without its gain and shift, it writes the normalised rows into a buffer one
+column wider and sets that column to 1, so that one GEMM against a weight
+with the layer norm's gain and shift and the map's bias folded in (the bias
+as the last row, as `fusion.fold_weights` folds them) gives the map of the
+layer norm. `layer_norm_vjp` gives the cotangents of a whole layer norm,
+gain and shift included, for rows [m, width].
 Attention's softmax and its VJP run inside `fusion`'s query-tiled kernel,
 folded into its GEMMs: the shift and row sum come out of the QK^T and PV
 products, not out of `softmax_rows`, which no package code calls.
@@ -19,10 +19,10 @@ products, not out of `softmax_rows`, which no package code calls.
 `_sigmoid`, `_swish` and `_swish_vjp` are the private kernels behind the
 public `sigmoid`, `swish` and `swish_vjp`, and give the same bytes.
 `fusion`'s per-frame bodies run on worker threads and call, of this
-module, only `affine`, `normalise`, `layer_norm`, `affine_vjp`,
-`layer_norm_vjp` and the three private kernels: bench/spans.py wraps the
-public names, including `sigmoid`, `swish` and `swish_vjp`, with spans on
-one global stack, which a worker thread must never touch.
+module, only `affine`, `normalise`, `affine_vjp`, `layer_norm_vjp` and the
+three private kernels: bench/spans.py wraps the public names, including
+`sigmoid`, `swish` and `swish_vjp`, with spans on one global stack, which a
+worker thread must never touch.
 
 float64 is the only working precision, so finite-difference gradient checks
 are meaningful. Every layer norm adds the one constant `LN_EPSILON` to its
@@ -49,7 +49,6 @@ __all__ = [
     "LayerNormParams",
     "affine",
     "normalise",
-    "layer_norm",
     "softmax_rows",
     "sigmoid",
     "swish",
@@ -169,59 +168,34 @@ def affine(x: np.ndarray, lin: LinearMap) -> np.ndarray:
     return out
 
 
-def _centred(x: np.ndarray, squares: np.ndarray | None = None):
-    """(d, s): the rows of `x` less their mean, as a new array, and each
-    row's sqrt(var + LN_EPSILON), [..., 1]; the squared deviations go to
-    `squares` (an array of x's shape) when it is given, else to a temporary.
-
-    The variance is the biased one (the standard layer-norm convention),
-    formed as `np.var` forms it: the mean of the squared deviations from the
-    row mean.
-    """
-    d = x - x.mean(axis=-1, keepdims=True)
-    s = np.multiply(d, d, out=squares).sum(axis=-1, keepdims=True)
-    s /= x.shape[-1]
-    s += LN_EPSILON
-    np.sqrt(s, out=s)
-    return d, s
-
-
 def normalise(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write each row of `x` ([..., width]) less its mean, over
     sqrt(var + LN_EPSILON), into ``out[..., :width]``, and 1 into the last
     column of `out` ([..., width + 1]); returns `out`.
 
-    The ones column lets a following GEMM add a bias: a weight with the bias
-    as its last row maps `out` to the affine image of the normalised rows,
-    and a layer norm's gain and shift fold into that weight (as
-    `fusion.fold_weights` folds them).
-    The normalised rows have the bytes that `layer_norm` scales and shifts;
+    The variance is the biased one (the standard layer-norm convention),
+    formed as `np.var` forms it: the mean of the squared deviations from the
+    row mean. The ones column lets a following GEMM add a bias: a weight
+    with the bias as its last row maps `out` to the affine image of the
+    normalised rows, and a layer norm's gain and shift fold into that weight
+    (as `fusion.fold_weights` folds them), so gain times a row plus shift
+    has the bytes of ``gain * ((x - mean) / sqrt(var + LN_EPSILON)) + shift``.
     `x` is never written. The squared deviations are formed in `out`'s own
     memory, seen as an array of x's shape, before the rows overwrite them:
-    with the centred rows the one full-size temporary, a frame's two
+    with the centred rows the one full-size temporary, a frame's
     normalisations free no more than one array each, which malloc keeps
     rather than returning its pages to the system.
     """
-    d, s = _centred(x, out.reshape(-1)[:x.size].reshape(x.shape))
     width = x.shape[-1]
+    d = x - x.mean(axis=-1, keepdims=True)
+    squares = out.reshape(-1)[:x.size].reshape(x.shape)
+    s = np.multiply(d, d, out=squares).sum(axis=-1, keepdims=True)
+    s /= width
+    s += LN_EPSILON
+    np.sqrt(s, out=s)
     np.divide(d, s, out=out[..., :width])
     out[..., width] = 1.0
     return out
-
-
-def layer_norm(x: np.ndarray, p: LayerNormParams) -> np.ndarray:
-    """Normalize each row to zero mean / unit variance, then gain and shift.
-
-    The centred rows (`_centred`, as `normalise` forms them) are the one
-    full-size temporary, updated in place, so the result has the bytes of
-    ``gain * ((x - mean) / sqrt(var + LN_EPSILON)) + shift``; `x` is never
-    written.
-    """
-    d, s = _centred(x)
-    d /= s
-    d *= p.gain
-    d += p.shift
-    return d
 
 
 def softmax_rows(x) -> np.ndarray:

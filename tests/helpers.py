@@ -12,7 +12,7 @@ from camfuse.fusion import (REQUIRED_STREAMS, FusionConfig, _attention_scale, _h
                             attend, fuse, fuse_backward, iter_params, weights_from_arrays)
 from camfuse.gradcheck import _named
 from camfuse.serde import write_atomic
-from camfuse.tensor import LayerNormParams, TokenTensor
+from camfuse.tensor import TokenTensor
 
 # laptop-scale demo shape: 32 kept frames, 448/14 and 518/14 patch grids,
 # widths cut to 64 so a fuse pass stays cheap
@@ -37,9 +37,19 @@ def zero_tokens(frames: int, tokens: int, width: int) -> TokenTensor:
     return TokenTensor(np.zeros((frames, tokens, width)))
 
 
-def identity_layer_norm(width: int) -> LayerNormParams:
-    """Gain one, shift zero: the layer norm alone, at `LN_EPSILON`."""
-    return LayerNormParams(np.ones(width), np.zeros(width))
+def noisy_weights(weights, seed: int):
+    """`weights` with every layer norm's gain drawn as 1 + N(0, 0.5^2) and
+    every shift and bias as N(0, 0.5^2), so that each folded weight's last
+    row is not zero; the weight matrices are kept."""
+    rng = np.random.default_rng(seed)
+    arrays = {}
+    for name, array in iter_params(weights):
+        if name.endswith(".gain"):
+            array = 1.0 + rng.normal(0.0, 0.5, array.shape)
+        elif name.endswith((".shift", ".bias")):
+            array = rng.normal(0.0, 0.5, array.shape)
+        arrays[name] = array
+    return weights_from_arrays(arrays)
 
 
 def attend_rows(q, k, v, c, config, ws=None) -> np.ndarray:

@@ -55,8 +55,8 @@ def former_affine(x, weight, bias):
 
 def former_layer_norm(x, gain, shift):
     """Layer norm through `x.mean` and `x.var`, with a temporary per step:
-    the kernel before it updated one centred array in place, kept as the
-    reference it must match bit for bit."""
+    the package's former layer-norm kernel, kept as the reference that
+    `normalise`'s rows, times gain plus shift, must match bit for bit."""
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     return gain * ((x - mu) / np.sqrt(var + LN_EPSILON)) + shift

@@ -4,10 +4,12 @@ Run with `pytest tests/test_acceptance.py -v -s` to get one printed
 pass/fail line per criterion alongside the pytest verdicts.
 """
 
+import ast
 import importlib
 import itertools
 import time
 from dataclasses import replace
+from pathlib import Path
 from statistics import fmean
 
 import numpy as np
@@ -23,6 +25,7 @@ from camfuse.fusion import (
     iter_params,
     VARIANTS,
 )
+from camfuse import tensor
 from camfuse.gradcheck import check_fuse_gradients
 from camfuse.metrics import mean_relative_accuracy, spbench_aggregate
 from camfuse.pipeline import synth_tokens
@@ -265,3 +268,33 @@ def test_every_exported_name_exists(module):
     """Each module's __all__ names only attributes the module defines."""
     mod = importlib.import_module(f"camfuse.{module}")
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def _tensor_names_used_elsewhere() -> set:
+    """The names of `camfuse.tensor` that another camfuse module imports or
+    reads off the module, found in each module's syntax tree, so that a
+    mention in a docstring or a comment is not a use."""
+    used = set()
+    for path in Path(tensor.__file__).parent.glob("*.py"):
+        if path.name == "tensor.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("tensor", "camfuse.tensor"):
+                used.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "tensor"):
+                used.add(node.attr)
+    return used
+
+
+@pytest.mark.parametrize("name", tensor.__all__)
+def test_every_public_kernel_has_a_caller(name, monkeypatch):
+    """Each name `camfuse.tensor` exports is used by another camfuse module
+    or traced by the benchmark (bench/spans.py): a kernel that no caller
+    needs is deleted, not kept public."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import spans
+
+    traced = {path.split(".")[0] for module, path, *_ in spans.TARGETS.values()
+              if module == "tensor"}
+    assert name in _tensor_names_used_elsewhere() | traced, f"tensor.{name} has no caller"

@@ -48,14 +48,14 @@ from camfuse.tensor import (
     LinearMap,
     TokenTensor,
     affine,
-    layer_norm,
     normalise,
     swish,
 )
 
-from helpers import (DEMO_CONFIG, attend_rows, corrupt_gradients, in_own_mapping, pass_arrays,
-                     traced_bytes, traced_peak, zero_tokens)
-from oracles import ref_attention, ref_fuse, whole_frame_attention, whole_frame_attention_vjp
+from helpers import (DEMO_CONFIG, attend_rows, corrupt_gradients, in_own_mapping, noisy_weights,
+                     pass_arrays, traced_bytes, traced_peak, zero_tokens)
+from oracles import (former_layer_norm, ref_attention, ref_fuse, whole_frame_attention,
+                     whole_frame_attention_vjp)
 
 
 TINY = FusionConfig(n_frames=2, m_visual=3, m_spatial=4,
@@ -114,12 +114,13 @@ def overflowing(weights, where):
 def attention_inputs(config, inputs, weights):
     """Per frame, the (q, k, v, c) that the frame body hands to `attend`,
     composed from the public stages; q is the query rows before the
-    attention scale, formed unfolded, as `affine(layer_norm(...))`."""
+    attention scale, formed unfolded, as `affine(former_layer_norm(...))`."""
     t = config.toggles
     ws, folded = _workspace(config), fold_weights(weights, config)
     for xv, xs, xc in zip(inputs.visual.data, inputs.spatial.data, inputs.camera.data):
-        q = affine(layer_norm(xv, weights.ln_v), weights.p_q)
-        k, v, c, _ = project_qkvc(xv, xs, xc, folded, ws)
+        q = affine(former_layer_norm(xv, weights.ln_v.gain, weights.ln_v.shift), weights.p_q)
+        k, v, c = project_qkvc(xv, xs, xc, folded, ws)
+        k, v = k.copy(), v.copy()  # views of the workspace, which the next frame overwrites
         if t.geo_bias:
             bias = geo_bias(xs, xc, weights)[0]
             k += bias
@@ -244,7 +245,7 @@ class TestFold:
                              rng.standard_normal(width) * 10.0 ** rng.integers(-1, 2))
         lin = LinearMap(rng.standard_normal((width, out)) * 10.0 ** rng.integers(-1, 2),
                         rng.standard_normal(out) * 10.0 ** rng.integers(-1, 2))
-        lnx = layer_norm(x, ln)
+        lnx = former_layer_norm(x, ln.gain, ln.shift)
         xa = normalise(x, np.empty((rows, width + 1)))
         for gate in (np.ones((1, out)), rng.standard_normal((1, out))):
             got = xa @ (_fold_ln(ln, lin) * gate)
@@ -271,7 +272,8 @@ class TestProject:
         inputs = synth_tokens(config, 1)
         inputs = replace(inputs, camera=zero_tokens(config.n_frames, 1, config.d_spatial))
         rows = np.broadcast_to(bias, (config.m_visual, config.d_attn))
-        mapped = affine(layer_norm(affine(rows, weights.p_o), weights.ln_o), weights.p_l)
+        mapped = affine(former_layer_norm(affine(rows, weights.p_o), weights.ln_o.gain,
+                                          weights.ln_o.shift), weights.p_l)
         npt.assert_allclose(fuse(inputs, weights, config).data, inputs.visual.data + mapped,
                             rtol=0, atol=1e-12)
 
@@ -279,31 +281,42 @@ class TestProject:
         weights = init_weights(TINY, 1)
         inputs = synth_tokens(TINY, 2)
         ws = _workspace(TINY)
-        k, v, c, lns = project_qkvc(inputs.visual.data[0], inputs.spatial.data[0],
-                                    inputs.camera.data[0], fold_weights(weights, TINY), ws)
+        k, v, c = project_qkvc(inputs.visual.data[0], inputs.spatial.data[0],
+                               inputs.camera.data[0], fold_weights(weights, TINY), ws)
         assert k.shape == v.shape == (4, 4)
         assert c.shape == (1, 4)
-        assert lns.shape == (4, 5)
         assert ws["xa"].shape == (3, 7) and ws["qa"].shape == (2, 3, 3)
+        assert ws["sa"].shape == (4, 6) and ws["kv"].shape == (4, 8)
 
     def test_composes_kernel_ops_bit_exactly(self):
+        # the normalised rows, the query heads and the camera slot bit for bit; the
+        # keys and values, whose folded weight carries ln_s and both biases, match
+        # the unfolded projection up to rounding, within the query heads' bound
         weights = init_weights(TINY, 4)
+        rng = np.random.default_rng(10)
+        ds, da = TINY.d_spatial, TINY.d_attn
+        weights = replace(weights, ln_s=LayerNormParams(rng.standard_normal(ds),
+                                                        rng.standard_normal(ds)),
+                          p_k=LinearMap(weights.p_k.weight, rng.standard_normal(da)),
+                          p_v=LinearMap(weights.p_v.weight, rng.standard_normal(da)))
         inputs = synth_tokens(TINY, 5)
         ws = _workspace(TINY)
         folded = fold_weights(weights, TINY)
         for xv, xs, xc in zip(inputs.visual.data, inputs.spatial.data, inputs.camera.data):
-            k, v, c, lns = project_qkvc(xv, xs, xc, folded, ws)
+            k, v, c = project_qkvc(xv, xs, xc, folded, ws)
             xa = normalise(xv, np.empty((TINY.m_visual, TINY.d_visual + 1)))
             assert ws["xa"].tobytes() == xa.tobytes()
             assert ws["qa"][..., :-1].tobytes() == np.matmul(xa, folded.wq).tobytes()
-            assert lns.tobytes() == layer_norm(xs, weights.ln_s).tobytes()
-            assert k.tobytes() == affine(lns, weights.p_k).tobytes()
-            assert v.tobytes() == affine(lns, weights.p_v).tobytes()
+            assert ws["sa"].tobytes() == normalise(xs, np.empty((TINY.m_spatial, ds + 1))).tobytes()
+            lns = former_layer_norm(xs, weights.ln_s.gain, weights.ln_s.shift)
+            for got, lin in ((k, weights.p_k), (v, weights.p_v)):
+                want = affine(lns, lin)
+                assert np.abs(got - want).max() <= 4e-16 * np.abs(want).max()
             assert c.tobytes() == affine(xc, weights.p_c).tobytes()
 
     @pytest.mark.parametrize("config", [TINY, replace(TINY, d_visual=2, d_attn=8, n_heads=4)])
     def test_scaled_query_heads_match_the_unfolded_projection(self, config):
-        # the folded weight gives the scaled heads of affine(layer_norm(x)) up to rounding
+        # the folded weight gives the scaled heads of the unfolded projection up to rounding
         weights = init_weights(config, 6)
         rng = np.random.default_rng(7)
         weights = replace(weights, ln_v=LayerNormParams(rng.standard_normal(config.d_visual),
@@ -314,7 +327,7 @@ class TestProject:
         xv = inputs.visual.data[0]
         project_qkvc(xv, inputs.spatial.data[0], inputs.camera.data[0],
                      fold_weights(weights, config), ws)
-        q = affine(layer_norm(xv, weights.ln_v), weights.p_q)
+        q = affine(former_layer_norm(xv, weights.ln_v.gain, weights.ln_v.shift), weights.p_q)
         want = _heads(q, config.n_heads) / np.sqrt(config.d_attn // config.n_heads)
         assert np.abs(ws["qa"][..., :-1] - want).max() <= 4e-16 * np.abs(want).max()
 
@@ -472,9 +485,9 @@ class TestTiledAttention:
         for i in range(n):
             ws = _workspace(config, backward=True)
             out[i] = attend_rows(q[i], k[i], v[i], c[i], config, ws)
-            lse[i] = ws["lse"]
             for grad, frame_grad in zip(grads, _attend_vjp(g_out[i], n_heads, ws)):
                 grad[i] = frame_grad
+            lse[i] = -ws["qa"][..., -1]  # the VJP's -lse column
         kmem, vmem = (x if slot is None else np.concatenate([slot, x], axis=1) for x in (k, v))
         expected, probs = whole_frame_attention(q, kmem, vmem, n_heads)
         assert relative_error(out, expected) <= 1e-12
@@ -560,9 +573,9 @@ class TestTiledAttention:
         counts: list = []
         exact = fusion._exact_shift_rows
 
-        def counted(qa, kt, vt, o, shift, bad):
+        def counted(qa, kt, vt, o, bad):
             counts.append(int(bad.sum()))
-            return exact(qa, kt, vt, o, shift, bad)
+            return exact(qa, kt, vt, o, bad)
 
         monkeypatch.setattr(fusion, "_exact_shift_rows", counted)
         return counts
@@ -855,7 +868,7 @@ class TestGateAndFuse:
         staged = np.empty_like(inputs.visual.data)
         for i, (xv, xs, xc) in enumerate(zip(inputs.visual.data, inputs.spatial.data,
                                               inputs.camera.data)):
-            k, v, c, _ = project_qkvc(xv, xs, xc, folded, ws)
+            k, v, c = project_qkvc(xv, xs, xc, folded, ws)
             bias = geo_bias(xs, xc, weights)[0]
             k += bias
             v += bias
@@ -879,7 +892,8 @@ class TestGateAndFuse:
         row = rng.standard_normal((1, 7)) if gate else None
         visual = rng.standard_normal((config.m_visual, 7))
         out = gate_and_fuse(attended, row, visual, folded, ws, np.empty_like(visual))
-        mapped = affine(layer_norm(affine(rows, weights.p_o), weights.ln_o), weights.p_l)
+        mapped = affine(former_layer_norm(affine(rows, weights.p_o), weights.ln_o.gain,
+                                          weights.ln_o.shift), weights.p_l)
         want = (mapped if row is None else mapped * row) + visual
         assert np.abs(out - want).max() <= 1e-15 * np.abs(want).max()
 
@@ -1095,10 +1109,11 @@ class TestFuseBackward:
                                        config, seed=0)
         assert max(results.values()) < 1e-5, results
 
-    @pytest.mark.parametrize("config", [TINY, MULTI_TILE])
+    @pytest.mark.parametrize("config", [TINY, MULTI_TILE, replace(DEMO_CONFIG, n_frames=1)])
     def test_directional_derivative(self, config, monkeypatch):
         inputs = synth_tokens(config, 11)
-        weights = init_weights(config, 12)
+        # non-zero shifts and biases, so that no folded weight's last row is zero
+        weights = noisy_weights(init_weights(config, 12), 13)
         assert check_directional(inputs, weights, config, seed=3)["error"] < 1e-8
         corrupt_gradients(monkeypatch, 1e-2)
         assert check_directional(inputs, weights, config, seed=3)["error"] > 1e-6
