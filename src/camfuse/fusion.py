@@ -42,7 +42,7 @@ function that bench/spans.py traces runs in a frame body, since its span
 stack is global: the body calls the five public stages (`project_qkvc`,
 `geo_bias`, `token_weights`, `attend`, `gate_and_fuse`) through private
 aliases the tracer does not wrap, and otherwise only `affine`,
-`normalise`, the VJPs `affine_vjp` and `layer_norm_vjp`, and the private
+`normalise`, the VJPs `affine_vjp` and `normalise_vjp`, and the private
 `tensor._sigmoid`, `_swish` and `_swish_vjp`.
 
 Every layer norm is `normalise` plus one GEMM. Once per pass, on the calling
@@ -60,10 +60,10 @@ writes their keys and values; after the tiles one GEMM gives p_o's
 product, which is normalised, and one GEMM against p_l's folded weight, its
 columns scaled by the frame's gate, writes the mapped rows into the frame's
 output rows, to which the visual rows are then added. The reverse pass
-keeps the unfolded VJPs: it rebuilds the layer norms' outputs from the
-normalised rows left in the workspace (gain times row plus shift), and
-takes the gate's cotangent from p_l's VJP against the gated map, without
-the mapped rows.
+differentiates these GEMMs as they ran: a folded weight's cotangent is the
+rows left in the workspace, transposed, times the product's cotangent, and
+`_fold_ln_vjp`, the fold's transpose, takes it back to the weights it was
+folded from; only it and `_fold_ln` read a gain or a shift.
 
 Attention walks each frame's queries in row tiles sized so that one tile's
 [heads, rows, memory] score block stays about 2 MiB, in a workspace per
@@ -127,8 +127,8 @@ from .tensor import (
     affine,
     affine_vjp,
     empty_buffer,
-    layer_norm_vjp,
     normalise,
+    normalise_vjp,
     softmax_rows,  # noqa: F401 -- unused here; bench/test_bench.py patches it as a fusion attribute
 )
 
@@ -365,7 +365,7 @@ def _check_inputs(inputs: FusionInputs, config: FusionConfig) -> None:
 
 def _attention_scale(head_dim: int) -> float:
     """The attention scale 1/sqrt(head_dim), which the folded query weight
-    carries and the query cotangent takes back."""
+    carries and the reverse pass takes back where it undoes the fold."""
     return 1.0 / np.sqrt(head_dim)
 
 
@@ -374,6 +374,14 @@ def _fold_ln(p: LayerNormParams, lin: LinearMap) -> np.ndarray:
     ``affine(gain * xhat + shift, lin)``, xhat being x's normalised rows:
     diag(gain) @ weight, over shift @ weight + bias as its last row."""
     return np.vstack([p.gain[:, None] * lin.weight, p.shift @ lin.weight + lin.bias])
+
+
+def _fold_ln_vjp(p: LayerNormParams, lin: LinearMap, g: np.ndarray):
+    """Cotangents (gain, shift, weight, bias) of ``<g, _fold_ln(p, lin)>``:
+    the fold's exact transpose, for its cotangent g [width + 1, out_width]."""
+    top, last = g[:-1], g[-1]
+    return ((top * lin.weight).sum(axis=1), lin.weight @ last,
+            p.gain[:, None] * top + p.shift[:, None] * last, last)
 
 
 @dataclass(frozen=True)
@@ -513,8 +521,8 @@ def _workspace(config: FusionConfig, backward: bool = False) -> dict:
     is one query tile's score block. For the reverse pass, ow's memory holds
     the frame's augmented cotangent rows instead, [h, mq, head_dim + 1]; g_s
     is a tile's score cotangent, gk and gv sum the key and value cotangents
-    head-major, prod takes each tile's share of them and gq is the query
-    cotangent.
+    head-major, prod takes each tile's share of them and gq is the scaled
+    query heads' cotangent; kv takes the key and value cotangents last.
 
     The buffers are views of one `empty_buffer` block, so a worker's
     workspace of 1 MiB or more is a mapping of its own, unmapped when the
@@ -626,7 +634,7 @@ def _attend_vjp(g_att: np.ndarray, n_heads: int, ws: dict):
     """Cotangents (gq, gk, gv) of ``<g_att, attend(q, ...)>`` for the frame
     whose `attend` last ran in the backward workspace `ws`, which still
     holds that frame's scaled queries with their negated shifts, memory
-    layout, PV product and output.
+    layout, PV product and output; q is the scaled query heads.
 
     gk and gv ([mk, d_attn]) cover the whole memory, the camera slot's row
     first when there is one. Each scaled query's last entry, its row's
@@ -637,8 +645,8 @@ def _attend_vjp(g_att: np.ndarray, n_heads: int, ws: dict):
     score cotangent is p times that. gk and gv are summed head-major, in
     [h, mk, dh] zeros: each tile's GEMM writes into `prod`, which is added
     to them, so tiles add in order onto zeros. The -lse and -D columns are
-    written once per frame before the tiles, and gq, written token-major in
-    place, is scaled once after them; the heads are merged once, at the end.
+    written once per frame before the tiles, and gq is written token-major
+    in place; gk's and gv's heads are merged at the end.
     """
     mq, da = g_att.shape
     dh = da // n_heads
@@ -665,7 +673,6 @@ def _attend_vjp(g_att: np.ndarray, n_heads: int, ws: dict):
         st *= pt
         np.matmul(st, kh, out=gqh[:, lo:hi])
         gk += np.matmul(st.transpose(0, 2, 1), qa[:, lo:hi, :dh], out=prod)
-    gq *= _attention_scale(dh)
     return gq, _merge_heads(gk), _merge_heads(gv)
 
 
@@ -854,7 +861,7 @@ def _pass(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
     _check_inputs(inputs, config)
     t, w = config.toggles, weights
     xv, xs, xc = inputs.visual.data, inputs.spatial.data, inputs.camera.data
-    n, mq, ds = config.n_frames, config.m_visual, config.d_spatial
+    n, mq, ds, da = config.n_frames, config.m_visual, config.d_spatial, config.d_attn
     mk = config.m_spatial + t.camera_memory
     backward = g_out is not None
     busy = None if timings is None else [{} for _ in range(n)]  # stage seconds, per frame
@@ -896,26 +903,23 @@ def _pass(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
 
         # each residual and each cotangent is dropped at its last read; the camera
         # slot's one-row residuals live on to the gate's and p_c's VJPs, which run last.
-        # The layer norms' outputs are rebuilt from the normalized rows in the workspace.
+        # A folded weight's cotangent is its GEMM's rows, transposed, times the product's
+        # cotangent; the rows' cotangent is that times the weight without its bias row.
         g = g_out[i]
         part = _param_views(partials[i], config)
-        proj = ws["pa"][:, :-1] * w.ln_o.gain + w.ln_o.shift
-        # out = (proj @ W + b) * gate + visual: p_l's VJP against the gated map gives
-        # g_proj, proj^T g and the sum of g, from which the gate's cotangent and p_l's
-        # gradients follow without the mapped rows
-        lin = w.p_l if gate is None else LinearMap(w.p_l.weight * gate, w.p_l.bias * gate[0])
-        g_proj, g_weight, g_bias = affine_vjp(proj, lin, g)
-        del proj
+        # out = pa @ (wl * gate) + visual
+        g_wl = ws["pa"].T @ g
+        g_pa = g @ (folded.wl[:-1] if gate is None else folded.wl[:-1] * gate).T
         if t.gate:
-            g_gate = (w.p_l.weight * g_weight).sum(axis=0) + w.p_l.bias * g_bias
-            g_weight *= gate
-            g_bias *= gate[0]
-        part["p_l.weight"][...], part["p_l.bias"][...] = g_weight, g_bias
-        g_p, part["ln_o.gain"][...], part["ln_o.shift"][...] = layer_norm_vjp(
-            ws["p"], w.ln_o, g_proj)
-        del g_proj
-        g_att, part["p_o.weight"][...], part["p_o.bias"][...] = affine_vjp(
-            att[:, :-1], w.p_o, g_p)
+            g_gate = (folded.wl * g_wl).sum(axis=0)
+            g_wl *= gate
+        (part["ln_o.gain"][...], part["ln_o.shift"][...], part["p_l.weight"][...],
+         part["p_l.bias"][...]) = _fold_ln_vjp(w.ln_o, w.p_l, g_wl)
+        g_p = normalise_vjp(ws["p"], g_pa)
+        del g_pa
+        g_wo = ws["att"] @ g_p  # att's last row is ones: p_o's bias gradient
+        part["p_o.weight"][...], part["p_o.bias"][...] = g_wo[:-1], g_wo[-1]
+        g_att = g_p @ folded.wo[:-1].T
         del g_p
         lap("gate_fuse_vjp")
 
@@ -928,16 +932,13 @@ def _pass(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
         del g_kmem, g_vmem  # each lives on only through its view, g_k or g_v
         lap("attend_vjp")
 
-        # the queries' VJPs come next: g_q is in the workspace, and out[i] is
-        # read no more, so its rows take the visual gradient now
-        lnv = ws["xa"][:, :-1] * w.ln_v.gain + w.ln_v.shift
-        g_lnv, part["p_q.weight"][...], part["p_q.bias"][...] = affine_vjp(lnv, w.p_q, g_q)
-        del lnv
-        g_xv_ln, part["ln_v.gain"][...], part["ln_v.shift"][...] = layer_norm_vjp(
-            xv[i], w.ln_v, g_lnv)
-        del g_lnv
-        np.add(g, g_xv_ln, out=out[i])
-        del g_xv_ln
+        # the queries' VJPs come next: g_q, the scaled heads' cotangent, is in the
+        # workspace, and out[i] is read no more, so its rows take the visual gradient now
+        g_wq = ws["xa"].T @ g_q
+        g_wq *= _attention_scale(da // config.n_heads)
+        (part["ln_v.gain"][...], part["ln_v.shift"][...], part["p_q.weight"][...],
+         part["p_q.bias"][...]) = _fold_ln_vjp(w.ln_v, w.p_q, g_wq)
+        np.add(g, normalise_vjp(xv[i], g_q @ _merge_heads(folded.wq)[:-1].T), out=out[i])
         lap("project_vjp")
 
         if t.token_weight:
@@ -971,16 +972,17 @@ def _pass(inputs: FusionInputs, weights: FusionWeights, config: FusionConfig,
             g_xc[i] += g_row @ w_c.T
         lap("geo_bias_vjp")
 
-        lns = ws["sa"][:, :-1] * w.ln_s.gain + w.ln_s.shift
-        g_lns_k, part["p_k.weight"][...], part["p_k.bias"][...] = affine_vjp(lns, w.p_k, g_k)
-        del g_k
-        g_lns_v, part["p_v.weight"][...], part["p_v.bias"][...] = affine_vjp(lns, w.p_v, g_v)
-        del lns, g_v
-        g_lns_k += g_lns_v
-        del g_lns_v
-        g_xs_ln, part["ln_s.gain"][...], part["ln_s.shift"][...] = layer_norm_vjp(
-            xs[i], w.ln_s, g_lns_k)
-        g_xs[i] += g_xs_ln
+        # k and v, views of the workspace's kv, are read no more: it takes their cotangents
+        g_kv = np.concatenate([g_k, g_v], axis=1, out=ws["kv"])
+        del g_k, g_v
+        g_wkv = ws["sa"].T @ g_kv
+        g_xs[i] += normalise_vjp(xs[i], g_kv @ folded.wkv[:-1].T)
+        gain_k, shift_k, part["p_k.weight"][...], part["p_k.bias"][...] = _fold_ln_vjp(
+            w.ln_s, w.p_k, g_wkv[:, :da])
+        gain_v, shift_v, part["p_v.weight"][...], part["p_v.bias"][...] = _fold_ln_vjp(
+            w.ln_s, w.p_v, g_wkv[:, da:])
+        # ln_s's gain and shift take a share through each of p_k and p_v
+        part["ln_s.gain"][...], part["ln_s.shift"][...] = gain_k + gain_v, shift_k + shift_v
         lap("project_vjp")
 
         if t.gate:  # the gate's two branches both read the camera slot

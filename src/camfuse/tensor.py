@@ -1,17 +1,18 @@
 """Token-tensor boundary types and raw-array kernels with analytic VJPs.
 
 `TokenTensor` is the validated boundary type: a finite rank-3 array laid out
-[frames, tokens, width]. The kernels act on plain numpy arrays along the last
-(width) axis, and `affine` and `swish` have companion ``*_vjp`` functions
-returning the cotangents of ``<cotangent, op(inputs)>``, so larger modules
-compose an analytic backward pass without a tape; `affine_vjp` takes rows,
-[m, width]. `normalise` is the one layer-norm forward kernel: a layer norm
-without its gain and shift, it writes the normalised rows into a buffer one
-column wider and sets that column to 1, so that one GEMM against a weight
-with the layer norm's gain and shift and the map's bias folded in (the bias
-as the last row, as `fusion.fold_weights` folds them) gives the map of the
-layer norm. `layer_norm_vjp` gives the cotangents of a whole layer norm,
-gain and shift included, for rows [m, width].
+[frames, tokens, width]. The kernels act on plain numpy arrays along the
+last (width) axis, and `affine`, `normalise` and `swish` have companion
+``*_vjp`` functions returning the cotangents of ``<cotangent, op(inputs)>``,
+so larger modules compose an analytic backward pass without a tape;
+`affine_vjp` and `normalise_vjp` take rows, [m, width]. `normalise` is the
+one layer-norm kernel: a layer norm without its gain and shift, it writes
+the normalised rows into a buffer one column wider and sets that column to
+1, so that one GEMM against a weight with the layer norm's gain and shift
+and the map's bias folded in (the bias as the last row, as
+`fusion.fold_weights` folds them) gives the map of the layer norm. No kernel
+here reads a gain or a shift: the cotangents of the folded weight go back to
+them in `fusion`.
 Attention's softmax and its VJP run inside `fusion`'s query-tiled kernel,
 folded into its GEMMs: the shift and row sum come out of the QK^T and PV
 products, not out of `softmax_rows`, which no package code calls.
@@ -19,7 +20,7 @@ products, not out of `softmax_rows`, which no package code calls.
 `_sigmoid`, `_swish` and `_swish_vjp` are the private kernels behind the
 public `sigmoid`, `swish` and `swish_vjp`, and give the same bytes.
 `fusion`'s per-frame bodies run on worker threads and call, of this
-module, only `affine`, `normalise`, `affine_vjp`, `layer_norm_vjp` and the
+module, only `affine`, `normalise`, `affine_vjp`, `normalise_vjp` and the
 three private kernels: bench/spans.py wraps the public names, including
 `sigmoid`, `swish` and `swish_vjp`, with spans on one global stack, which a
 worker thread must never touch.
@@ -53,7 +54,7 @@ __all__ = [
     "sigmoid",
     "swish",
     "affine_vjp",
-    "layer_norm_vjp",
+    "normalise_vjp",
     "swish_vjp",
 ]
 
@@ -253,21 +254,14 @@ def affine_vjp(x: np.ndarray, lin: LinearMap, g: np.ndarray):
     return g @ lin.weight.T, x.T @ g, g.sum(axis=0)
 
 
-def layer_norm_vjp(x: np.ndarray, p: LayerNormParams, gy: np.ndarray):
-    """Returns (grad_x, grad_gain, grad_shift), for rows x [m, width]."""
+def normalise_vjp(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Cotangent w.r.t. x of ``<g, xhat>``, xhat being the normalised rows
+    that `normalise` writes for rows x [m, width] (without its ones column)."""
     mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPSILON)
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + LN_EPSILON)
     xhat = (x - mu) * inv
-    ggain = (gy * xhat).sum(axis=0)
-    gshift = gy.sum(axis=0)
-    gxhat = gy * p.gain
-    gx = inv * (
-        gxhat
-        - gxhat.mean(axis=-1, keepdims=True)
-        - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
-    )
-    return gx, ggain, gshift
+    return inv * (g - g.mean(axis=-1, keepdims=True)
+                  - xhat * (g * xhat).mean(axis=-1, keepdims=True))
 
 
 def _swish_vjp(x, cotangent) -> np.ndarray:

@@ -62,6 +62,25 @@ def former_layer_norm(x, gain, shift):
     return gain * ((x - mu) / np.sqrt(var + LN_EPSILON)) + shift
 
 
+def former_layer_norm_vjp(x, p, gy):
+    """Cotangents (x, gain, shift) of ``<gy, former_layer_norm(x, p.gain,
+    p.shift)>`` for rows x [m, width]: the package's former layer-norm VJP,
+    kept as the reference for `normalise_vjp` and the fold's VJP together."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LN_EPSILON)
+    xhat = (x - mu) * inv
+    ggain = (gy * xhat).sum(axis=0)
+    gshift = gy.sum(axis=0)
+    gxhat = gy * p.gain
+    gx = inv * (
+        gxhat
+        - gxhat.mean(axis=-1, keepdims=True)
+        - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    return gx, ggain, gshift
+
+
 def ref_sigmoid(v):
     return 1.0 / (1.0 + math.exp(-v))
 

@@ -25,7 +25,7 @@ from camfuse.fusion import (
     iter_params,
     VARIANTS,
 )
-from camfuse import tensor
+from camfuse import fusion, tensor
 from camfuse.gradcheck import check_fuse_gradients
 from camfuse.metrics import mean_relative_accuracy, spbench_aggregate
 from camfuse.pipeline import synth_tokens
@@ -298,3 +298,19 @@ def test_every_public_kernel_has_a_caller(name, monkeypatch):
     traced = {path.split(".")[0] for module, path, *_ in spans.TARGETS.values()
               if module == "tensor"}
     assert name in _tensor_names_used_elsewhere() | traced, f"tensor.{name} has no caller"
+
+
+def test_only_the_fold_reads_layer_norm_parameters():
+    """Every `.gain` and `.shift` read in `camfuse.fusion` sits in `_fold_ln`
+    or its transpose `_fold_ln_vjp`: both passes run the layer norms as
+    `normalise` plus a GEMM against a folded weight, so no code rebuilds a
+    layer norm's output from its parameters."""
+    tree = ast.parse(Path(fusion.__file__).read_text(), fusion.__file__)
+    folds = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+             and node.name in ("_fold_ln", "_fold_ln_vjp")]
+    assert folds
+    allowed = {id(node) for fold in folds for node in ast.walk(fold)}
+    reads = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("gain", "shift")]
+    assert {id(node) for node in reads} & allowed, "the fold reads no layer-norm parameter"
+    assert [f"line {node.lineno}: .{node.attr}" for node in reads if id(node) not in allowed] == []
